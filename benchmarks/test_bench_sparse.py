@@ -273,7 +273,7 @@ def test_sparse_detector_scaling(bench_artifact):
         print(f"[{name}] dense  n={n}: {stats}")
         if n == equiv_n:
             dense_w = result.weights
-            sparse_w = sparse_results[n].weights_dense()
+            sparse_w = sparse_results[n].weights
             max_diff = float(np.abs(dense_w - sparse_w).max())
             assert np.allclose(
                 dense_w, sparse_w, rtol=_EQUIV_RTOL, atol=_EQUIV_ATOL

@@ -16,10 +16,9 @@ calls:
 
 The scenario surface has two equivalent spellings:
 
-* the **legacy keyword bag** shown above — every
+* the **keyword bag** shown above — every
   :class:`~repro.experiments.setup.WorldConfig` field as a keyword, enums
-  accepted as strings; old spellings from earlier example scripts keep
-  working through :func:`repro.utils.deprecation.deprecated_alias` shims;
+  accepted as strings;
 * the **typed spec**: a frozen :class:`ScenarioSpec` value carrying the
   same information, hashable, JSON-round-trippable
   (:meth:`ScenarioSpec.to_dict` / :meth:`ScenarioSpec.from_dict`), and
@@ -59,7 +58,6 @@ from repro.experiments.setup import (
 )
 from repro.obs import Observability
 from repro.p2p import MetricsCollector, Simulation
-from repro.utils.deprecation import deprecated_alias, deprecated_param
 
 __all__ = [
     "API_VERSION",
@@ -77,8 +75,10 @@ __all__ = [
 #: Version of the public scenario/event surface (``major.minor``): the
 #: minor bumps on compatible additions, the major on breaking changes.
 #: 2.0 introduced :class:`ScenarioSpec`, the typed :func:`run_scenario`
-#: signature, and the streaming-service event types.
-API_VERSION = "2.0"
+#: signature, and the streaming-service event types; 3.0 dropped the
+#: legacy keyword aliases (``cycles=``, ``policy=``, ``progress=``, ...)
+#: and folded ``SparseDetectionResult`` into ``DetectionResult``.
+API_VERSION = "3.0"
 
 #: The socialtrust-wrapped counterpart of each base reputation stack.
 _SOCIALTRUST_OF = {
@@ -433,15 +433,6 @@ class ScenarioSpec:
         return replace(self, world=world, **direct)
 
 
-@deprecated_alias(
-    n_cycles="simulation_cycles",
-    cycles="simulation_cycles",
-    exploration="selection_exploration",
-    policy="selection_policy",
-    malicious_authentic_prob="colluder_b",
-    ratings_per_cycle="pcm_ratings_per_cycle",
-    query_cycles_per_simulation_cycle="query_cycles",
-)
 def build_scenario(
     spec: ScenarioSpec | None = None,
     *,
@@ -456,7 +447,7 @@ def build_scenario(
     """Build one fully wired scenario from a spec or keyword arguments.
 
     Pass either a :class:`ScenarioSpec` positionally (``observability`` is
-    the only keyword that may accompany it) or the legacy keyword bag:
+    the only keyword that may accompany it) or the keyword bag:
     ``system`` and ``collusion`` accept the enum members or their string
     names (``"EigenTrust+SocialTrust"``, ``"pcm"``, ...); setting
     ``use_socialtrust`` swaps a base system for its SocialTrust-wrapped
@@ -517,20 +508,6 @@ def build_scenario(
     return Scenario(config=config, seed=seed, run_index=run_index, world=world)
 
 
-@deprecated_param(
-    "progress",
-    reason="the facade never rendered progress output; wrap the call at the "
-    "call site if you need it",
-)
-@deprecated_alias(
-    n_cycles="simulation_cycles",
-    cycles="simulation_cycles",
-    exploration="selection_exploration",
-    policy="selection_policy",
-    malicious_authentic_prob="colluder_b",
-    ratings_per_cycle="pcm_ratings_per_cycle",
-    query_cycles_per_simulation_cycle="query_cycles",
-)
 def run_scenario(
     spec: ScenarioSpec | None = None,
     *,

@@ -1218,22 +1218,8 @@ def _dispatch(args: argparse.Namespace) -> int:
     raise AssertionError(f"unhandled command {args.command!r}")
 
 
-#: ``obs`` subcommands; anything else after ``obs`` is treated as the
-#: legacy positional trace path and routed to ``obs report``.
-_OBS_SUBCOMMANDS = ("report", "health", "top", "export")
-
-
 def main(argv: list[str] | None = None) -> int:
     """CLI entry point; returns the process exit code."""
-    argv = list(sys.argv[1:] if argv is None else argv)
-    if (
-        len(argv) >= 2
-        and argv[0] == "obs"
-        and argv[1] not in _OBS_SUBCOMMANDS
-        and not argv[1].startswith("-")
-    ):
-        # Back-compat: ``repro obs trace.jsonl`` predates the subcommands.
-        argv.insert(1, "report")
     args = build_parser().parse_args(argv)
     try:
         return _dispatch(args)

@@ -21,15 +21,19 @@ from repro.core.closeness import ClosenessComputer
 from repro.core.config import CoefficientBackend, GaussianCenter, SocialTrustConfig
 from repro.core.detector import (
     CollusionDetector,
+    DetectionResult,
     Finding,
-    SparseDetectionResult,
     SuspicionReason,
 )
 from repro.core.gaussian import RaterBand, combined_weight, gaussian_weight
 from repro.core.manager import DistributedSocialTrust, ResourceManager
 from repro.core.similarity import SimilarityComputer, overlap_similarity
 from repro.core.socialtrust import SocialTrust
-from repro.core.sparse import SparseClosenessComputer, SparseSimilarityComputer
+from repro.core.sparse import (
+    SparseClosenessComputer,
+    SparseSimilarityComputer,
+    coefficient_computers,
+)
 
 __all__ = [
     "ClosenessComputer",
@@ -37,8 +41,8 @@ __all__ = [
     "GaussianCenter",
     "SocialTrustConfig",
     "CollusionDetector",
+    "DetectionResult",
     "Finding",
-    "SparseDetectionResult",
     "SuspicionReason",
     "RaterBand",
     "combined_weight",
@@ -48,6 +52,7 @@ __all__ = [
     "SimilarityComputer",
     "SparseClosenessComputer",
     "SparseSimilarityComputer",
+    "coefficient_computers",
     "overlap_similarity",
     "SocialTrust",
 ]

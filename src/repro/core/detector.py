@@ -3,8 +3,8 @@
 Per reputation-update interval the detector:
 
 1. derives the frequency thresholds ``T+_t`` / ``T-_t`` (``theta * F`` over
-   the interval's observed mean positive/negative rating frequency unless
-   the configuration pins absolute values);
+   the interval's observed median positive/negative rating frequency
+   unless the configuration pins absolute values);
 2. flags rater→ratee pairs whose positive (negative) rating count exceeds
    the threshold;
 3. classifies each flagged pair against the trace-mined behaviours:
@@ -23,20 +23,30 @@ Per reputation-update interval the detector:
    the system-wide band for raters with too few rated peers — the AUTO
    centring policy).
 
-Everything is evaluated on dense ``n x n`` matrices so an interval costs a
-handful of vectorised passes.
+One pair-indexed kernel does all four steps.  Its inputs are the nonzero
+entries of the interval's rating-count matrices, of the cumulative rated
+mask and of the recidivism history, as sorted row-major pair keys
+``i * n + j``.  Behaviours, leave-one-out bands and damping are evaluated
+only over the frequency-flagged pairs (plus, for the bands, the flagged
+raters' rated neighbourhoods), so the analysis scales with the flagged
+set, not with ``n^2``.  :meth:`CollusionDetector.analyze` (dense ``n x n``
+inputs, scanned once for their nonzero entries) and
+:meth:`CollusionDetector.analyze_sparse` (CSR inputs) only extract those
+keys.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
+from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 from scipy import sparse
 
 from repro.core.closeness import ClosenessComputer
-from repro.core.config import CoefficientBackend, GaussianCenter, SocialTrustConfig
+from repro.core.config import GaussianCenter, SocialTrustConfig
 from repro.core.similarity import SimilarityComputer
 from repro.core.sparse import SparseClosenessComputer, SparseSimilarityComputer
 from repro.obs import Observability
@@ -47,7 +57,6 @@ __all__ = [
     "Finding",
     "DerivedThresholds",
     "DetectionResult",
-    "SparseDetectionResult",
     "CollusionDetector",
 ]
 
@@ -59,6 +68,14 @@ class SuspicionReason(enum.Flag):
     B2 = enum.auto()
     B3 = enum.auto()
     B4 = enum.auto()
+
+
+#: Every B1–B4 combination and its behaviour names, indexed by bit code.
+_REASONS = tuple(SuspicionReason(code) for code in range(16))
+_BEHAVIORS = tuple(
+    tuple(flag.name for flag in SuspicionReason if flag in reasons)
+    for reasons in _REASONS
+)
 
 
 @dataclass(frozen=True)
@@ -85,34 +102,41 @@ class DerivedThresholds:
     similarity_low: float
     similarity_high: float
 
+    def as_dict(self) -> dict[str, float]:
+        """The thresholds under the paper's names (``T+``, ``TR``, ``Tcl``, ...)."""
+        names = ("T+", "T-", "TR", "Tcl", "Tch", "Tsl", "Tsh")
+        return dict(zip(names, map(float, astuple(self))))
+
+
+def _findings(pairs, codes, closeness, similarity, weights) -> tuple[Finding, ...]:
+    """Findings from per-pair arrays (``codes`` are B1–B4 bit codes)."""
+    return tuple(
+        map(
+            Finding,
+            pairs[:, 0].tolist(),
+            pairs[:, 1].tolist(),
+            [_REASONS[code] for code in codes.tolist()],
+            closeness.tolist(),
+            similarity.tolist(),
+            weights.tolist(),
+        )
+    )
+
 
 @dataclass(frozen=True)
 class DetectionResult:
-    """Outcome of one interval's analysis."""
+    """Outcome of one interval's analysis.
 
-    #: Multiplicative damping weights, 1.0 everywhere except adjusted pairs.
-    weights: np.ndarray
-    findings: tuple[Finding, ...]
-    thresholds: DerivedThresholds
-
-    @property
-    def n_adjusted(self) -> int:
-        return len(self.findings)
-
-
-@dataclass(frozen=True)
-class SparseDetectionResult:
-    """Outcome of one interval's sparse analysis — per-pair, never ``n x n``.
-
-    Only the adjusted pairs are materialised; every unlisted pair has
-    implicit weight 1.0.  :meth:`weights_dense` scatters into a dense
-    matrix for small-n interop with the dense engine path.
+    Only the adjusted pairs are stored; every other pair has implicit
+    weight 1.0.  :attr:`weights` is the dense ``n x n`` view for
+    paper-scale callers, built on first access.
     """
 
     #: Adjusted rater→ratee pairs, shape ``(m, 2)``, row-major order.
     pairs: np.ndarray
-    #: Damping weights for exactly those pairs, shape ``(m,)``.
+    #: Damping weights of exactly those pairs, shape ``(m,)``.
     pair_weights: np.ndarray
+    #: One finding per adjusted pair, in the same order.
     findings: tuple[Finding, ...]
     thresholds: DerivedThresholds
     n_nodes: int
@@ -121,70 +145,124 @@ class SparseDetectionResult:
     def n_adjusted(self) -> int:
         return len(self.findings)
 
-    def weights_dense(self) -> np.ndarray:
-        """Dense weight matrix (1.0 except at the adjusted pairs)."""
+    @cached_property
+    def weights(self) -> np.ndarray:
+        """Read-only dense weight matrix (1.0 except at the adjusted pairs)."""
         out = np.ones((self.n_nodes, self.n_nodes), dtype=np.float64)
-        if self.pairs.size:
-            out[self.pairs[:, 0], self.pairs[:, 1]] = self.pair_weights
+        out[self.pairs[:, 0], self.pairs[:, 1]] = self.pair_weights
+        out.flags.writeable = False
         return out
 
+    def state_dict(self) -> dict:
+        """Arrays that rebuild this result exactly (:meth:`from_state`)."""
+        return {
+            "pairs": self.pairs.copy(),
+            "pair_weights": self.pair_weights.copy(),
+            "reasons": np.array(
+                [f.reasons.value for f in self.findings], dtype=np.int64
+            ),
+            "closeness": np.array([f.closeness for f in self.findings]),
+            "similarity": np.array([f.similarity for f in self.findings]),
+            "thresholds": list(astuple(self.thresholds)),
+        }
 
-def _band_arrays(
-    coeffs: np.ndarray,
-    rated_mask: np.ndarray,
+    @classmethod
+    def from_state(cls, state: dict, n_nodes: int) -> "DetectionResult":
+        pairs = np.asarray(state["pairs"], dtype=np.int64).reshape(-1, 2)
+        weights = np.asarray(state["pair_weights"], dtype=np.float64)
+        findings = _findings(
+            pairs,
+            np.asarray(state["reasons"], dtype=np.int64),
+            np.asarray(state["closeness"], dtype=np.float64),
+            np.asarray(state["similarity"], dtype=np.float64),
+            weights,
+        )
+        thresholds = DerivedThresholds(*(float(t) for t in state["thresholds"]))
+        return cls(pairs, weights, findings, thresholds, int(n_nodes))
+
+
+class _PairCounts(NamedTuple):
+    """Nonzero entries of an ``n x n`` matrix keyed ``i * n + j``, sorted."""
+
+    keys: np.ndarray
+    values: np.ndarray
+
+    @classmethod
+    def from_dense(cls, matrix: np.ndarray) -> "_PairCounts":
+        flat = np.asarray(matrix).ravel()
+        keys = np.flatnonzero(flat)
+        return cls(keys, flat[keys].astype(np.float64, copy=False))
+
+    @classmethod
+    def from_sparse(cls, matrix: sparse.spmatrix) -> "_PairCounts":
+        csr = matrix.tocsr()
+        csr.sum_duplicates()
+        n = csr.shape[0]
+        rows = np.repeat(np.arange(n, dtype=np.int64), np.diff(csr.indptr))
+        keep = csr.data != 0
+        keys = rows[keep] * np.int64(n) + csr.indices[keep]
+        return cls(keys, csr.data[keep].astype(np.float64, copy=False))
+
+    def gather(self, keys: np.ndarray) -> np.ndarray:
+        """Values at ``keys`` (0.0 where a key has no entry)."""
+        if self.keys.size == 0:
+            return np.zeros(keys.size, dtype=np.float64)
+        at = np.minimum(np.searchsorted(self.keys, keys), self.keys.size - 1)
+        return np.where(self.keys[at] == keys, self.values[at], 0.0)
+
+
+def _pair_bands(
+    raters: np.ndarray,
+    judged: np.ndarray,
+    band_rows: np.ndarray,
+    band_values: np.ndarray,
     global_values: np.ndarray,
     config: SocialTrustConfig,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Per-pair (center, spread) matrices under the configured centring policy.
+    """Per-pair (center, spread) under the configured centring policy.
 
-    ``coeffs`` is the all-pairs coefficient matrix, ``rated_mask[i, j]``
-    marks nodes ``j`` that rater ``i`` has rated, and ``global_values`` are
-    the coefficients observed over transaction pairs system-wide.
+    Pair ``t`` is rater ``raters[t]`` judged at coefficient ``judged[t]``.
+    ``band_rows`` / ``band_values`` list the coefficients of every node
+    each rater has rated; the judged pair is always among its rater's
+    entries.  ``global_values`` are the coefficients observed over
+    transaction pairs system-wide.
 
-    The band judging pair ``(i, j)`` is computed over the *other* nodes
-    ``i`` has rated — Eq. (6)'s exponent is "the deviation of Ωc(i,j) from
-    the normal social closeness of n_i to other nodes it has rated".  The
-    leave-one-out matters: including the judged pair would let an extreme
-    coefficient inflate its own band spread and mask itself.  Everything is
-    vectorised; sorting each row once yields the leave-one-out extrema
-    (removing the row maximum exposes the second-largest value, and
-    duplicates take care of themselves because the sorted runner-up equals
-    the maximum then).
+    The band judging a pair covers the *other* nodes its rater has rated
+    — Eq. (6)'s exponent is "the deviation of Ωc(i,j) from the normal
+    social closeness of n_i to other nodes it has rated".  The
+    leave-one-out matters: including the judged pair would let an
+    extreme coefficient inflate its own band spread and mask itself.
+    Per-rater sums come from ``bincount``; one ``lexsort`` by (rater,
+    value) yields each rater's extrema and runner-up extrema, so removing
+    the judged value exposes the runner-up (a duplicated extremum has a
+    runner-up equal to itself).
     """
-    n = coeffs.shape[0]
     if global_values.size:
         g_center = float(global_values.mean())
         g_spread = float(global_values.max() - global_values.min())
     else:
         g_center, g_spread = 0.0, 0.0
-    centers = np.full((n, n), g_center)
-    spreads = np.full((n, n), g_spread)
-    if config.center is GaussianCenter.GLOBAL:
+    centers = np.full(raters.size, g_center)
+    spreads = np.full(raters.size, g_spread)
+    if config.center is GaussianCenter.GLOBAL or band_rows.size == 0:
         return centers, spreads
-    sizes = rated_mask.sum(axis=1, keepdims=True)
-    loo_sizes = sizes - rated_mask
-    has = loo_sizes > 0
-    if np.any(has):
-        masked = np.where(rated_mask, coeffs, 0.0)
-        loo_sum = masked.sum(axis=1, keepdims=True) - masked
-        loo_center = np.divide(loo_sum, loo_sizes, out=np.zeros((n, n)), where=has)
-        hi_sorted = np.sort(np.where(rated_mask, coeffs, -np.inf), axis=1)
-        lo_sorted = np.sort(np.where(rated_mask, coeffs, np.inf), axis=1)
-        row_max = hi_sorted[:, -1:]
-        row_2nd_max = hi_sorted[:, -2:-1] if n >= 2 else row_max
-        row_min = lo_sorted[:, :1]
-        row_2nd_min = lo_sorted[:, 1:2] if n >= 2 else row_min
-        is_max = rated_mask & (coeffs == row_max)
-        is_min = rated_mask & (coeffs == row_min)
-        loo_max = np.where(is_max, row_2nd_max, row_max)
-        loo_min = np.where(is_min, row_2nd_min, row_min)
-        loo_spread = np.where(has, loo_max - loo_min, 0.0)
-        if config.center is GaussianCenter.RATER:
-            use = has
-        else:  # AUTO
-            use = loo_sizes >= config.min_band_size
-        centers = np.where(use, loo_center, centers)
-        spreads = np.where(use, loo_spread, spreads)
+    n_rows = int(max(band_rows.max(), raters.max())) + 1
+    sizes = np.bincount(band_rows, minlength=n_rows)
+    sums = np.bincount(band_rows, weights=band_values, minlength=n_rows)
+    ordered = band_values[np.lexsort((band_values, band_rows))]
+    ends = np.cumsum(sizes)
+    loo_sizes = sizes[raters] - 1
+    if config.center is GaussianCenter.RATER:
+        use = np.flatnonzero(loo_sizes > 0)
+    else:  # AUTO
+        use = np.flatnonzero(loo_sizes >= config.min_band_size)
+    end = ends[raters[use]]
+    start = end - sizes[raters[use]]
+    x = judged[use]
+    vmin, vmin2 = ordered[start], ordered[start + 1]
+    vmax, vmax2 = ordered[end - 1], ordered[end - 2]
+    centers[use] = (sums[raters[use]] - x) / loo_sizes[use]
+    spreads[use] = np.where(x == vmax, vmax2, vmax) - np.where(x == vmin, vmin2, vmin)
     return centers, spreads
 
 
@@ -226,8 +304,8 @@ class CollusionDetector:
     @property
     def last_interval_index(self) -> int | None:
         """Index of the most recently analyzed interval (``None`` before
-        the first :meth:`analyze`) — what follow-up audit events emitted
-        by the manager layer should stamp themselves with."""
+        the first analysis) — what follow-up audit events emitted by the
+        manager layer should stamp themselves with."""
         if self._interval_index == 0:
             return None
         return self._interval_index - 1
@@ -238,8 +316,8 @@ class CollusionDetector:
     def restore_state(self, state: dict) -> None:
         self._interval_index = int(state["interval_index"])
 
-    def _frequency_thresholds(self, interval: IntervalRatings) -> tuple[float, float]:
-        """Derive ``T+_t`` / ``T-_t`` as ``theta * F``.
+    def _frequency_threshold(self, counts: np.ndarray, pinned: float | None) -> float:
+        """Derive ``T+_t`` / ``T-_t`` as ``theta * F`` over nonzero counts.
 
         ``F`` is the *median* per-pair rating frequency, not the mean: a
         mass rating campaign inflates the mean and thereby raises the very
@@ -248,37 +326,12 @@ class CollusionDetector:
         empirics — 2.2 ratings/month — which is likewise an
         attack-free baseline.)
         """
-        cfg = self._config
-        pos_thr = cfg.pos_frequency_threshold
-        if pos_thr is None:
-            observed = interval.pos_counts[interval.pos_counts > 0]
-            pos_thr = (
-                cfg.theta * float(np.median(observed)) if observed.size else np.inf
-            )
-        neg_thr = cfg.neg_frequency_threshold
-        if neg_thr is None:
-            observed = interval.neg_counts[interval.neg_counts > 0]
-            neg_thr = (
-                cfg.theta * float(np.median(observed)) if observed.size else np.inf
-            )
-        return float(pos_thr), float(neg_thr)
-
-    def _pinned_band_defaults(self) -> tuple[float, float, float, float]:
-        """Band thresholds reported when no pair was examined this interval.
-
-        Pinned configuration values are in force whether or not any pair
-        trips a frequency threshold, so the early-return thresholds must
-        echo them; only the *derived* thresholds (which need observed
-        coefficients to exist) fall back to the never-fires sentinels
-        ``(0.0, inf)``.
-        """
-        cfg = self._config
-        return (
-            cfg.closeness_low if cfg.closeness_low is not None else 0.0,
-            cfg.closeness_high if cfg.closeness_high is not None else np.inf,
-            cfg.similarity_low if cfg.similarity_low is not None else 0.0,
-            cfg.similarity_high if cfg.similarity_high is not None else np.inf,
-        )
+        if pinned is not None:
+            return float(pinned)
+        observed = counts[counts > 0]
+        if not observed.size:
+            return np.inf
+        return float(self._config.theta * float(np.median(observed)))
 
     @staticmethod
     def _band_thresholds(
@@ -311,7 +364,7 @@ class CollusionDetector:
         rated_mask: np.ndarray,
         flag_counts: np.ndarray | None = None,
     ) -> DetectionResult:
-        """Analyse one interval.
+        """Analyse one interval given as dense ``n x n`` arrays.
 
         Parameters
         ----------
@@ -329,147 +382,13 @@ class CollusionDetector:
             Number of *earlier* intervals each pair was flagged in; drives
             the recidivism escalation.  ``None`` means no history.
         """
-        if self._config.coefficient_backend is CoefficientBackend.SPARSE:
-            # Dense-input interop path: the engine still hands dense
-            # interval matrices at moderate n; the analysis itself runs
-            # over the flagged pair set only.
-            result = self.analyze_sparse(
-                sparse.csr_matrix(interval.pos_counts),
-                sparse.csr_matrix(interval.neg_counts),
-                reputations,
-                sparse.csr_matrix(rated_mask),
-                sparse.csr_matrix(flag_counts) if flag_counts is not None else None,
-            )
-            return DetectionResult(
-                result.weights_dense(), result.findings, result.thresholds
-            )
-        n = self.n_nodes
-        cfg = self._config
-        obs = self._obs
-        interval_index = self._interval_index
-        self._interval_index += 1
-        if obs is not None:
-            obs.metrics.counter("detector.intervals").inc()
-        counts = interval.counts
-        pos_thr, neg_thr = self._frequency_thresholds(interval)
-        flagged_pos = interval.pos_counts > pos_thr
-        flagged_neg = interval.neg_counts > neg_thr
-        ones = np.ones((n, n), dtype=np.float64)
-        if not (flagged_pos.any() or flagged_neg.any()):
-            thresholds = DerivedThresholds(
-                pos_thr, neg_thr, self._low_reputation(),
-                *self._pinned_band_defaults(),
-            )
-            return DetectionResult(ones, (), thresholds)
-
-        active = counts > 0
-        np.fill_diagonal(active, False)
-        full_mask = rated_mask | active
-
-        closeness = self._closeness.closeness_matrix()
-        similarity = self._similarity.similarity_matrix()
-        observed_c = closeness[active]
-        observed_s = similarity[active]
-
-        t_cl, t_ch = self._band_thresholds(
-            observed_c, cfg.closeness_low, cfg.closeness_high
+        return self._analyze_pairs(
+            _PairCounts.from_dense(interval.pos_counts),
+            _PairCounts.from_dense(interval.neg_counts),
+            reputations,
+            np.flatnonzero(rated_mask),
+            None if flag_counts is None else _PairCounts.from_dense(flag_counts),
         )
-        t_sl, t_sh = self._band_thresholds(
-            observed_s, cfg.similarity_low, cfg.similarity_high
-        )
-        t_r = self._low_reputation()
-
-        low_rep_ratee = np.broadcast_to(reputations < t_r, (n, n))
-        b1 = flagged_pos & (closeness < t_cl) if cfg.use_closeness else np.zeros_like(flagged_pos)
-        b2 = (
-            flagged_pos & (closeness > t_ch) & low_rep_ratee
-            if cfg.use_closeness
-            else np.zeros_like(flagged_pos)
-        )
-        b3 = flagged_pos & (similarity < t_sl) if cfg.use_similarity else np.zeros_like(flagged_pos)
-        b4 = flagged_neg & (similarity > t_sh) if cfg.use_similarity else np.zeros_like(flagged_neg)
-        adjust = b1 | b2 | b3 | b4
-        np.fill_diagonal(adjust, False)
-
-        thresholds = DerivedThresholds(pos_thr, neg_thr, t_r, t_cl, t_ch, t_sl, t_sh)
-        if not adjust.any():
-            if obs is not None:
-                self._emit_audit(
-                    interval_index, interval, reputations, thresholds,
-                    flagged_pos, flagged_neg, closeness, similarity,
-                    b1, b2, b3, b4, ones,
-                )
-            return DetectionResult(ones, (), thresholds)
-
-        exponent = np.zeros((n, n), dtype=np.float64)
-        if cfg.use_closeness:
-            centers, spreads = _band_arrays(closeness, full_mask, observed_c, cfg)
-            c = np.maximum(spreads, cfg.spread_floor)
-            exponent += (closeness - centers) ** 2 / (2.0 * c * c)
-        if cfg.use_similarity:
-            centers, spreads = _band_arrays(similarity, full_mask, observed_s, cfg)
-            c = np.maximum(spreads, cfg.spread_floor)
-            exponent += (similarity - centers) ** 2 / (2.0 * c * c)
-        # Clamp the exponent below the float64 underflow knee: a degenerate
-        # band (spread at the floor) with a large deviation would otherwise
-        # drive exp() to exactly 0.0 and annihilate the rating instead of
-        # damping it.
-        damping = cfg.alpha * np.exp(-np.minimum(exponent, 700.0))
-        if cfg.cap_flagged_frequency:
-            # A flagged pair contributes at most a normal-frequency pair's
-            # rating mass: scale by T_t / observed frequency on the side
-            # (positive/negative) that tripped the threshold.
-            pos_cap = np.where(
-                flagged_pos,
-                np.minimum(1.0, pos_thr / np.maximum(interval.pos_counts, 1.0)),
-                1.0,
-            )
-            neg_cap = np.where(
-                flagged_neg,
-                np.minimum(1.0, neg_thr / np.maximum(interval.neg_counts, 1.0)),
-                1.0,
-            )
-            damping = damping * pos_cap * neg_cap
-        if flag_counts is not None and cfg.recidivism_decay < 1.0:
-            damping = damping * np.power(cfg.recidivism_decay, flag_counts)
-        weights = np.where(adjust, damping, 1.0)
-
-        findings = []
-        for i, j in np.argwhere(adjust):
-            i, j = int(i), int(j)
-            reasons = SuspicionReason(0)
-            if b1[i, j]:
-                reasons |= SuspicionReason.B1
-            if b2[i, j]:
-                reasons |= SuspicionReason.B2
-            if b3[i, j]:
-                reasons |= SuspicionReason.B3
-            if b4[i, j]:
-                reasons |= SuspicionReason.B4
-            findings.append(
-                Finding(
-                    rater=i,
-                    ratee=j,
-                    reasons=reasons,
-                    closeness=float(closeness[i, j]),
-                    similarity=float(similarity[i, j]),
-                    weight=float(weights[i, j]),
-                )
-            )
-        if obs is not None:
-            self._emit_audit(
-                interval_index, interval, reputations, thresholds,
-                flagged_pos, flagged_neg, closeness, similarity,
-                b1, b2, b3, b4, weights,
-            )
-        return DetectionResult(weights, tuple(findings), thresholds)
-
-    @staticmethod
-    def _nonzero_row_ids(mat: sparse.csr_matrix, row: int) -> np.ndarray:
-        """Column ids of a CSR row's genuinely nonzero entries."""
-        lo, hi = mat.indptr[row], mat.indptr[row + 1]
-        idx = mat.indices[lo:hi]
-        return np.asarray(idx[mat.data[lo:hi] != 0], dtype=np.int64)
 
     def analyze_sparse(
         self,
@@ -478,19 +397,31 @@ class CollusionDetector:
         reputations: np.ndarray,
         rated: sparse.spmatrix,
         flag_counts: sparse.spmatrix | None = None,
-    ) -> SparseDetectionResult:
-        """Analyse one interval without materialising any ``n x n`` array.
+    ) -> DetectionResult:
+        """Analyse one interval given as sparse matrices — :meth:`analyze`
+        over CSR inputs, without materialising any ``n x n`` array.
 
-        Mirrors :meth:`analyze` over CSR inputs: ``pos_counts`` /
-        ``neg_counts`` are the interval's rating-count matrices, ``rated``
-        the cumulative rated mask, ``flag_counts`` the recidivism history.
-        Thresholds, behaviours B1–B4, leave-one-out bands and the Gaussian
-        damping are all evaluated only over the frequency-flagged pair set
-        (plus, for bands, the flagged raters' rated neighbourhoods), which
-        is what makes a ``10^5``-node interval tractable.  All pair
-        enumeration is row-major, so findings come out in the same order
-        as the dense pass.
+        ``pos_counts`` / ``neg_counts`` are the interval's rating-count
+        matrices, ``rated`` the cumulative rated mask, ``flag_counts`` the
+        recidivism history.
         """
+        return self._analyze_pairs(
+            _PairCounts.from_sparse(pos_counts),
+            _PairCounts.from_sparse(neg_counts),
+            reputations,
+            _PairCounts.from_sparse(rated).keys,
+            None if flag_counts is None else _PairCounts.from_sparse(flag_counts),
+        )
+
+    def _analyze_pairs(
+        self,
+        pos: _PairCounts,
+        neg: _PairCounts,
+        reputations: np.ndarray,
+        rated_keys: np.ndarray,
+        history: _PairCounts | None,
+    ) -> DetectionResult:
+        """The detector kernel over pair-keyed inputs (module docstring)."""
         n = self.n_nodes
         cfg = self._config
         obs = self._obs
@@ -498,333 +429,160 @@ class CollusionDetector:
         self._interval_index += 1
         if obs is not None:
             obs.metrics.counter("detector.intervals").inc()
-        pos = pos_counts.tocsr()
-        pos.sort_indices()
-        neg = neg_counts.tocsr()
-        neg.sort_indices()
-
-        pos_thr = cfg.pos_frequency_threshold
-        if pos_thr is None:
-            observed = pos.data[pos.data > 0]
-            pos_thr = (
-                cfg.theta * float(np.median(observed)) if observed.size else np.inf
-            )
-        neg_thr = cfg.neg_frequency_threshold
-        if neg_thr is None:
-            observed = neg.data[neg.data > 0]
-            neg_thr = (
-                cfg.theta * float(np.median(observed)) if observed.size else np.inf
-            )
-        pos_thr, neg_thr = float(pos_thr), float(neg_thr)
-
-        pos_rows = np.repeat(np.arange(n, dtype=np.int64), np.diff(pos.indptr))
-        neg_rows = np.repeat(np.arange(n, dtype=np.int64), np.diff(neg.indptr))
-        keys_pos = (pos_rows * np.int64(n) + pos.indices.astype(np.int64))[
-            pos.data > pos_thr
-        ]
-        keys_neg = (neg_rows * np.int64(n) + neg.indices.astype(np.int64))[
-            neg.data > neg_thr
-        ]
-        no_pairs = np.empty((0, 2), dtype=np.int64)
-        if keys_pos.size == 0 and keys_neg.size == 0:
-            thresholds = DerivedThresholds(
-                pos_thr, neg_thr, self._low_reputation(),
-                *self._pinned_band_defaults(),
-            )
-            return SparseDetectionResult(
-                no_pairs, np.empty(0, dtype=np.float64), (), thresholds, n
-            )
-
-        # Active transaction pairs (counts > 0, off-diagonal), row-major —
-        # the population the derived band thresholds and global band see.
-        total = (pos + neg).tocsr()
-        total.sort_indices()
-        act_rows = np.repeat(np.arange(n, dtype=np.int64), np.diff(total.indptr))
-        act_cols = total.indices.astype(np.int64)
-        act_keep = (total.data > 0) & (act_rows != act_cols)
-        act_i, act_j = act_rows[act_keep], act_cols[act_keep]
-        observed_c = self._closeness.pair_values(act_i, act_j)
-        observed_s = self._similarity.pair_values(act_i, act_j)
-
+        pos_thr = self._frequency_threshold(pos.values, cfg.pos_frequency_threshold)
+        neg_thr = self._frequency_threshold(neg.values, cfg.neg_frequency_threshold)
+        keys_pos = pos.keys[pos.values > pos_thr]
+        keys_neg = neg.keys[neg.values > neg_thr]
+        t_r = self._low_reputation()
+        flagged = bool(keys_pos.size or keys_neg.size)
+        if flagged:
+            # Active transaction pairs (nonzero counts, off-diagonal),
+            # row-major — the population the derived band thresholds and
+            # the global band see.
+            active = np.union1d(pos.keys, neg.keys)
+            act_i, act_j = np.divmod(active, n)
+            off_diag = act_i != act_j
+            active, act_i, act_j = active[off_diag], act_i[off_diag], act_j[off_diag]
+            observed_c = self._closeness.pair_values(act_i, act_j)
+            observed_s = self._similarity.pair_values(act_i, act_j)
+        else:
+            # Nothing to examine: pinned band thresholds still hold, the
+            # derived ones fall back to the never-fires sentinels (0, inf).
+            observed_c = observed_s = np.empty(0)
         t_cl, t_ch = self._band_thresholds(
             observed_c, cfg.closeness_low, cfg.closeness_high
         )
         t_sl, t_sh = self._band_thresholds(
             observed_s, cfg.similarity_low, cfg.similarity_high
         )
-        t_r = self._low_reputation()
+        thresholds = DerivedThresholds(pos_thr, neg_thr, t_r, t_cl, t_ch, t_sl, t_sh)
+        if not flagged:
+            no_pairs = np.empty((0, 2), dtype=np.int64)
+            return DetectionResult(no_pairs, np.empty(0), (), thresholds, n)
 
-        # The flagged pair set, row-major with per-pair flag provenance.
+        # The flagged pairs, row-major.  Frequency thresholds are positive,
+        # so every flagged pair is an active pair.
         keys = np.union1d(keys_pos, keys_neg)
-        fi = keys // n
-        fj = keys % n
+        fi, fj = np.divmod(keys, n)
         off_diag = fi != fj
         keys, fi, fj = keys[off_diag], fi[off_diag], fj[off_diag]
-        flag_pos = np.isin(keys, keys_pos)
-        flag_neg = np.isin(keys, keys_neg)
-        m = keys.size
-        pos_cnt = np.asarray(pos[fi, fj], dtype=np.float64).ravel()
-        neg_cnt = np.asarray(neg[fi, fj], dtype=np.float64).ravel()
-        omega_c = self._closeness.pair_values(fi, fj)
-        omega_s = self._similarity.pair_values(fi, fj)
+        at = np.searchsorted(active, keys)
+        omega_c, omega_s = observed_c[at], observed_s[at]
+        pos_cnt, neg_cnt = pos.gather(keys), neg.gather(keys)
+        flag_pos, flag_neg = pos_cnt > pos_thr, neg_cnt > neg_thr
 
-        false_col = np.zeros(m, dtype=bool)
+        none = np.zeros(keys.size, dtype=bool)
         low_rep = np.asarray(reputations, dtype=np.float64)[fj] < t_r
-        b1 = flag_pos & (omega_c < t_cl) if cfg.use_closeness else false_col
-        b2 = flag_pos & (omega_c > t_ch) & low_rep if cfg.use_closeness else false_col
-        b3 = flag_pos & (omega_s < t_sl) if cfg.use_similarity else false_col
-        b4 = flag_neg & (omega_s > t_sh) if cfg.use_similarity else false_col
-        adjust = b1 | b2 | b3 | b4
+        b1 = flag_pos & (omega_c < t_cl) if cfg.use_closeness else none
+        b2 = flag_pos & (omega_c > t_ch) & low_rep if cfg.use_closeness else none
+        b3 = flag_pos & (omega_s < t_sl) if cfg.use_similarity else none
+        b4 = flag_neg & (omega_s > t_sh) if cfg.use_similarity else none
+        codes = b1 + 2 * b2 + 4 * b3 + 8 * b4
+        adjust = codes > 0
 
-        thresholds = DerivedThresholds(pos_thr, neg_thr, t_r, t_cl, t_ch, t_sl, t_sh)
-        if not adjust.any():
-            if obs is not None:
-                self._emit_audit_sparse(
-                    interval_index, reputations, thresholds, fi, fj,
-                    flag_pos, flag_neg, pos_cnt, neg_cnt, omega_c, omega_s,
-                    b1, b2, b3, b4, np.ones(m, dtype=np.float64),
-                )
-            return SparseDetectionResult(
-                no_pairs, np.empty(0, dtype=np.float64), (), thresholds, n
+        weights = np.ones(keys.size, dtype=np.float64)
+        if adjust.any():
+            sel = np.flatnonzero(adjust)
+            exponent = self._band_exponent(
+                fi[sel], omega_c[sel], omega_s[sel],
+                active, act_i, observed_c, observed_s, rated_keys,
             )
+            # Clamp the exponent below the float64 underflow knee: a
+            # degenerate band (spread at the floor) with a large deviation
+            # would otherwise drive exp() to exactly 0.0 and annihilate the
+            # rating instead of damping it.
+            damping = cfg.alpha * np.exp(-np.minimum(exponent, 700.0))
+            if cfg.cap_flagged_frequency:
+                # A flagged pair contributes at most a normal-frequency
+                # pair's rating mass: scale by T_t / observed frequency on
+                # the side (positive/negative) that tripped the threshold.
+                pos_cap = np.minimum(1.0, pos_thr / np.maximum(pos_cnt[sel], 1.0))
+                neg_cap = np.minimum(1.0, neg_thr / np.maximum(neg_cnt[sel], 1.0))
+                damping = damping * np.where(flag_pos[sel], pos_cap, 1.0)
+                damping = damping * np.where(flag_neg[sel], neg_cap, 1.0)
+            if history is not None and cfg.recidivism_decay < 1.0:
+                damping = damping * np.power(
+                    cfg.recidivism_decay, history.gather(keys[sel])
+                )
+            weights[sel] = damping
+        if obs is not None:
+            self._emit_audit(
+                interval_index, thresholds, fi, fj, flag_pos, flag_neg, low_rep,
+                pos_cnt, neg_cnt, omega_c, omega_s, codes, weights,
+            )
+        pairs = np.stack([fi[adjust], fj[adjust]], axis=1)
+        return DetectionResult(
+            pairs,
+            weights[adjust],
+            _findings(
+                pairs, codes[adjust], omega_c[adjust], omega_s[adjust],
+                weights[adjust],
+            ),
+            thresholds,
+            n,
+        )
 
-        exponent = np.zeros(m, dtype=np.float64)
-        rated_csr = rated.tocsr()
-        rated_csr.sort_indices()
+    def _band_exponent(
+        self,
+        fi: np.ndarray,
+        omega_c: np.ndarray,
+        omega_s: np.ndarray,
+        active: np.ndarray,
+        act_i: np.ndarray,
+        observed_c: np.ndarray,
+        observed_s: np.ndarray,
+        rated_keys: np.ndarray,
+    ) -> np.ndarray:
+        """Eq. (9)'s Gaussian exponent for pairs of raters ``fi``.
+
+        Each rater's band covers the nodes it has rated: the cumulative
+        ``rated_keys`` plus this interval's ``active`` partners, which
+        always contain the judged ratee.  Active entries reuse their
+        observed coefficients; only the other rated pairs are looked up.
+        """
+        n = self.n_nodes
+        cfg = self._config
+        is_rater = np.zeros(n, dtype=bool)
+        is_rater[fi] = True
+        in_band = is_rater[act_i]
+        past = rated_keys[is_rater[rated_keys // n]]
+        past_i, past_j = np.divmod(
+            np.setdiff1d(past, active, assume_unique=True), n
+        )
+        off_diag = past_i != past_j
+        past_i, past_j = past_i[off_diag], past_j[off_diag]
+        band_rows = np.concatenate([act_i[in_band], past_i])
+        exponent = np.zeros(fi.size, dtype=np.float64)
         for use_dim, computer, omega, observed in (
             (cfg.use_closeness, self._closeness, omega_c, observed_c),
             (cfg.use_similarity, self._similarity, omega_s, observed_s),
         ):
             if not use_dim:
                 continue
-            centers, spreads = self._sparse_bands(
-                fi, fj, omega, observed, computer, rated_csr, total
+            band_values = np.concatenate(
+                [observed[in_band], computer.pair_values(past_i, past_j)]
+            )
+            centers, spreads = _pair_bands(
+                fi, omega, band_rows, band_values, observed, cfg
             )
             c = np.maximum(spreads, cfg.spread_floor)
             exponent += (omega - centers) ** 2 / (2.0 * c * c)
-        damping = cfg.alpha * np.exp(-np.minimum(exponent, 700.0))
-        if cfg.cap_flagged_frequency:
-            pos_cap = np.where(
-                flag_pos,
-                np.minimum(1.0, pos_thr / np.maximum(pos_cnt, 1.0)),
-                1.0,
-            )
-            neg_cap = np.where(
-                flag_neg,
-                np.minimum(1.0, neg_thr / np.maximum(neg_cnt, 1.0)),
-                1.0,
-            )
-            damping = damping * pos_cap * neg_cap
-        if flag_counts is not None and cfg.recidivism_decay < 1.0:
-            history = np.asarray(
-                flag_counts.tocsr()[fi, fj], dtype=np.float64
-            ).ravel()
-            damping = damping * np.power(cfg.recidivism_decay, history)
-        weights = np.where(adjust, damping, 1.0)
+        return exponent
 
-        findings = []
-        for t in np.flatnonzero(adjust):
-            reasons = SuspicionReason(0)
-            if b1[t]:
-                reasons |= SuspicionReason.B1
-            if b2[t]:
-                reasons |= SuspicionReason.B2
-            if b3[t]:
-                reasons |= SuspicionReason.B3
-            if b4[t]:
-                reasons |= SuspicionReason.B4
-            findings.append(
-                Finding(
-                    rater=int(fi[t]),
-                    ratee=int(fj[t]),
-                    reasons=reasons,
-                    closeness=float(omega_c[t]),
-                    similarity=float(omega_s[t]),
-                    weight=float(weights[t]),
-                )
-            )
-        if obs is not None:
-            self._emit_audit_sparse(
-                interval_index, reputations, thresholds, fi, fj,
-                flag_pos, flag_neg, pos_cnt, neg_cnt, omega_c, omega_s,
-                b1, b2, b3, b4, weights,
-            )
-        pairs = np.stack([fi[adjust], fj[adjust]], axis=1)
-        return SparseDetectionResult(
-            pairs, weights[adjust], tuple(findings), thresholds, n
-        )
-
-    def _sparse_bands(
-        self,
-        fi: np.ndarray,
-        fj: np.ndarray,
-        omega: np.ndarray,
-        observed: np.ndarray,
-        computer,
-        rated_csr: sparse.csr_matrix,
-        total_csr: sparse.csr_matrix,
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Per-flagged-pair (center, spread) under the centring policy.
-
-        Leave-one-out semantics identical to the dense ``_band_arrays``:
-        the band for pair ``(i, j)`` covers the other nodes ``i`` has
-        rated (cumulative ∪ this interval's active partners, which always
-        contain ``j``); removing the judged value exposes the runner-up
-        extrema, with duplicates self-consistent.  Only the flagged
-        raters' neighbourhoods are ever gathered.
-        """
-        cfg = self._config
-        if observed.size:
-            g_center = float(observed.mean())
-            g_spread = float(observed.max() - observed.min())
-        else:
-            g_center, g_spread = 0.0, 0.0
-        m = fi.size
-        centers = np.full(m, g_center)
-        spreads = np.full(m, g_spread)
-        if cfg.center is GaussianCenter.GLOBAL:
-            return centers, spreads
-        # Per-rater band statistics (sum, extrema and runner-up extrema),
-        # gathered once per distinct flagged rater.
-        stats: dict[int, tuple[int, float, float, float, float, float]] = {}
-        for rater in np.unique(fi):
-            rater = int(rater)
-            ids = np.union1d(
-                self._nonzero_row_ids(rated_csr, rater),
-                self._nonzero_row_ids(total_csr, rater),
-            )
-            ids = ids[ids != rater]
-            if ids.size == 0:
-                continue
-            values = computer.pair_values(
-                np.full(ids.size, rater, dtype=np.int64), ids
-            )
-            vmax = float(values.max())
-            vmin = float(values.min())
-            if values.size >= 2:
-                vmax2 = float(np.partition(values, -2)[-2])
-                vmin2 = float(np.partition(values, 1)[1])
-            else:
-                vmax2, vmin2 = vmax, vmin
-            stats[rater] = (
-                int(values.size), float(values.sum()), vmax, vmax2, vmin, vmin2
-            )
-        for t in range(m):
-            entry = stats.get(int(fi[t]))
-            if entry is None:
-                continue
-            size, vsum, vmax, vmax2, vmin, vmin2 = entry
-            loo_size = size - 1  # the judged ratee is always in the set
-            if loo_size <= 0:
-                continue
-            if cfg.center is GaussianCenter.AUTO and loo_size < cfg.min_band_size:
-                continue
-            x = omega[t]
-            centers[t] = (vsum - x) / loo_size
-            loo_max = vmax2 if x == vmax else vmax
-            loo_min = vmin2 if x == vmin else vmin
-            spreads[t] = loo_max - loo_min
-        return centers, spreads
-
-    def _emit_audit_sparse(
+    def _emit_audit(
         self,
         interval_index: int,
-        reputations: np.ndarray,
         thresholds: DerivedThresholds,
         fi: np.ndarray,
         fj: np.ndarray,
         flag_pos: np.ndarray,
         flag_neg: np.ndarray,
+        low_rep: np.ndarray,
         pos_cnt: np.ndarray,
         neg_cnt: np.ndarray,
         omega_c: np.ndarray,
         omega_s: np.ndarray,
-        b1: np.ndarray,
-        b2: np.ndarray,
-        b3: np.ndarray,
-        b4: np.ndarray,
-        weights: np.ndarray,
-    ) -> None:
-        """Sparse mirror of :meth:`_emit_audit`: one event per flagged pair."""
-        from repro.obs import AuditEvent
-
-        assert self._obs is not None
-        audit = self._obs.audit
-        metrics = self._obs.metrics
-        cfg = self._config
-        threshold_values = {
-            "T+": float(thresholds.pos_frequency),
-            "T-": float(thresholds.neg_frequency),
-            "TR": float(thresholds.low_reputation),
-            "Tcl": float(thresholds.closeness_low),
-            "Tch": float(thresholds.closeness_high),
-            "Tsl": float(thresholds.similarity_low),
-            "Tsh": float(thresholds.similarity_high),
-        }
-        n_damped = 0
-        for t in range(fi.size):
-            i, j = int(fi[t]), int(fj[t])
-            fired = []
-            if flag_pos[t]:
-                fired.append("T+")
-            if flag_neg[t]:
-                fired.append("T-")
-            if float(reputations[j]) < thresholds.low_reputation:
-                fired.append("TR")
-            if cfg.use_closeness:
-                if omega_c[t] < thresholds.closeness_low:
-                    fired.append("Tcl")
-                if omega_c[t] > thresholds.closeness_high:
-                    fired.append("Tch")
-            if cfg.use_similarity:
-                if omega_s[t] < thresholds.similarity_low:
-                    fired.append("Tsl")
-                if omega_s[t] > thresholds.similarity_high:
-                    fired.append("Tsh")
-            behaviors = []
-            if b1[t]:
-                behaviors.append("B1")
-            if b2[t]:
-                behaviors.append("B2")
-            if b3[t]:
-                behaviors.append("B3")
-            if b4[t]:
-                behaviors.append("B4")
-            damped = bool(behaviors)
-            n_damped += damped
-            audit.record(
-                AuditEvent(
-                    interval=interval_index,
-                    rater=i,
-                    ratee=j,
-                    decision="damped" if damped else "accepted",
-                    behaviors=tuple(behaviors),
-                    fired=tuple(fired),
-                    closeness=float(omega_c[t]),
-                    similarity=float(omega_s[t]),
-                    weight=float(weights[t]) if damped else 1.0,
-                    pos_count=float(pos_cnt[t]),
-                    neg_count=float(neg_cnt[t]),
-                    thresholds=threshold_values,
-                )
-            )
-        metrics.counter("detector.pairs_examined").inc(int(fi.size))
-        metrics.counter("detector.pairs_damped").inc(n_damped)
-
-    def _emit_audit(
-        self,
-        interval_index: int,
-        interval: IntervalRatings,
-        reputations: np.ndarray,
-        thresholds: DerivedThresholds,
-        flagged_pos: np.ndarray,
-        flagged_neg: np.ndarray,
-        closeness: np.ndarray,
-        similarity: np.ndarray,
-        b1: np.ndarray,
-        b2: np.ndarray,
-        b3: np.ndarray,
-        b4: np.ndarray,
+        codes: np.ndarray,
         weights: np.ndarray,
     ) -> None:
         """One audit event per frequency-flagged pair: damped or accepted."""
@@ -834,68 +592,44 @@ class CollusionDetector:
         audit = self._obs.audit
         metrics = self._obs.metrics
         cfg = self._config
-        threshold_values = {
-            "T+": float(thresholds.pos_frequency),
-            "T-": float(thresholds.neg_frequency),
-            "TR": float(thresholds.low_reputation),
-            "Tcl": float(thresholds.closeness_low),
-            "Tch": float(thresholds.closeness_high),
-            "Tsl": float(thresholds.similarity_low),
-            "Tsh": float(thresholds.similarity_high),
-        }
-        examined = flagged_pos | flagged_neg
-        np.fill_diagonal(examined, False)
-        n_damped = 0
-        for i, j in np.argwhere(examined):
-            i, j = int(i), int(j)
-            omega_c = float(closeness[i, j])
-            omega_s = float(similarity[i, j])
-            fired = []
-            if flagged_pos[i, j]:
-                fired.append("T+")
-            if flagged_neg[i, j]:
-                fired.append("T-")
-            if float(reputations[j]) < thresholds.low_reputation:
-                fired.append("TR")
-            if cfg.use_closeness:
-                if omega_c < thresholds.closeness_low:
-                    fired.append("Tcl")
-                if omega_c > thresholds.closeness_high:
-                    fired.append("Tch")
-            if cfg.use_similarity:
-                if omega_s < thresholds.similarity_low:
-                    fired.append("Tsl")
-                if omega_s > thresholds.similarity_high:
-                    fired.append("Tsh")
-            behaviors = []
-            if b1[i, j]:
-                behaviors.append("B1")
-            if b2[i, j]:
-                behaviors.append("B2")
-            if b3[i, j]:
-                behaviors.append("B3")
-            if b4[i, j]:
-                behaviors.append("B4")
-            damped = bool(behaviors)
-            n_damped += damped
+        t = thresholds
+        threshold_values = t.as_dict()
+        checks = [("T+", flag_pos), ("T-", flag_neg), ("TR", low_rep)]
+        if cfg.use_closeness:
+            checks += [
+                ("Tcl", omega_c < t.closeness_low),
+                ("Tch", omega_c > t.closeness_high),
+            ]
+        if cfg.use_similarity:
+            checks += [
+                ("Tsl", omega_s < t.similarity_low),
+                ("Tsh", omega_s > t.similarity_high),
+            ]
+        names = [name for name, _ in checks]
+        hits = np.stack([hit for _, hit in checks], axis=1).tolist()
+        for i, j, code, hit, c, s, w, p, q in zip(
+            fi.tolist(), fj.tolist(), codes.tolist(), hits,
+            omega_c.tolist(), omega_s.tolist(), weights.tolist(),
+            pos_cnt.tolist(), neg_cnt.tolist(),
+        ):
             audit.record(
                 AuditEvent(
                     interval=interval_index,
                     rater=i,
                     ratee=j,
-                    decision="damped" if damped else "accepted",
-                    behaviors=tuple(behaviors),
-                    fired=tuple(fired),
-                    closeness=omega_c,
-                    similarity=omega_s,
-                    weight=float(weights[i, j]) if damped else 1.0,
-                    pos_count=float(interval.pos_counts[i, j]),
-                    neg_count=float(interval.neg_counts[i, j]),
+                    decision="damped" if code else "accepted",
+                    behaviors=_BEHAVIORS[code],
+                    fired=tuple(name for name, h in zip(names, hit) if h),
+                    closeness=c,
+                    similarity=s,
+                    weight=w,
+                    pos_count=p,
+                    neg_count=q,
                     thresholds=threshold_values,
                 )
             )
-        metrics.counter("detector.pairs_examined").inc(int(examined.sum()))
-        metrics.counter("detector.pairs_damped").inc(n_damped)
+        metrics.counter("detector.pairs_examined").inc(int(fi.size))
+        metrics.counter("detector.pairs_damped").inc(int(np.count_nonzero(codes)))
 
     def _low_reputation(self) -> float:
         """The B2 low-reputation bar ``T_R``.

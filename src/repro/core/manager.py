@@ -31,10 +31,14 @@ from typing import Sequence
 import numpy as np
 
 from repro.core.closeness import ClosenessComputer
-from repro.core.config import CoefficientBackend, SocialTrustConfig
+from repro.core.config import SocialTrustConfig
 from repro.core.detector import CollusionDetector, DetectionResult, Finding
 from repro.core.similarity import SimilarityComputer
-from repro.core.sparse import SparseClosenessComputer, SparseSimilarityComputer
+from repro.core.sparse import (
+    SparseClosenessComputer,
+    SparseSimilarityComputer,
+    coefficient_computers,
+)
 from repro.faults.injector import FaultInjector
 from repro.obs import NULL_TRACER, Observability
 from repro.p2p.dht import ChordRing
@@ -150,18 +154,10 @@ class DistributedSocialTrust(ReputationSystem):
         self._tracer = (
             observability.tracer if observability is not None else NULL_TRACER
         )
-        if self._config.coefficient_backend is CoefficientBackend.SPARSE:
-            self._closeness = SparseClosenessComputer(
-                social_view, interactions, self._config
-            )
-            self._similarity = SparseSimilarityComputer(profiles, self._config)
-            if observability is not None:
-                self._closeness.bind_metrics(observability.metrics)
-        else:
-            self._closeness = ClosenessComputer(
-                social_view, interactions, self._config
-            )
-            self._similarity = SimilarityComputer(profiles, self._config)
+        self._closeness, self._similarity = coefficient_computers(
+            social_view, interactions, profiles, self._config,
+            observability=observability,
+        )
         self._detector = CollusionDetector(
             self._closeness, self._similarity, self._config,
             observability=observability,
@@ -339,7 +335,6 @@ class DistributedSocialTrust(ReputationSystem):
         interval_index = self._detector.last_interval_index
         if interval_index is None:
             return
-        t = result.thresholds
         behaviors = tuple(
             name
             for name in ("B1", "B2", "B3", "B4")
@@ -358,15 +353,7 @@ class DistributedSocialTrust(ReputationSystem):
                 weight=float(weight),
                 pos_count=float(interval.pos_counts[finding.rater, finding.ratee]),
                 neg_count=float(interval.neg_counts[finding.rater, finding.ratee]),
-                thresholds={
-                    "T+": float(t.pos_frequency),
-                    "T-": float(t.neg_frequency),
-                    "TR": float(t.low_reputation),
-                    "Tcl": float(t.closeness_low),
-                    "Tch": float(t.closeness_high),
-                    "Tsl": float(t.similarity_low),
-                    "Tsh": float(t.similarity_high),
-                },
+                thresholds=result.thresholds.as_dict(),
             )
         )
         self._obs.metrics.counter(f"manager.degraded.{decision}").inc()
@@ -537,8 +524,7 @@ class DistributedSocialTrust(ReputationSystem):
         self._account_rating_reports(interval, self._serving_managers())
         self._rated_mask |= interval.counts > 0
         np.fill_diagonal(self._rated_mask, False)
-        for finding in result.findings:
-            self._flag_counts[finding.rater, finding.ratee] += 1
+        self._flag_counts[result.pairs[:, 0], result.pairs[:, 1]] += 1
         with self._tracer.span("manager.failover_weights"):
             weights = self._failover_weights(result, interval)
         self._publish_manager_metrics()
@@ -591,14 +577,20 @@ class DistributedSocialTrust(ReputationSystem):
         """Mutable system state for cycle-boundary checkpoints.
 
         Covers the inner reputation system, the detector's interval
-        counter, the recidivism bookkeeping, the previous interval's
-        applied weights, the per-manager message counters, and the Ωc/Ωs
-        value caches (whose incremental updates are not bitwise equal to
-        a fresh rebuild, so a bit-identical resume must carry them).
+        counter and last result, the recidivism bookkeeping, the previous
+        interval's applied weights, the per-manager message counters, and
+        the Ωc/Ωs value caches (whose incremental updates are not bitwise
+        equal to a fresh rebuild, so a bit-identical resume must carry
+        them).
         """
         return {
             "inner": self._inner.state_dict(),
             "detector": self._detector.state_dict(),
+            "last_detection": (
+                None
+                if self._last_result is None
+                else self._last_result.state_dict()
+            ),
             "rated_mask": self._rated_mask.copy(),
             "flag_counts": self._flag_counts.copy(),
             "last_weights": (
@@ -621,7 +613,10 @@ class DistributedSocialTrust(ReputationSystem):
         self._last_weights = (
             None if lw is None else np.asarray(lw, dtype=np.float64).copy()
         )
-        self._last_result = None
+        last = state.get("last_detection")  # absent from older checkpoints
+        self._last_result = (
+            None if last is None else DetectionResult.from_state(last, self.n_nodes)
+        )
         for manager in self._managers.values():
             manager.messages_sent.clear()
         for mid, counts in state["messages"]:

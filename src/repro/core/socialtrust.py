@@ -15,10 +15,14 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core.closeness import ClosenessComputer
-from repro.core.config import CoefficientBackend, SocialTrustConfig
+from repro.core.config import SocialTrustConfig
 from repro.core.detector import CollusionDetector, DetectionResult
 from repro.core.similarity import SimilarityComputer
-from repro.core.sparse import SparseClosenessComputer, SparseSimilarityComputer
+from repro.core.sparse import (
+    SparseClosenessComputer,
+    SparseSimilarityComputer,
+    coefficient_computers,
+)
 from repro.obs import NULL_TRACER, Observability
 from repro.reputation.base import IntervalRatings, ReputationSystem
 from repro.social.graph import SocialView
@@ -71,18 +75,10 @@ class SocialTrust(ReputationSystem):
         self._config = config or SocialTrustConfig()
         self._obs = observability
         self._tracer = observability.tracer if observability is not None else NULL_TRACER
-        if self._config.coefficient_backend is CoefficientBackend.SPARSE:
-            self._closeness = SparseClosenessComputer(
-                social_view, interactions, self._config
-            )
-            self._similarity = SparseSimilarityComputer(profiles, self._config)
-            if observability is not None:
-                self._closeness.bind_metrics(observability.metrics)
-        else:
-            self._closeness = ClosenessComputer(
-                social_view, interactions, self._config
-            )
-            self._similarity = SimilarityComputer(profiles, self._config)
+        self._closeness, self._similarity = coefficient_computers(
+            social_view, interactions, profiles, self._config,
+            observability=observability,
+        )
         self._detector = CollusionDetector(
             self._closeness, self._similarity, self._config,
             observability=observability,
@@ -127,8 +123,7 @@ class SocialTrust(ReputationSystem):
         self._last_result = result
         self._rated_mask |= interval.counts > 0
         np.fill_diagonal(self._rated_mask, False)
-        for finding in result.findings:
-            self._flag_counts[finding.rater, finding.ratee] += 1
+        self._flag_counts[result.pairs[:, 0], result.pairs[:, 1]] += 1
         adjusted = interval.scaled(result.weights)
         with self._tracer.span("reputation.inner_update", system=self._inner.name):
             return self._inner.update(adjusted)
@@ -169,12 +164,18 @@ class SocialTrust(ReputationSystem):
     # -- checkpointing -------------------------------------------------------
 
     def state_dict(self) -> dict:
-        """Inner system, detector interval counter, recidivism
-        bookkeeping, and the Ωc/Ωs value caches (whose incremental
-        updates are not bitwise equal to a fresh rebuild)."""
+        """Inner system, detector interval counter and last result
+        (what :meth:`pair_weight` answers from), recidivism bookkeeping,
+        and the Ωc/Ωs value caches (whose incremental updates are not
+        bitwise equal to a fresh rebuild)."""
         return {
             "inner": self._inner.state_dict(),
             "detector": self._detector.state_dict(),
+            "last_detection": (
+                None
+                if self._last_result is None
+                else self._last_result.state_dict()
+            ),
             "rated_mask": self._rated_mask.copy(),
             "flag_counts": self._flag_counts.copy(),
             "closeness": self._closeness.state_dict(),
@@ -186,6 +187,9 @@ class SocialTrust(ReputationSystem):
         self._detector.restore_state(state["detector"])
         self._rated_mask = np.asarray(state["rated_mask"], dtype=bool).copy()
         self._flag_counts = np.asarray(state["flag_counts"], dtype=np.int64).copy()
-        self._last_result = None
+        last = state.get("last_detection")  # absent from older checkpoints
+        self._last_result = (
+            None if last is None else DetectionResult.from_state(last, self.n_nodes)
+        )
         self._closeness.restore_state(state["closeness"])
         self._similarity.restore_state(state["similarity"])

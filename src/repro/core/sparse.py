@@ -40,13 +40,20 @@ from __future__ import annotations
 import numpy as np
 from scipy import sparse
 
-from repro.core.config import CommonFriendAggregate, SocialTrustConfig
+from repro.core.closeness import ClosenessComputer
+from repro.core.config import (
+    CoefficientBackend,
+    CommonFriendAggregate,
+    SocialTrustConfig,
+)
 from repro.core.gaussian import RaterBand
+from repro.core.similarity import SimilarityComputer
 from repro.social.graph import SocialView, relationship_factor
 
 __all__ = [
     "SparseClosenessComputer",
     "SparseSimilarityComputer",
+    "coefficient_computers",
     "embed_rows",
 ]
 
@@ -683,3 +690,30 @@ class SparseSimilarityComputer:
         self._sizes = None
         self._sizes_decl_version = -1
         self._sizes_req_version = -1
+
+
+def coefficient_computers(
+    social_view: SocialView,
+    interactions,
+    profiles,
+    config: SocialTrustConfig,
+    *,
+    observability=None,
+) -> tuple[
+    ClosenessComputer | SparseClosenessComputer,
+    SimilarityComputer | SparseSimilarityComputer,
+]:
+    """The Ωc and Ωs computers ``config.coefficient_backend`` selects.
+
+    The sparse closeness cache publishes its health into
+    ``observability.metrics`` when a bundle is given.
+    """
+    if config.coefficient_backend is CoefficientBackend.SPARSE:
+        closeness = SparseClosenessComputer(social_view, interactions, config)
+        if observability is not None:
+            closeness.bind_metrics(observability.metrics)
+        return closeness, SparseSimilarityComputer(profiles, config)
+    return (
+        ClosenessComputer(social_view, interactions, config),
+        SimilarityComputer(profiles, config),
+    )

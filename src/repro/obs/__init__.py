@@ -23,8 +23,9 @@ Enable it through the facade::
     result.observability.export_jsonl("trace.jsonl")
 
 or from the CLI: ``repro simulate --trace trace.jsonl`` then
-``repro obs trace.jsonl``.  ``benchmarks/test_bench_obs.py`` asserts the
-disabled-path overhead stays ≤5% on the engine benchmark profile.
+``repro obs report trace.jsonl``.  ``benchmarks/test_bench_obs.py``
+asserts the disabled-path overhead stays ≤5% on the engine benchmark
+profile.
 """
 
 from __future__ import annotations

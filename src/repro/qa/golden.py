@@ -98,17 +98,8 @@ def _reason_names(reasons: SuspicionReason) -> list[str]:
 
 
 def _detector_entry(result: DetectionResult) -> dict[str, Any]:
-    thresholds = result.thresholds
     return {
-        "thresholds": {
-            "T+": thresholds.pos_frequency,
-            "T-": thresholds.neg_frequency,
-            "TR": thresholds.low_reputation,
-            "Tcl": thresholds.closeness_low,
-            "Tch": thresholds.closeness_high,
-            "Tsl": thresholds.similarity_low,
-            "Tsh": thresholds.similarity_high,
-        },
+        "thresholds": result.thresholds.as_dict(),
         "findings": [
             {
                 "rater": finding.rater,

@@ -1,6 +1,5 @@
-"""Shared utilities: seeded RNG streams, argument validation, deprecation."""
+"""Shared utilities: seeded RNG streams and argument validation."""
 
-from repro.utils.deprecation import deprecated_alias, deprecated_param
 from repro.utils.rng import RngStream, spawn_rng
 from repro.utils.validation import (
     check_fraction,
@@ -12,8 +11,6 @@ from repro.utils.validation import (
 __all__ = [
     "RngStream",
     "spawn_rng",
-    "deprecated_alias",
-    "deprecated_param",
     "check_fraction",
     "check_non_negative",
     "check_positive",

@@ -1,51 +1,70 @@
-"""Leave-one-out band edge cases in :func:`repro.core.detector._band_arrays`.
+"""Leave-one-out band edge cases in :func:`repro.core.detector._pair_bands`.
 
-The vectorised band computation removes the judged pair from its rater's
-band via sorted-row extrema and ±inf sentinels.  The constructions that
-historically go wrong are pinned here directly against a brute-force
-per-pair reference: a rater with a single rated peer (the sentinel rows),
-duplicate row maxima (the runner-up must equal the maximum), and the
-RATER / AUTO / GLOBAL centring policies at the ``min_band_size`` edge.
+The pair band stage removes the judged pair from its rater's band via
+per-rater segment reductions: ``bincount`` sums and a ``lexsort`` for the
+extrema and runner-up extrema.  The constructions that historically go
+wrong are pinned here directly against a brute-force per-pair reference:
+a rater with a single rated peer (an empty leave-one-out set), duplicate
+row maxima (the runner-up must equal the maximum), and the RATER / AUTO /
+GLOBAL centring policies at the ``min_band_size`` edge.
 """
 
 import numpy as np
 import pytest
 
 from repro.core.config import GaussianCenter, SocialTrustConfig
-from repro.core.detector import _band_arrays
+from repro.core.detector import _pair_bands
+
+
+def pair_bands(coeffs, rated_mask, global_values, config):
+    """Bands of every rated pair, as ``{(i, j): (center, spread)}``.
+
+    Every rated pair is judged, and each rater's band covers all of its
+    rated pairs — the kernel's layout, where the judged ratee is always
+    in its rater's band.
+    """
+    rows, cols = np.nonzero(rated_mask)
+    centers, spreads = _pair_bands(
+        rows, coeffs[rows, cols], rows, coeffs[rows, cols], global_values, config
+    )
+    return {
+        (int(i), int(j)): (c, s)
+        for i, j, c, s in zip(rows, cols, centers, spreads)
+    }
 
 
 def brute_force(coeffs, rated_mask, global_values, config):
-    """Per-pair python reference for the vectorised band computation."""
-    n = coeffs.shape[0]
+    """Per-pair python reference for the pair band stage."""
     if global_values.size:
         g_center = float(global_values.mean())
         g_spread = float(global_values.max() - global_values.min())
     else:
         g_center, g_spread = 0.0, 0.0
-    centers = np.full((n, n), g_center)
-    spreads = np.full((n, n), g_spread)
-    if config.center is GaussianCenter.GLOBAL:
-        return centers, spreads
-    for i in range(n):
-        rated = [j for j in range(n) if rated_mask[i, j]]
-        for j in range(n):
-            loo = [coeffs[i, k] for k in rated if k != j]
-            if not loo:
-                continue
-            if config.center is GaussianCenter.AUTO and len(loo) < config.min_band_size:
-                continue
-            centers[i, j] = sum(loo) / len(loo)
-            spreads[i, j] = max(loo) - min(loo)
-    return centers, spreads
+    out = {}
+    for i, j in zip(*np.nonzero(rated_mask)):
+        i, j = int(i), int(j)
+        out[(i, j)] = (g_center, g_spread)
+        if config.center is GaussianCenter.GLOBAL:
+            continue
+        rated = np.flatnonzero(rated_mask[i])
+        loo = [coeffs[i, k] for k in rated if k != j]
+        if not loo:
+            continue
+        if config.center is GaussianCenter.AUTO and len(loo) < config.min_band_size:
+            continue
+        out[(i, j)] = (sum(loo) / len(loo), max(loo) - min(loo))
+    return out
 
 
 def assert_matches_reference(coeffs, rated_mask, global_values, config):
-    got_c, got_s = _band_arrays(coeffs, rated_mask, global_values, config)
-    want_c, want_s = brute_force(coeffs, rated_mask, global_values, config)
-    np.testing.assert_allclose(got_c, want_c, atol=1e-12, rtol=0.0)
-    np.testing.assert_allclose(got_s, want_s, atol=1e-12, rtol=0.0)
-    assert np.all(np.isfinite(got_c)) and np.all(np.isfinite(got_s))
+    got = pair_bands(coeffs, rated_mask, global_values, config)
+    want = brute_force(coeffs, rated_mask, global_values, config)
+    assert got.keys() == want.keys()
+    for pair, (want_c, want_s) in want.items():
+        got_c, got_s = got[pair]
+        assert got_c == pytest.approx(want_c, abs=1e-12, rel=0.0), pair
+        assert got_s == pytest.approx(want_s, abs=1e-12, rel=0.0), pair
+        assert np.isfinite(got_c) and np.isfinite(got_s), pair
 
 
 GLOBAL_VALUES = np.array([0.2, 0.4, 0.9])
@@ -53,8 +72,8 @@ GLOBAL_VALUES = np.array([0.2, 0.4, 0.9])
 
 class TestSingleRatedPeer:
     """One rated peer: the LOO set for that pair is empty, so its band must
-    fall back (RATER/AUTO → global), and the ±inf sort sentinels used to
-    expose the runner-up must never leak into any output cell."""
+    fall back (RATER/AUTO → global) and never read a neighbouring rater's
+    values; two rated peers leave a single-element band."""
 
     def setup_method(self):
         self.n = 4
@@ -68,6 +87,7 @@ class TestSingleRatedPeer:
         )
         self.rated = np.zeros((self.n, self.n), dtype=bool)
         self.rated[0, 1] = True  # rater 0 rated exactly one node
+        self.rated[1, [2, 3]] = True  # rater 1 rated two
 
     @pytest.mark.parametrize("center", ["rater", "auto", "global"])
     def test_matches_reference_without_inf_leak(self, center):
@@ -76,15 +96,12 @@ class TestSingleRatedPeer:
 
     def test_judged_pair_falls_back_to_global(self):
         config = SocialTrustConfig(center="rater")
-        centers, spreads = _band_arrays(
-            self.coeffs, self.rated, GLOBAL_VALUES, config
-        )
+        bands = pair_bands(self.coeffs, self.rated, GLOBAL_VALUES, config)
         # (0, 1) has an empty LOO set → global band.
-        assert centers[0, 1] == pytest.approx(GLOBAL_VALUES.mean())
-        assert spreads[0, 1] == pytest.approx(0.7)
-        # (0, 2) keeps the single-element band {coeffs[0, 1]}, spread 0.
-        assert centers[0, 2] == pytest.approx(0.7)
-        assert spreads[0, 2] == 0.0
+        assert bands[(0, 1)][0] == pytest.approx(GLOBAL_VALUES.mean())
+        assert bands[(0, 1)][1] == pytest.approx(0.7)
+        # (1, 2) keeps the single-element band {coeffs[1, 3]}, spread 0.
+        assert bands[(1, 2)] == (pytest.approx(0.6), 0.0)
 
 
 class TestDuplicateExtrema:
@@ -106,10 +123,10 @@ class TestDuplicateExtrema:
 
     def test_removing_one_duplicate_keeps_spread(self):
         config = SocialTrustConfig(center="rater")
-        _, spreads = _band_arrays(self.coeffs, self.rated, GLOBAL_VALUES, config)
+        bands = pair_bands(self.coeffs, self.rated, GLOBAL_VALUES, config)
         # Dropping either duplicate still leaves 0.9 - 0.1 on the table.
         for j in (1, 2, 3, 4):
-            assert spreads[0, j] == pytest.approx(0.8)
+            assert bands[(0, j)][1] == pytest.approx(0.8)
 
 
 class TestCenterPolicyAtMinBandSize:
@@ -122,10 +139,11 @@ class TestCenterPolicyAtMinBandSize:
         self.coeffs = rng.random((self.n, self.n))
         np.fill_diagonal(self.coeffs, 0.0)
         self.rated = np.zeros((self.n, self.n), dtype=bool)
-        # rater 0 rated exactly min_band_size nodes → judged pairs inside
-        # the rated set have loo_size = min_band_size - 1 (AUTO: global),
-        # pairs outside it have loo_size = min_band_size (AUTO: own band).
+        # rater 0 rated exactly min_band_size nodes → its judged pairs have
+        # loo_size = min_band_size - 1 (AUTO: global); rater 1 rated one
+        # more, so its pairs have loo_size = min_band_size (AUTO: own band).
         self.rated[0, 1:4] = True
+        self.rated[1, 2:6] = True
 
     @pytest.mark.parametrize("center", ["rater", "auto", "global"])
     def test_matches_reference(self, center):
@@ -134,25 +152,22 @@ class TestCenterPolicyAtMinBandSize:
 
     def test_auto_splits_on_the_boundary(self):
         config = SocialTrustConfig(center="auto", min_band_size=3)
-        centers, _ = _band_arrays(self.coeffs, self.rated, GLOBAL_VALUES, config)
+        bands = pair_bands(self.coeffs, self.rated, GLOBAL_VALUES, config)
         g_center = GLOBAL_VALUES.mean()
-        # Judged pair inside the rated set: LOO size 2 < 3 → global.
-        assert centers[0, 1] == pytest.approx(g_center)
-        # Judged pair outside: LOO size 3 → the rater's own mean.
-        own = self.coeffs[0, 1:4].mean()
-        assert centers[0, 5] == pytest.approx(own)
+        # Rater 0: LOO size 2 < 3 → global.
+        assert bands[(0, 1)][0] == pytest.approx(g_center)
+        # Rater 1: LOO size 3 → the rater's own mean without the judged pair.
+        own = self.coeffs[1, 3:6].mean()
+        assert bands[(1, 2)][0] == pytest.approx(own)
         # RATER accepts the size-2 band AUTO rejected.
-        rater_centers, _ = _band_arrays(
+        rater_bands = pair_bands(
             self.coeffs, self.rated, GLOBAL_VALUES,
             SocialTrustConfig(center="rater", min_band_size=3),
         )
         loo = [self.coeffs[0, k] for k in (2, 3)]
-        assert rater_centers[0, 1] == pytest.approx(np.mean(loo))
+        assert rater_bands[(0, 1)][0] == pytest.approx(np.mean(loo))
 
     def test_empty_global_values_fall_back_to_zero(self):
         config = SocialTrustConfig(center="auto", min_band_size=3)
-        centers, spreads = _band_arrays(
-            self.coeffs, self.rated, np.array([]), config
-        )
-        assert centers[0, 1] == 0.0
-        assert spreads[0, 1] == 0.0
+        bands = pair_bands(self.coeffs, self.rated, np.array([]), config)
+        assert bands[(0, 1)] == (0.0, 0.0)

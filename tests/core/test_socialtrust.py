@@ -1,8 +1,12 @@
 """Tests for the SocialTrust wrapper."""
 
+import json
+
 import numpy as np
 import pytest
 
+from repro.api import ScenarioSpec, build_scenario
+from repro.chaos.checkpoint import decode_state, encode_state
 from repro.core import SocialTrust
 from repro.reputation import EBayModel, EigenTrust
 from repro.reputation.base import IntervalRatings, Rating
@@ -129,3 +133,59 @@ class TestRepeatedCollusion:
             st.update(iv.copy())
             reference.update(iv)
         assert st.reputations[0] < 0.5 * reference.reputations[0]
+
+
+class TestCheckpointKeepsLastDetection:
+    """``state_dict`` carries the last detection, for both the centralised
+    and the distributed (resource-manager) wrapper."""
+
+    @staticmethod
+    def spec(n_managers):
+        return ScenarioSpec(
+            system="EigenTrust+SocialTrust",
+            collusion="pcm",
+            seed=11,
+            world=dict(
+                n_nodes=20,
+                n_pretrusted=2,
+                n_colluders=4,
+                n_interests=6,
+                interests_per_node=[1, 3],
+                capacity=10,
+                query_cycles=3,
+                simulation_cycles=4,
+                n_managers=n_managers,
+            ),
+        )
+
+    def run(self, n_managers):
+        """(system after three cycles, its JSON round-tripped state, a
+        fresh system of the same scenario)."""
+        spec = self.spec(n_managers)
+        simulation = build_scenario(spec).simulation
+        for _ in range(3):
+            simulation.run_simulation_cycle()
+        system = simulation.system
+        encoded = json.dumps(encode_state(system.state_dict()))
+        state = decode_state(json.loads(encoded))
+        fresh = build_scenario(spec).simulation.system
+        return system, state, fresh
+
+    @pytest.mark.parametrize("n_managers", [0, 3])
+    def test_restore_reproduces_last_detection(self, n_managers):
+        system, state, fresh = self.run(n_managers)
+        before = system.last_detection
+        assert before.findings, "scenario must damp a colluding pair"
+        fresh.restore_state(state)
+        after = fresh.last_detection
+        assert after.findings == before.findings
+        assert after.thresholds == before.thresholds
+        np.testing.assert_array_equal(after.pairs, before.pairs)
+        np.testing.assert_array_equal(after.weights, before.weights)
+
+    @pytest.mark.parametrize("n_managers", [0, 3])
+    def test_checkpoint_without_last_detection_loads(self, n_managers):
+        _, state, fresh = self.run(n_managers)
+        del state["last_detection"]
+        fresh.restore_state(state)
+        assert fresh.last_detection is None

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 from repro.core.closeness import ClosenessComputer
 from repro.core.config import SocialTrustConfig
-from repro.core.detector import CollusionDetector, SparseDetectionResult
+from repro.core.detector import CollusionDetector, DetectionResult
 from repro.core.similarity import SimilarityComputer
 from repro.core.sparse import (
     SparseClosenessComputer,
@@ -251,6 +251,8 @@ class TestSparseDetector:
         return dense_det, sparse_det, rng
 
     def test_analyze_dispatch_matches_dense(self):
+        """The one kernel agrees with itself across coefficient computers
+        (dense vs sparse) and input adapters (dense arrays vs CSR)."""
         dense_det, sparse_det, rng = self._detectors()
         interval = self._interval(rng)
         reputations = np.full(N, 1.0 / N)
@@ -258,27 +260,38 @@ class TestSparseDetector:
         flag_counts = np.zeros((N, N))
         flag_counts[0, 1] = 2.0
         want = dense_det.analyze(interval, reputations, rated, flag_counts)
-        got = sparse_det.analyze(interval, reputations, rated, flag_counts)
         assert want.findings, "scenario must actually flag pairs"
-        np.testing.assert_allclose(got.weights, want.weights, atol=1e-9, rtol=1e-9)
-        assert [(f.rater, f.ratee) for f in got.findings] == [
-            (f.rater, f.ratee) for f in want.findings
-        ]
-        for g, w in zip(got.findings, want.findings):
-            assert g.reasons == w.reasons
-            assert g.weight == pytest.approx(w.weight, rel=1e-9, abs=1e-9)
-        for field in (
-            "pos_frequency",
-            "neg_frequency",
-            "low_reputation",
-            "closeness_low",
-            "closeness_high",
-            "similarity_low",
-            "similarity_high",
+        csr_inputs = (
+            sparse.csr_matrix(interval.pos_counts),
+            sparse.csr_matrix(interval.neg_counts),
+            reputations,
+            sparse.csr_matrix(rated),
+            sparse.csr_matrix(flag_counts),
+        )
+        for got in (
+            sparse_det.analyze(interval, reputations, rated, flag_counts),
+            sparse_det.analyze_sparse(*csr_inputs),
+            dense_det.analyze_sparse(*csr_inputs),
         ):
-            assert getattr(got.thresholds, field) == pytest.approx(
-                getattr(want.thresholds, field), rel=1e-9, abs=1e-12
+            np.testing.assert_array_equal(got.pairs, want.pairs)
+            np.testing.assert_allclose(
+                got.pair_weights, want.pair_weights, atol=1e-9, rtol=1e-9
             )
+            for g, w in zip(got.findings, want.findings):
+                assert g.reasons == w.reasons
+                assert g.weight == pytest.approx(w.weight, rel=1e-9, abs=1e-9)
+            for field in (
+                "pos_frequency",
+                "neg_frequency",
+                "low_reputation",
+                "closeness_low",
+                "closeness_high",
+                "similarity_low",
+                "similarity_high",
+            ):
+                assert getattr(got.thresholds, field) == pytest.approx(
+                    getattr(want.thresholds, field), rel=1e-9, abs=1e-12
+                )
 
     def test_analyze_sparse_returns_pair_set_only(self):
         _, sparse_det, rng = self._detectors(12)
@@ -291,12 +304,12 @@ class TestSparseDetector:
             reputations,
             rated,
         )
-        assert isinstance(result, SparseDetectionResult)
+        assert isinstance(result, DetectionResult)
         assert result.pairs.shape == (result.pair_weights.shape[0], 2)
         assert result.pairs.shape[0] > 0
         assert np.all(result.pair_weights <= 1.0)
         assert np.any(result.pair_weights < 1.0)
-        dense_w = result.weights_dense()
+        dense_w = result.weights
         assert dense_w.shape == (N, N)
         ones = np.ones((N, N))
         ones[result.pairs[:, 0], result.pairs[:, 1]] = result.pair_weights

@@ -67,6 +67,25 @@ class TestKillAndResume:
         for request in (QueryRequest(node=0), QueryRequest(rater=0, ratee=1)):
             assert resumed.query(request).value == service.query(request).value
 
+    def test_snapshot_keeps_damped_pair_weights(self, recorded, tmp_path):
+        # The last detection is checkpointed: a damped colluding pair must
+        # not read as undamped (1.0) between a restore and the next
+        # watermark.
+        service = ReputationService(recorded.spec)
+        service.serve_events(recorded.events)
+        n = service.n_nodes
+        probes = [
+            QueryRequest(rater=i, ratee=j)
+            for i in range(n)
+            for j in range(n)
+            if i != j
+        ]
+        before = [service.query(probe).value for probe in probes]
+        assert min(before) < 1.0, "scenario must damp a colluding pair"
+        path = service.save_snapshot(tmp_path / "svc.ckpt")
+        resumed = ReputationService.from_checkpoint(path)
+        assert [resumed.query(probe).value for probe in probes] == before
+
     def test_auto_snapshot_every_watermark(self, recorded, tmp_path):
         path = tmp_path / "auto.ckpt"
         service = ReputationService(

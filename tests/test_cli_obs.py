@@ -187,10 +187,12 @@ class TestObsTopAndExport:
 
 
 class TestLegacyObsSpelling:
-    def test_bare_obs_path_routes_to_report(self, telemetry_series, capsys):
+    def test_bare_obs_path_is_rejected(self, telemetry_series):
+        # ``repro obs FILE`` was shimmed to ``obs report FILE`` until API 3.0.
         metrics, _ = telemetry_series
-        assert main(["obs", str(metrics)]) == EXIT_OK
-        assert capsys.readouterr().out.startswith("validated ")
+        with pytest.raises(SystemExit) as exc:
+            main(["obs", str(metrics)])
+        assert exc.value.code == 2
 
     def test_obs_without_arguments_exits_2(self):
         with pytest.raises(SystemExit) as exc:

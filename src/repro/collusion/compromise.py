@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from typing import Iterator, Sequence
 
-from repro.collusion.models import CollusionSchedule, RatingBurst
+from repro.collusion.models import CollusionSchedule, RatingBurst, pick
 from repro.utils.rng import RngStream
 
 __all__ = ["CompromisedPretrustedCollusion"]
@@ -43,10 +43,10 @@ class CompromisedPretrustedCollusion(CollusionSchedule):
             )
         if ratings_per_cycle < 1:
             raise ValueError("ratings_per_cycle must be >= 1")
-        self._interests = list(interests)
+        self._pools = self._interest_pools(interests)
         self._count = int(ratings_per_cycle)
         self._partners: list[tuple[int, int]] = [
-            (p, int(rng.choice(colluders))) for p in compromised
+            (p, pick(colluders, rng)) for p in compromised
         ]
 
     @property
@@ -73,5 +73,5 @@ class CompromisedPretrustedCollusion(CollusionSchedule):
                     ratee=ratee,
                     value=1.0,
                     count=self._count,
-                    interest=self._pick_interest(self._interests, ratee, rng),
+                    interest=self._pick_interest(self._pools, ratee, rng),
                 )

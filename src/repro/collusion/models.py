@@ -51,6 +51,15 @@ class RatingBurst:
             raise ValueError(f"burst count must be >= 1, got {self.count}")
 
 
+def pick(pool: Sequence[int], rng: RngStream) -> int:
+    """``int(rng.choice(pool))`` without converting ``pool`` to an array.
+
+    ``Generator.choice`` over a 1-D population draws exactly one
+    ``integers(0, len(pool))``, so this consumes the stream identically.
+    """
+    return pool[int(rng.integers(0, len(pool)))]
+
+
 class CollusionSchedule(abc.ABC):
     """Produces the colluders' rating bursts, one call per query cycle."""
 
@@ -64,13 +73,20 @@ class CollusionSchedule(abc.ABC):
         """Rating bursts for one query cycle."""
 
     @staticmethod
+    def _interest_pools(
+        interests: Sequence[frozenset[int]],
+    ) -> list[list[int]]:
+        """Each node's declared interests, sorted once for :meth:`_pick_interest`."""
+        return [sorted(pool) for pool in interests]
+
+    @staticmethod
     def _pick_interest(
-        interests: Sequence[frozenset[int]], ratee: int, rng: RngStream
+        pools: list[list[int]], ratee: int, rng: RngStream
     ) -> int | None:
-        pool = sorted(interests[ratee]) if ratee < len(interests) else []
+        pool = pools[ratee] if ratee < len(pools) else None
         if not pool:
             return None
-        return int(rng.choice(pool))
+        return pick(pool, rng)
 
 
 class NoCollusion(CollusionSchedule):
@@ -108,7 +124,7 @@ class PairwiseCollusion(CollusionSchedule):
         if ratings_per_cycle < 1:
             raise ValueError("ratings_per_cycle must be >= 1")
         self._ids = tuple(ids)
-        self._interests = list(interests)
+        self._pools = self._interest_pools(interests)
         self._count = int(ratings_per_cycle)
         self._value = float(rating_value)
         self._pairs: list[tuple[int, int]] = []
@@ -133,7 +149,7 @@ class PairwiseCollusion(CollusionSchedule):
                     ratee=ratee,
                     value=self._value,
                     count=self._count,
-                    interest=self._pick_interest(self._interests, ratee, rng),
+                    interest=self._pick_interest(self._pools, ratee, rng),
                 )
 
 
@@ -167,7 +183,7 @@ class MultiNodeCollusion(CollusionSchedule):
         if not 1 <= lo <= hi:
             raise ValueError(f"invalid ratings_range {ratings_range}")
         self._ids = tuple(ids)
-        self._interests = list(interests)
+        self._pools = self._interest_pools(interests)
         self._range = (int(lo), int(hi))
         self._value = float(rating_value)
         boosted = rng.choice(len(ids), size=n_boosted, replace=False)
@@ -175,7 +191,7 @@ class MultiNodeCollusion(CollusionSchedule):
         boosted_set = set(self._boosted)
         self._boosting = tuple(i for i in ids if i not in boosted_set)
         self._target = {
-            b: int(rng.choice(self._boosted)) for b in self._boosting
+            b: pick(self._boosted, rng) for b in self._boosting
         }
 
     @property
@@ -202,7 +218,7 @@ class MultiNodeCollusion(CollusionSchedule):
                 ratee=ratee,
                 value=self._value,
                 count=int(rng.integers(lo, hi + 1)),
-                interest=self._pick_interest(self._interests, ratee, rng),
+                interest=self._pick_interest(self._pools, ratee, rng),
             )
 
 
@@ -250,7 +266,7 @@ class MutualMultiNodeCollusion(MultiNodeCollusion):
                     ratee=booster,
                     value=1.0,
                     count=self._back,
-                    interest=self._pick_interest(self._interests, booster, rng),
+                    interest=self._pick_interest(self._pools, booster, rng),
                 )
 
 
@@ -287,7 +303,7 @@ class BadmouthingCollusion(CollusionSchedule):
             raise ValueError("ratings_per_cycle must be >= 1")
         self._colluders = tuple(colluders)
         self._victims = tuple(victims)
-        self._interests = list(interests)
+        self._pools = self._interest_pools(interests)
         self._count = int(ratings_per_cycle)
         #: paired=True is the classic competitor attack: colluder ``k``
         #: always targets ``victims[k % len(victims)]`` (its market rival);
@@ -314,13 +330,13 @@ class BadmouthingCollusion(CollusionSchedule):
             if self._paired:
                 ratee = self._victims[k % len(self._victims)]
             else:
-                ratee = int(rng.choice(self._victims))
+                ratee = pick(self._victims, rng)
             yield RatingBurst(
                 rater=rater,
                 ratee=ratee,
                 value=-1.0,
                 count=self._count,
-                interest=self._pick_interest(self._interests, ratee, rng),
+                interest=self._pick_interest(self._pools, ratee, rng),
             )
 
 

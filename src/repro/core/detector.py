@@ -153,6 +153,16 @@ class DetectionResult:
         out.flags.writeable = False
         return out
 
+    @cached_property
+    def _weight_by_key(self) -> dict[int, float]:
+        keys = self.pairs[:, 0] * np.int64(self.n_nodes) + self.pairs[:, 1]
+        return dict(zip(keys.tolist(), self.pair_weights.tolist()))
+
+    def weight(self, rater: int, ratee: int) -> float:
+        """Weight of one rater→ratee pair without the dense view: a lookup
+        of its row-major key among the adjusted pairs' (built on first use)."""
+        return self._weight_by_key.get(rater * self.n_nodes + ratee, 1.0)
+
     def state_dict(self) -> dict:
         """Arrays that rebuild this result exactly (:meth:`from_state`)."""
         return {
@@ -179,6 +189,19 @@ class DetectionResult:
         )
         thresholds = DerivedThresholds(*(float(t) for t in state["thresholds"]))
         return cls(pairs, weights, findings, thresholds, int(n_nodes))
+
+
+def detected_pair_weight(
+    result: DetectionResult | None, n_nodes: int, rater: int, ratee: int
+) -> float:
+    """Damping weight the detector gave ``rater→ratee`` in ``result``.
+
+    1.0 for a pair that was not adjusted, or when no interval has been
+    analysed yet (``result`` is None).
+    """
+    if not (0 <= rater < n_nodes and 0 <= ratee < n_nodes):
+        raise ValueError(f"pair ({rater}, {ratee}) out of range [0, {n_nodes})")
+    return 1.0 if result is None else result.weight(rater, ratee)
 
 
 class _PairCounts(NamedTuple):

@@ -32,7 +32,12 @@ import numpy as np
 
 from repro.core.closeness import ClosenessComputer
 from repro.core.config import SocialTrustConfig
-from repro.core.detector import CollusionDetector, DetectionResult, Finding
+from repro.core.detector import (
+    CollusionDetector,
+    DetectionResult,
+    Finding,
+    detected_pair_weight,
+)
 from repro.core.similarity import SimilarityComputer
 from repro.core.sparse import (
     SparseClosenessComputer,
@@ -184,6 +189,17 @@ class DistributedSocialTrust(ReputationSystem):
     @property
     def last_detection(self) -> DetectionResult | None:
         return self._last_result
+
+    def pair_weight(self, rater: int, ratee: int) -> float:
+        """Detector damping weight for one rater→ratee pair from the most
+        recent :meth:`update` (1.0 when not adjusted or before any update).
+
+        Like :meth:`SocialTrust.pair_weight` this reads the detector's
+        judgement; under manager faults the weight actually applied to the
+        pair's ratings may differ (failover, neutral damping, Byzantine
+        rows).
+        """
+        return detected_pair_weight(self._last_result, self.n_nodes, rater, ratee)
 
     @property
     def closeness_computer(self) -> ClosenessComputer | SparseClosenessComputer:

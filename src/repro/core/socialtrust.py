@@ -16,7 +16,11 @@ import numpy as np
 
 from repro.core.closeness import ClosenessComputer
 from repro.core.config import SocialTrustConfig
-from repro.core.detector import CollusionDetector, DetectionResult
+from repro.core.detector import (
+    CollusionDetector,
+    DetectionResult,
+    detected_pair_weight,
+)
 from repro.core.similarity import SimilarityComputer
 from repro.core.sparse import (
     SparseClosenessComputer,
@@ -139,13 +143,7 @@ class SocialTrust(ReputationSystem):
         anything — the streaming service's damping-query path.  1.0 when
         the pair was not adjusted last interval (or before any update).
         """
-        if not (0 <= rater < self.n_nodes and 0 <= ratee < self.n_nodes):
-            raise ValueError(
-                f"pair ({rater}, {ratee}) out of range [0, {self.n_nodes})"
-            )
-        if self._last_result is None:
-            return 1.0
-        return float(self._last_result.weights[rater, ratee])
+        return detected_pair_weight(self._last_result, self.n_nodes, rater, ratee)
 
     @property
     def flag_counts(self) -> np.ndarray:

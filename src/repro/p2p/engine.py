@@ -12,14 +12,23 @@ Python loop over all peers and, for every active client, pays for
 :class:`BatchedQueryEngine` removes all of that **without changing a single
 random draw**.  Three observations make this possible:
 
-1. ``Generator.choice`` is exactly replicable with cheaper primitives:
+1. Every per-request draw is replayed from raw generator words.
+   ``Generator.choice`` is exactly replicable with cheaper primitives:
    ``choice(a)`` consumes one bounded ``integers(0, a.size)`` draw, and
    ``choice(a, p=p)`` computes ``cdf = p.cumsum(); cdf /= cdf[-1]`` and
    inverts one ``random()`` draw with ``cdf.searchsorted(u, 'right')``.
    Pre-computing the cumulative weights once (per node for the Zipf
    interest choice, per interest group for reputation-weighted selection)
    and inverting with :func:`bisect.bisect_right` yields the identical
-   server for the identical stream position at a fraction of the cost.
+   server for the identical stream position.  The ``random()`` and
+   ``integers(0, m)`` draws themselves come from a
+   :class:`~repro.utils.rng.WordReplay`: one block of raw PCG64 words per
+   query cycle, decoded the way numpy's ``Generator`` decodes them
+   (53-bit doubles, Lemire bounded integers on buffered 32-bit halves)
+   and rewound to the exact stream position before the collusion bursts
+   draw again.  The simulation's generator must therefore be PCG64 —
+   :func:`~repro.utils.rng.spawn_rng` and ``default_rng`` always are; any
+   other bit generator is rejected at construction.
 
 2. Reputations only change at simulation-cycle boundaries, so the
    available/qualified provider sets of every interest group are constant
@@ -36,9 +45,10 @@ random draw**.  Three observations make this possible:
    is then a couple of list lookups and one bisect, regardless of how
    saturated the cycle gets.
 
-Outcomes are buffered per query cycle and flushed through the batched
-``record_many`` entry points of the rating/interaction/profile/metric
-ledgers (``np.add.at`` is unbuffered and the increments are exact
+Outcomes are buffered per query cycle, together with the cycle's
+collusion bursts, and flushed through the batched ``record_many`` entry
+points of the rating/interaction/profile/metric ledgers (``np.add.at`` is
+unbuffered and applied in the seed's order, and the increments are exact
 ``float64`` integers, so batching preserves bit-identity as well).
 
 The seed loop is kept verbatim behind :attr:`EngineMode.SCALAR` — it is
@@ -64,7 +74,7 @@ from repro.p2p.selection import SelectionPolicy
 from repro.reputation.ledger import RatingLedger
 from repro.social.interactions import InteractionLedger
 from repro.social.interests import InterestProfiles
-from repro.utils.rng import RngStream
+from repro.utils.rng import RngStream, WordReplay
 
 __all__ = ["EngineMode", "BatchedQueryEngine"]
 
@@ -112,6 +122,9 @@ class BatchedQueryEngine:
     ) -> None:
         self._n = population.n_nodes
         self._rng = rng
+        # A client draws at most four words per query cycle (interest,
+        # exploration, server, rating outcome), bar Lemire rejections.
+        self._replay = WordReplay(rng, block=4 * self._n)
         # Observability hooks.  With no bundle attached the tracer is the
         # shared no-op and every phase costs one null context manager; the
         # per-request paths additionally gate on ``_trace_on`` so timing
@@ -131,6 +144,7 @@ class BatchedQueryEngine:
         self._injector = injector
 
         self._capacities = population.capacities
+        self._capacity_list: list[int] = population.capacities.tolist()
         self._activity = population.activity_probs
         self._authentic: list[float] = population.authentic_probs.tolist()
 
@@ -306,16 +320,18 @@ class BatchedQueryEngine:
           cycle and emitted as one pre-measured span;
         * ``engine.selection``   — the per-client loop, minus the cache
           patching it triggered (phases stay additive);
-        * ``engine.rating_flush``— the batched ledger/metric flush.
+        * ``engine.rating_flush``— the batched ledger/metric flush of the
+          requests and collusion bursts.
 
         All timing is gated on ``_trace_on``; with tracing disabled the
-        cycle runs the exact untimed path.
+        cycle runs the exact untimed path.  ``remaining_capacity`` receives
+        each server's capacity left at the end of the cycle.
         """
         trace_on = self._trace_on
         rng = self._rng
         n = self._n
         active_draw = rng.random(n)
-        np.copyto(remaining_capacity, self._capacities)
+        left_cap = self._capacity_list.copy()
         online = self._online
         churned = self._churned
         if trace_on:
@@ -332,13 +348,19 @@ class BatchedQueryEngine:
             skip |= ~online
         skip_list = skip.tolist()
         perm = rng.permutation(n).tolist()
+        # Every per-request draw below comes from the raw-word replay; it
+        # is opened after the Generator's array draws (the permutation may
+        # leave a half word buffered, which begin() picks up) and closed
+        # before the collusion bursts draw from ``rng`` again.
+        replay = self._replay
+        replay.begin()
 
         random_policy = self._policy is SelectionPolicy.RANDOM
         weighted = self._policy is SelectionPolicy.REPUTATION_WEIGHTED
         exploration = self._exploration
         explore = exploration > 0.0 and not random_policy
-        rnd = rng.random
-        rint = rng.integers
+        rnd = replay.random
+        rint = replay.integers
         choice_lists = self._choice_lists
         cdf_lists = self._cdf_lists
         avail_cur = self._avail
@@ -348,10 +370,9 @@ class BatchedQueryEngine:
         qual_cdf_cur = self._qual_cdf
         q_list = self._q_list
         authentic = self._authentic
-        node_interests = self._node_interests
 
-        ev_clients: list[int] = []
-        ev_servers: list[int] = []
+        ev_raters: list[int] = []
+        ev_ratees: list[int] = []
         ev_values: list[float] = []
         ev_interests: list[int] = []
         unserved: list[int] = []
@@ -375,7 +396,7 @@ class BatchedQueryEngine:
                 unserved.append(client)
                 continue
             if random_policy or (explore and rnd() < exploration):
-                idx = int(rint(0, m))
+                idx = rint(m)
                 server = al[idx] if not present or idx < pos else al[idx + 1]
             else:
                 ql = qual_cur[interest]
@@ -388,16 +409,16 @@ class BatchedQueryEngine:
                     qpresent = False
                 eff_q = qsz - 1 if qpresent else qsz
                 if eff_q == 0:
-                    idx = int(rint(0, m))
+                    idx = rint(m)
                     server = al[idx] if not present or idx < pos else al[idx + 1]
                 elif not weighted:
-                    idx = int(rint(0, eff_q))
+                    idx = rint(eff_q)
                     server = ql[idx] if not qpresent or idx < qpos else ql[idx + 1]
                 elif qpresent:
                     w = np.delete(qual_w_cur[interest], qpos)
                     total = w.sum()
                     if total <= 0:
-                        idx = int(rint(0, eff_q))
+                        idx = rint(eff_q)
                         server = ql[idx] if idx < qpos else ql[idx + 1]
                     else:
                         cdf = (w / total).cumsum()
@@ -405,37 +426,55 @@ class BatchedQueryEngine:
                         idx = int(cdf.searchsorted(rnd(), side="right"))
                         server = ql[idx] if idx < qpos else ql[idx + 1]
                 elif qual_total_cur[interest] <= 0.0:
-                    server = ql[int(rint(0, eff_q))]
+                    server = ql[rint(eff_q)]
                 else:
                     server = ql[bisect_right(qual_cdf_cur[interest], rnd())]
-            left = remaining_capacity[server] - 1
-            remaining_capacity[server] = left
+            left = left_cap[server] - 1
+            left_cap[server] = left
             if left == 0:
                 self._exhaust_server(server)
             value = 1.0 if rnd() < authentic[server] else -1.0
-            ev_clients.append(client)
-            ev_servers.append(server)
+            ev_raters.append(client)
+            ev_ratees.append(server)
             ev_values.append(value)
             ev_interests.append(interest)
-
+        replay.end()
+        remaining_capacity[:] = left_cap
+        served = len(ev_raters)
         if trace_on:
             patched = self._cache_patch_s - cache_before
             self._tracer.record(
                 "engine.selection",
                 perf_counter() - selection_start - patched,
-                served=len(ev_clients),
+                served=served,
                 unserved=len(unserved),
             )
+
+        # Collusion bursts: same order and semantics as the seed loop.  A
+        # burst's ratings and interactions join the flush behind the
+        # requests', so every ledger sees the seed's increment order.
+        ev_counts = [1] * served
+        for burst in self._collusion.bursts(rng):
+            if churned and not (online[burst.rater] and online[burst.ratee]):
+                continue
+            ev_raters.append(burst.rater)
+            ev_ratees.append(burst.ratee)
+            ev_values.append(burst.value)
+            ev_counts.append(burst.count)
+
+        if trace_on:
             flush_start = perf_counter()
-        if ev_clients:
-            clients = np.asarray(ev_clients, dtype=np.int64)
-            servers = np.asarray(ev_servers, dtype=np.int64)
+        if ev_raters:
+            raters = np.asarray(ev_raters, dtype=np.int64)
+            ratees = np.asarray(ev_ratees, dtype=np.int64)
+            counts = np.asarray(ev_counts, dtype=np.float64)
             values = np.asarray(ev_values, dtype=np.float64)
+            self._ledger.record_many(raters, ratees, values, counts)
+            self._interactions.record_many(raters, ratees, counts)
+        if served:
             interests = np.asarray(ev_interests, dtype=np.int64)
-            self._ledger.record_many(clients, servers, values)
-            self._interactions.record_many(clients, servers)
-            self._profiles.record_requests(clients, interests)
-            self._metrics.record_requests(clients, servers)
+            self._profiles.record_requests(raters[:served], interests)
+            self._metrics.record_requests(raters[:served], ratees[:served])
         if unserved:
             self._metrics.record_unserved_many(np.asarray(unserved, dtype=np.int64))
         if trace_on:
@@ -446,14 +485,5 @@ class BatchedQueryEngine:
                 self._tracer.record("engine.cache_patch", self._cache_patch_s)
         if self._obs is not None:
             metrics = self._obs.metrics
-            metrics.counter("engine.requests.served").inc(len(ev_clients))
+            metrics.counter("engine.requests.served").inc(served)
             metrics.counter("engine.requests.unserved").inc(len(unserved))
-
-        # Collusion bursts: same order and semantics as the seed loop.
-        for burst in self._collusion.bursts(rng):
-            if churned and not (online[burst.rater] and online[burst.ratee]):
-                continue
-            self._ledger.record_batch(
-                burst.rater, burst.ratee, burst.value, burst.count
-            )
-            self._interactions.record(burst.rater, burst.ratee, burst.count)

@@ -49,12 +49,15 @@ class RatingLedger:
         raters: np.ndarray,
         ratees: np.ndarray,
         values: np.ndarray,
+        counts: np.ndarray | float = 1.0,
     ) -> None:
-        """Record one rating per ``(raters[t], ratees[t], values[t])`` triple.
+        """Record ``counts[t]`` identical ratings per
+        ``(raters[t], ratees[t], values[t])`` triple.
 
-        Bit-identical to looping :meth:`record`: ``np.add.at`` applies the
-        value increments unbuffered in chronological order, and the
-        positive/negative counters only ever take exact ``+1`` steps.
+        Bit-identical to looping :meth:`record` (count 1) and
+        :meth:`record_batch` in the same order: ``np.add.at`` applies the
+        ``value * count`` increments unbuffered in chronological order, and
+        the positive/negative counters only ever take exact integer steps.
         """
         i = np.asarray(raters, dtype=np.int64)
         j = np.asarray(ratees, dtype=np.int64)
@@ -65,19 +68,22 @@ class RatingLedger:
             )
         if i.size == 0:
             return
+        c = np.broadcast_to(np.asarray(counts, dtype=np.float64), i.shape)
         if np.any(i == j):
             raise ValueError("self-ratings are not allowed")
         if np.any((i < 0) | (i >= self._n) | (j < 0) | (j >= self._n)):
             raise IndexError("rating endpoint out of range")
+        if np.any(c < 1):
+            raise ValueError("counts must be >= 1")
         interval = self._interval
-        np.add.at(interval.value_sum, (i, j), v)
+        np.add.at(interval.value_sum, (i, j), v * c)
         pos = v >= 0
         if np.any(pos):
-            np.add.at(interval.pos_counts, (i[pos], j[pos]), 1.0)
+            np.add.at(interval.pos_counts, (i[pos], j[pos]), c[pos])
         if not np.all(pos):
             neg = ~pos
-            np.add.at(interval.neg_counts, (i[neg], j[neg]), 1.0)
-        self._total_recorded += i.size
+            np.add.at(interval.neg_counts, (i[neg], j[neg]), c[neg])
+        self._total_recorded += int(c.sum())
 
     def record_batch(self, rater: int, ratee: int, value: float, count: int) -> None:
         """Record ``count`` identical ratings in one call (collusion bursts)."""

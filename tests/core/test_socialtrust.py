@@ -189,3 +189,18 @@ class TestCheckpointKeepsLastDetection:
         del state["last_detection"]
         fresh.restore_state(state)
         assert fresh.last_detection is None
+
+    @pytest.mark.parametrize("n_managers", [0, 3])
+    def test_pair_weight_matches_dense_weights(self, n_managers):
+        # The sorted-key lookup answers every pair like the dense view,
+        # for both wrappers, before and after a restore.
+        system, state, fresh = self.run(n_managers)
+        n = system.n_nodes
+        assert fresh.pair_weight(0, 1) == 1.0  # no update yet
+        fresh.restore_state(state)
+        dense = system.last_detection.weights
+        for probe in (system, fresh):
+            got = [[probe.pair_weight(i, j) for j in range(n)] for i in range(n)]
+            np.testing.assert_array_equal(np.array(got), dense)
+        with pytest.raises(ValueError, match="out of range"):
+            fresh.pair_weight(0, n)

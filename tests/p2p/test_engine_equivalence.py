@@ -176,7 +176,9 @@ def test_bit_identical_under_churn_and_decay(seed):
     capacity=st.integers(1, 4),
     policy=st.sampled_from(list(SelectionPolicy)),
     exploration=st.floats(0.0, 1.0, allow_nan=False),
-    collusion=st.sampled_from([CollusionKind.NONE, CollusionKind.PCM]),
+    collusion=st.sampled_from(
+        [CollusionKind.NONE, CollusionKind.PCM, CollusionKind.MCM, CollusionKind.MMM]
+    ),
 )
 def test_property_bit_identical(seed, capacity, policy, exploration, collusion):
     """Hypothesis sweep: any (seed, capacity, policy, exploration, attack)

@@ -107,3 +107,38 @@ class TestRecordMany:
             ledger.record_many(
                 np.array([0, 1]), np.array([0, 2]), np.array([1.0, 1.0])
             )
+
+    def test_counts_equivalent_to_scalar_and_batch_calls(self):
+        import numpy as np
+
+        # Requests (count 1) followed by bursts, with a non-integral
+        # value so the increment order is observable in the float sums.
+        raters = np.array([0, 1, 0, 2, 0, 1])
+        ratees = np.array([1, 2, 1, 0, 1, 0])
+        values = np.array([1.0, -1.0, 0.3, -1.0, 0.7, -0.1])
+        counts = np.array([1, 1, 1, 1, 20, 3])
+        batched = RatingLedger(3)
+        batched.record_many(raters, ratees, values, counts)
+        scalar = RatingLedger(3)
+        for i, j, v, c in zip(raters, ratees, values, counts):
+            if c == 1:
+                scalar.record(Rating(int(i), int(j), float(v)))
+            else:
+                scalar.record_batch(int(i), int(j), float(v), int(c))
+        got = batched.drain()
+        want = scalar.drain()
+        assert np.array_equal(got.value_sum, want.value_sum)
+        assert np.array_equal(got.pos_counts, want.pos_counts)
+        assert np.array_equal(got.neg_counts, want.neg_counts)
+        assert batched.total_recorded == scalar.total_recorded == 27
+
+    def test_counts_validated(self):
+        import numpy as np
+
+        ledger = RatingLedger(3)
+        with pytest.raises(ValueError, match=">= 1"):
+            ledger.record_many(np.array([0]), np.array([1]), np.array([1.0]), [0])
+        with pytest.raises(ValueError):
+            ledger.record_many(
+                np.array([0]), np.array([1]), np.array([1.0]), np.array([1, 2])
+            )

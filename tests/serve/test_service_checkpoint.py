@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.api import ScenarioSpec
+from repro.api import ScenarioSpec, build_scenario
 from repro.chaos.checkpoint import resume_scenario, save_checkpoint
 from repro.serve import (
     QueryRequest,
@@ -13,7 +13,7 @@ from repro.serve import (
 )
 
 
-def small_spec():
+def small_spec(**world):
     return ScenarioSpec(
         system="EigenTrust+SocialTrust",
         collusion="pcm",
@@ -27,6 +27,7 @@ def small_spec():
             capacity=10,
             query_cycles=3,
             simulation_cycles=4,
+            **world,
         ),
     )
 
@@ -85,6 +86,33 @@ class TestKillAndResume:
         path = service.save_snapshot(tmp_path / "svc.ckpt")
         resumed = ReputationService.from_checkpoint(path)
         assert [resumed.query(probe).value for probe in probes] == before
+
+    def test_distributed_damped_pair_answers_detector_weight(self, tmp_path):
+        # Resource managers (n_managers > 0) wrap the inner system in the
+        # distributed SocialTrust; its pair probes must read the detector
+        # like the centralised wrapper's, across a snapshot and restore.
+        spec = small_spec(n_managers=3)
+        scenario = build_scenario(spec)
+        scenario.run()
+        detection = scenario.simulation.system.last_detection
+        damped = [
+            (int(i), int(j), float(w))
+            for (i, j), w in zip(detection.pairs, detection.pair_weights)
+            if w < 1.0
+        ]
+        assert damped, "scenario must damp a colluding pair"
+
+        service = ReputationService(spec)
+        service.serve_events(record_scenario_events(spec).events)
+        resumed = ReputationService.from_checkpoint(
+            service.save_snapshot(tmp_path / "svc.ckpt")
+        )
+        restored = ReputationService(spec)
+        restored.restore(service.checkpoint())
+        for live in (service, resumed, restored):
+            for rater, ratee, weight in damped:
+                probe = QueryRequest(rater=rater, ratee=ratee)
+                assert live.query(probe).value == weight
 
     def test_auto_snapshot_every_watermark(self, recorded, tmp_path):
         path = tmp_path / "auto.ckpt"

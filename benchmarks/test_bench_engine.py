@@ -1,7 +1,8 @@
-"""Scalar vs batched query-cycle engine: the tentpole speedup benchmark.
+"""Batched query-cycle engine vs the scalar oracle: the speedup benchmark.
 
 Runs the same no-collusion world twice — once on the seed per-client
-scalar loop, once on the batched engine — asserts the reputation
+scalar loop (:mod:`repro.qa.oracle`), once on the batched engine —
+asserts the reputation
 histories are **bit-identical**, and asserts the wall-clock speedup floor
 (>= 5x at the full profile).  Results land in ``BENCH_engine.json`` at
 the repo root (override with ``BENCH_ENGINE_OUT``), using the shared
@@ -23,7 +24,7 @@ import time
 import numpy as np
 
 from repro.experiments import CollusionKind, WorldConfig, build_world
-from repro.p2p import EngineMode
+from repro.qa.oracle import use_oracle
 
 PROFILES = {
     "full": {"n_nodes": 1000, "simulation_cycles": 50, "min_speedup": 5.0},
@@ -38,15 +39,16 @@ def _profile() -> tuple[str, dict]:
     return name, PROFILES[name]
 
 
-def _run(engine: EngineMode, n_nodes: int, cycles: int) -> tuple[float, np.ndarray]:
-    """(wall-clock seconds, reputation history) for one engine."""
+def _run(oracle: bool, n_nodes: int, cycles: int) -> tuple[float, np.ndarray]:
+    """(wall-clock seconds, reputation history) on the oracle or engine."""
     config = WorldConfig(
         n_nodes=n_nodes,
         collusion=CollusionKind.NONE,
         simulation_cycles=cycles,
-        engine=engine,
     )
     world = build_world(config, seed=0)
+    if oracle:
+        use_oracle(world.simulation)
     start = time.perf_counter()
     metrics = world.simulation.run()
     return time.perf_counter() - start, metrics.reputation_history()
@@ -56,8 +58,8 @@ def test_engine_speedup(bench_artifact):
     name, profile = _profile()
     n_nodes = profile["n_nodes"]
     cycles = profile["simulation_cycles"]
-    scalar_s, scalar_hist = _run(EngineMode.SCALAR, n_nodes, cycles)
-    batched_s, batched_hist = _run(EngineMode.BATCHED, n_nodes, cycles)
+    scalar_s, scalar_hist = _run(True, n_nodes, cycles)
+    batched_s, batched_hist = _run(False, n_nodes, cycles)
     identical = bool(np.array_equal(batched_hist, scalar_hist))
     speedup = scalar_s / batched_s
     bench_artifact(
@@ -81,7 +83,7 @@ def test_engine_speedup(bench_artifact):
         f"scalar={scalar_s:.2f}s batched={batched_s:.2f}s "
         f"speedup={speedup:.1f}x identical={identical}"
     )
-    assert identical, "batched engine diverged from the scalar reference"
+    assert identical, "batched engine diverged from the scalar oracle"
     assert speedup >= profile["min_speedup"], (
         f"speedup {speedup:.2f}x below the {profile['min_speedup']}x floor"
     )

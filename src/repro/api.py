@@ -252,6 +252,19 @@ _WORLD_FIELDS = frozenset(f.name for f in fields(WorldConfig))
 #: first-class spec fields, not world overrides).
 _SPEC_WORLD_FIELDS = _WORLD_FIELDS - {"system", "collusion"}
 
+#: Retired WorldConfig fields that stored specs, stream headers and
+#: checkpoint headers may still carry, with the values they could hold.
+#: Loading drops them: every value ran the same simulation.
+_RETIRED_WORLD_FIELDS = {"engine": ("batched", "scalar")}
+
+
+def _drop_retired(world: Mapping[str, Any]) -> dict[str, Any]:
+    return {
+        key: value
+        for key, value in world.items()
+        if value not in _RETIRED_WORLD_FIELDS.get(key, ())
+    }
+
 
 @dataclass(frozen=True)
 class ScenarioSpec:
@@ -261,7 +274,7 @@ class ScenarioSpec:
     which reputation ``system`` to run, which ``collusion`` model to
     schedule, the RNG identity ``(seed, run_index)``, and any
     :class:`~repro.experiments.setup.WorldConfig` overrides in ``world``
-    (keyed by field name, e.g. ``{"n_nodes": 100, "engine": "batched"}``).
+    (keyed by field name, e.g. ``{"n_nodes": 100, "n_colluders": 10}``).
 
     ``system`` and ``collusion`` accept strings and are resolved to their
     enum members on construction; ``world`` is validated against the
@@ -363,9 +376,10 @@ class ScenarioSpec:
         ``build`` is the shape golden traces and checkpoint headers use:
         WorldConfig fields plus optional ``system`` / ``collusion`` string
         keys, e.g. ``{"system": "eBay+SocialTrust", "collusion": "mcm",
-        "n_nodes": 30}``.
+        "n_nodes": 30}``.  Retired fields are dropped, as in
+        :meth:`from_dict`.
         """
-        build = dict(build)
+        build = _drop_retired(build)
         return cls(
             system=_resolve_system(
                 build.pop("system", SystemKind.EIGENTRUST), None
@@ -403,7 +417,11 @@ class ScenarioSpec:
 
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "ScenarioSpec":
-        """Inverse of :meth:`to_dict` (unknown keys rejected)."""
+        """Inverse of :meth:`to_dict` (unknown keys rejected).
+
+        A retired world field (``engine``, from specs written before the
+        scalar query loop left production) is dropped.
+        """
         data = dict(data)
         unknown = sorted(
             set(data) - {"system", "collusion", "seed", "run_index", "world"}
@@ -415,7 +433,7 @@ class ScenarioSpec:
             collusion=data.get("collusion", CollusionKind.NONE),
             seed=int(data.get("seed", 0)),
             run_index=int(data.get("run_index", 0)),
-            world=data.get("world", {}),
+            world=_drop_retired(data.get("world", {})),
         )
 
     def with_updates(self, **changes: Any) -> "ScenarioSpec":

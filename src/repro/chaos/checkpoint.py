@@ -185,7 +185,7 @@ def resume_scenario(path: Path | str):
     cycle counter tells you how far the original run got).
     """
     # Local import: keep the codec importable without the full stack.
-    from repro.api import build_scenario
+    from repro.api import _drop_retired, build_scenario
 
     header, state = load_checkpoint(path)
     kind = header.get("kind", "simulation")
@@ -196,7 +196,9 @@ def resume_scenario(path: Path | str):
             f"repro.serve.ReputationService.from_checkpoint"
         )
     scenario = build_scenario(
-        seed=header["seed"], run_index=header["run_index"], **header["build"]
+        seed=header["seed"],
+        run_index=header["run_index"],
+        **_drop_retired(header["build"]),
     )
     scenario.world.simulation.resume(state)
     return scenario

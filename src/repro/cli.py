@@ -28,8 +28,8 @@
 * ``qa``          — the correctness tooling of :mod:`repro.qa`:
   ``qa record`` / ``qa check`` manage the golden regression traces,
   ``qa fuzz`` runs the stateful invariant fuzzer, ``qa diff`` runs
-  the backend × engine differential sweep, and ``qa reconverge`` runs
-  the chaos reconvergence harness.
+  every backend on the batched engine and the scalar oracle, and
+  ``qa reconverge`` runs the chaos reconvergence harness.
 
 ``list``/``run``/``simulate`` all go through the :mod:`repro.api` facade,
 so the CLI exercises the same audited path as the example scripts.
@@ -119,12 +119,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sim.add_argument("--cycles", type=int, default=25)
     sim.add_argument("--seed", type=int, default=0)
-    sim.add_argument(
-        "--engine",
-        default="batched",
-        choices=["batched", "scalar"],
-        help="query-cycle engine (scalar is the reference implementation)",
-    )
     sim.add_argument(
         "--trace",
         type=Path,
@@ -408,7 +402,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     diff = qa_sub.add_parser(
-        "diff", help="differential sweep: every backend x engine mode"
+        "diff",
+        help="differential sweep: every backend on the batched engine and "
+        "the scalar oracle",
     )
     diff.add_argument("--seed", type=int, default=0)
     diff.add_argument("--cycles", type=int, default=4)
@@ -601,7 +597,6 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
             collusion=args.collusion,
             colluder_b=args.colluder_b,
             simulation_cycles=args.cycles,
-            engine=args.engine,
             n_managers=args.managers,
         )
         if chaos is not None:
@@ -628,7 +623,6 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
             collusion=args.collusion,
             colluder_b=args.colluder_b,
             simulation_cycles=args.cycles,
-            engine=args.engine,
             seed=args.seed,
             observability=args.trace is not None,
         )

@@ -34,7 +34,6 @@ from repro.core import DistributedSocialTrust, SocialTrust, SocialTrustConfig
 from repro.faults import FaultConfig, FaultInjector, FaultSchedule
 from repro.obs import Observability
 from repro.p2p import (
-    EngineMode,
     InterestOverlay,
     Population,
     SelectionPolicy,
@@ -161,9 +160,6 @@ class WorldConfig:
     #: Reputation-blind exploration fraction of the selection rule.
     selection_exploration: float = 0.2
     socialtrust: SocialTrustConfig = field(default_factory=SocialTrustConfig)
-    #: Query-cycle execution engine (see :mod:`repro.p2p.engine`); accepts
-    #: the enum or its string value ("batched" / "scalar").
-    engine: EngineMode = EngineMode.BATCHED
     #: Stochastic fault rates (churn, manager crashes, lossy transport,
     #: partitions, Byzantine managers).  ``None`` (default) builds no
     #: injector at all — the run is byte-identical to the seed path.
@@ -181,8 +177,6 @@ class WorldConfig:
     n_managers: int = 0
 
     def __post_init__(self) -> None:
-        if not isinstance(self.engine, EngineMode):
-            object.__setattr__(self, "engine", EngineMode(self.engine))
         if isinstance(self.socialtrust, dict):
             object.__setattr__(
                 self, "socialtrust", SocialTrustConfig(**self.socialtrust)
@@ -527,7 +521,6 @@ def build_world(
             query_cycles_per_simulation_cycle=config.query_cycles,
             selection_policy=config.selection_policy,
             selection_exploration=config.selection_exploration,
-            engine=config.engine,
         ),
         collusion=schedule,
         interactions=interactions,

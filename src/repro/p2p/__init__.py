@@ -10,7 +10,7 @@ next cycles' server selection.
 """
 
 from repro.p2p.dht import ChordRing
-from repro.p2p.engine import BatchedQueryEngine, EngineMode
+from repro.p2p.engine import BatchedQueryEngine
 from repro.p2p.metrics import MetricsCollector
 from repro.p2p.network import InterestOverlay
 from repro.p2p.node import NodeKind, NodeSpec, Population
@@ -20,7 +20,6 @@ from repro.p2p.simulator import Simulation, SimulationConfig
 __all__ = [
     "BatchedQueryEngine",
     "ChordRing",
-    "EngineMode",
     "MetricsCollector",
     "InterestOverlay",
     "NodeKind",

@@ -51,16 +51,25 @@ points of the rating/interaction/profile/metric ledgers (``np.add.at`` is
 unbuffered and applied in the seed's order, and the increments are exact
 ``float64`` integers, so batching preserves bit-identity as well).
 
-The seed loop is kept verbatim behind :attr:`EngineMode.SCALAR` — it is
-the reference implementation the property tests and the engine benchmark
-compare against.
+A network partition is one more candidate filter.  The injector's side
+mask is fixed for an interval, so :meth:`BatchedQueryEngine.begin_interval`
+hoists the structures per (side, interest): side 0 keeps the plain
+interest offsets ``[0, k)``, side 1 lives at ``[k, 2k)``, and a client on
+side 1 draws from interest lists shifted by ``k``.  Capacity exhaustion
+patches only the exhausted server's own side, and a cross-side collusion
+burst is skipped and counted as a partition block.  A partition-free
+interval builds only the side-0 structures, so its hot loop is unchanged.
+
+The seed per-client loop lives on as a test-only oracle
+(:mod:`repro.qa.oracle`); the property tests, ``repro qa diff`` and the
+engine benchmark compare against it.
 """
 
 from __future__ import annotations
 
-import enum
 from bisect import bisect_left, bisect_right
 from time import perf_counter
+from typing import Protocol
 
 import numpy as np
 
@@ -76,29 +85,40 @@ from repro.social.interactions import InteractionLedger
 from repro.social.interests import InterestProfiles
 from repro.utils.rng import RngStream, WordReplay
 
-__all__ = ["EngineMode", "BatchedQueryEngine"]
+__all__ = ["BatchedQueryEngine", "LedgerObserver"]
 
 
-class EngineMode(enum.Enum):
-    """Which query-cycle implementation a simulation runs.
+class LedgerObserver(Protocol):
+    """Receives every behavioural-ledger mutation a simulation makes.
 
-    ``SCALAR`` is the seed per-client loop (reference implementation);
-    ``BATCHED`` is the vectorised engine, bit-identical to it.
+    ``flushed`` gets each query cycle's flush columns: the first
+    ``len(interests)`` rows are serviced requests (count 1, interest
+    ``interests[i]``), the rest are collusion bursts.  ``decayed`` gets
+    each churn ``decay_nodes`` call.  The arrays are the ones the ledgers
+    were given; do not modify them.
     """
 
-    SCALAR = "scalar"
-    BATCHED = "batched"
+    def flushed(
+        self,
+        raters: np.ndarray,
+        ratees: np.ndarray,
+        values: np.ndarray,
+        counts: np.ndarray,
+        interests: np.ndarray,
+    ) -> None: ...
+
+    def decayed(self, nodes: np.ndarray, factor: float) -> None: ...
 
 
 class BatchedQueryEngine:
-    """Drop-in replacement for ``Simulation._run_query_cycle``.
+    """The simulation's query-cycle loop.
 
     Consumes the simulation's :class:`~repro.utils.rng.RngStream` in
     exactly the seed order; see the module docstring for why the streams
     stay aligned.  :meth:`begin_interval` must be called once per
     simulation cycle (after fault-injector advance/decay, before the first
     query cycle) so the hoisted per-interest structures see the current
-    reputations and online mask.
+    reputations, online mask and partition sides.
     """
 
     def __init__(
@@ -142,6 +162,8 @@ class BatchedQueryEngine:
         self._metrics = metrics
         self._collusion = collusion
         self._injector = injector
+        #: Optional :class:`LedgerObserver` fed every flushed query cycle.
+        self.observer: LedgerObserver | None = None
 
         self._capacities = population.capacities
         self._capacity_list: list[int] = population.capacities.tolist()
@@ -167,11 +189,16 @@ class BatchedQueryEngine:
 
         # Interval masters, populated by begin_interval(); per-query-cycle
         # working copies diverge from them only on capacity exhaustion and
-        # are restored lazily at the next cycle start.
+        # are restored lazily at the next cycle start.  All per-interest
+        # structures are indexed by slot ``side * k + interest``; without
+        # a partition every node is on side 0, so slot == interest and the
+        # slot views below are the plain interest lists.
         self._churned = False
         self._online: np.ndarray | None = None
+        self._side: np.ndarray | None = None
+        self._slot_choices: list[list[int]] = self._choice_lists
+        self._node_slots: list[list[int]] = self._node_interests
         self._q_list: list[bool] = []
-        self._q_mask: np.ndarray | None = None
         self._m_avail: list[list[int]] = []
         self._m_qual: list[list[int]] = []
         self._m_qual_w: list[np.ndarray] = []
@@ -187,32 +214,44 @@ class BatchedQueryEngine:
     # -- per-interval precomputation -----------------------------------------
 
     def begin_interval(self, reputations: np.ndarray) -> None:
-        """Hoist per-interest selection structures for one simulation cycle.
+        """Hoist per-slot selection structures for one simulation cycle.
 
-        Reputations and the churn mask are constant between reputation
-        updates, so available, qualified and weighted-cdf structures are
-        built once here instead of once per request.
-
-        The hoisted structures assume every online server is reachable
-        from every client, which a network partition breaks — partitioned
-        intervals must run through the scalar reference loop instead
-        (:class:`~repro.p2p.simulator.Simulation` routes them there).
+        Reputations, the churn mask and the partition sides are constant
+        between reputation updates, so available, qualified and
+        weighted-cdf structures are built once here instead of once per
+        request.
         """
-        if self._injector is not None and self._injector.partition_active:
-            raise RuntimeError(
-                "batched engine cannot run a partitioned interval; "
-                "route partition cycles through the scalar loop"
-            )
         with self._tracer.span("engine.candidate_build", interests=self._k):
             self._begin_interval(reputations)
 
     def _begin_interval(self, reputations: np.ndarray) -> None:
         reps = np.asarray(reputations, dtype=np.float64)
-        online = self._injector.online_mask if self._injector is not None else None
+        injector = self._injector
+        online = injector.online_mask if injector is not None else None
         self._online = online
         self._churned = online is not None and not online.all()
+        side = (
+            injector.partition_mask.astype(np.int64)
+            if injector is not None and injector.partition_active
+            else None
+        )
+        self._side = side
+        providers = self._all_providers
+        if side is None:
+            self._slot_choices = self._choice_lists
+            self._node_slots = self._node_interests
+        else:
+            offset = (side * self._k).tolist()
+            self._slot_choices = [
+                [offset[c] + li for li in choices]
+                for c, choices in enumerate(self._choice_lists)
+            ]
+            self._node_slots = [
+                [offset[s] + li for li in interests]
+                for s, interests in enumerate(self._node_interests)
+            ]
+            providers = [prov[side[prov] == s] for s in (0, 1) for prov in providers]
         q_mask = reps > self._threshold
-        self._q_mask = q_mask
         self._q_list = q_mask.tolist()
 
         weighted = self._policy is SelectionPolicy.REPUTATION_WEIGHTED
@@ -222,7 +261,7 @@ class BatchedQueryEngine:
         self._m_qual_w = []
         self._m_qual_total = []
         self._m_qual_cdf = []
-        for prov in self._all_providers:
+        for prov in providers:
             if self._churned:
                 prov = prov[online[prov]]
             # Providers whose total capacity is zero can never clear the
@@ -255,7 +294,7 @@ class BatchedQueryEngine:
         self._modified = set()
 
     def _restore_modified(self) -> None:
-        """Reset the working candidate structures of interests touched by
+        """Reset the working candidate structures of slots touched by
         capacity exhaustion back to the interval masters."""
         threshold_based = self._policy is not SelectionPolicy.RANDOM
         weighted = self._policy is SelectionPolicy.REPUTATION_WEIGHTED
@@ -270,7 +309,7 @@ class BatchedQueryEngine:
         self._modified.clear()
 
     def _exhaust_server(self, server: int) -> None:
-        """Drop a capacity-exhausted server from its interests' candidate
+        """Drop a capacity-exhausted server from its own side's candidate
         structures; weighted cdfs are rebuilt with the exact float sequence
         the seed would produce over the surviving candidates."""
         if self._trace_on:
@@ -286,7 +325,7 @@ class BatchedQueryEngine:
         q = self._q_list[server]
         threshold_based = self._policy is not SelectionPolicy.RANDOM
         weighted = self._policy is SelectionPolicy.REPUTATION_WEIGHTED
-        for li in self._node_interests[server]:
+        for li in self._node_slots[server]:
             self._modified.add(li)
             al = self._avail[li]
             del al[bisect_left(al, server)]
@@ -310,7 +349,7 @@ class BatchedQueryEngine:
 
     # -- the hot loop ------------------------------------------------------------
 
-    def run_query_cycle(self, remaining_capacity: np.ndarray) -> None:
+    def run_query_cycle(self) -> None:
         """One query cycle, bit-identical to the seed scalar loop.
 
         Phase timings (candidate-build lives in :meth:`begin_interval`):
@@ -324,8 +363,7 @@ class BatchedQueryEngine:
           requests and collusion bursts.
 
         All timing is gated on ``_trace_on``; with tracing disabled the
-        cycle runs the exact untimed path.  ``remaining_capacity`` receives
-        each server's capacity left at the end of the cycle.
+        cycle runs the exact untimed path.
         """
         trace_on = self._trace_on
         rng = self._rng
@@ -361,7 +399,7 @@ class BatchedQueryEngine:
         explore = exploration > 0.0 and not random_policy
         rnd = replay.random
         rint = replay.integers
-        choice_lists = self._choice_lists
+        choice_lists = self._slot_choices
         cdf_lists = self._cdf_lists
         avail_cur = self._avail
         qual_cur = self._qual
@@ -374,7 +412,7 @@ class BatchedQueryEngine:
         ev_raters: list[int] = []
         ev_ratees: list[int] = []
         ev_values: list[float] = []
-        ev_interests: list[int] = []
+        ev_slots: list[int] = []
         unserved: list[int] = []
 
         cache_before = self._cache_patch_s
@@ -384,10 +422,10 @@ class BatchedQueryEngine:
                 continue
             choices = choice_lists[client]
             if len(choices) == 1:
-                interest = choices[0]
+                slot = choices[0]
             else:
-                interest = choices[bisect_right(cdf_lists[client], rnd())]
-            al = avail_cur[interest]
+                slot = choices[bisect_right(cdf_lists[client], rnd())]
+            al = avail_cur[slot]
             sz = len(al)
             pos = bisect_left(al, client)
             present = pos < sz and al[pos] == client
@@ -399,7 +437,7 @@ class BatchedQueryEngine:
                 idx = rint(m)
                 server = al[idx] if not present or idx < pos else al[idx + 1]
             else:
-                ql = qual_cur[interest]
+                ql = qual_cur[slot]
                 qsz = len(ql)
                 if qsz and q_list[client]:
                     qpos = bisect_left(ql, client)
@@ -415,7 +453,7 @@ class BatchedQueryEngine:
                     idx = rint(eff_q)
                     server = ql[idx] if not qpresent or idx < qpos else ql[idx + 1]
                 elif qpresent:
-                    w = np.delete(qual_w_cur[interest], qpos)
+                    w = np.delete(qual_w_cur[slot], qpos)
                     total = w.sum()
                     if total <= 0:
                         idx = rint(eff_q)
@@ -425,10 +463,10 @@ class BatchedQueryEngine:
                         cdf /= cdf[-1]
                         idx = int(cdf.searchsorted(rnd(), side="right"))
                         server = ql[idx] if idx < qpos else ql[idx + 1]
-                elif qual_total_cur[interest] <= 0.0:
+                elif qual_total_cur[slot] <= 0.0:
                     server = ql[rint(eff_q)]
                 else:
-                    server = ql[bisect_right(qual_cdf_cur[interest], rnd())]
+                    server = ql[bisect_right(qual_cdf_cur[slot], rnd())]
             left = left_cap[server] - 1
             left_cap[server] = left
             if left == 0:
@@ -437,9 +475,8 @@ class BatchedQueryEngine:
             ev_raters.append(client)
             ev_ratees.append(server)
             ev_values.append(value)
-            ev_interests.append(interest)
+            ev_slots.append(slot)
         replay.end()
-        remaining_capacity[:] = left_cap
         served = len(ev_raters)
         if trace_on:
             patched = self._cache_patch_s - cache_before
@@ -453,9 +490,13 @@ class BatchedQueryEngine:
         # Collusion bursts: same order and semantics as the seed loop.  A
         # burst's ratings and interactions join the flush behind the
         # requests', so every ledger sees the seed's increment order.
+        side = self._side
         ev_counts = [1] * served
         for burst in self._collusion.bursts(rng):
             if churned and not (online[burst.rater] and online[burst.ratee]):
+                continue
+            if side is not None and side[burst.rater] != side[burst.ratee]:
+                self._metrics.faults.record_partition_block()
                 continue
             ev_raters.append(burst.rater)
             ev_ratees.append(burst.ratee)
@@ -471,10 +512,14 @@ class BatchedQueryEngine:
             values = np.asarray(ev_values, dtype=np.float64)
             self._ledger.record_many(raters, ratees, values, counts)
             self._interactions.record_many(raters, ratees, counts)
-        if served:
-            interests = np.asarray(ev_interests, dtype=np.int64)
-            self._profiles.record_requests(raters[:served], interests)
-            self._metrics.record_requests(raters[:served], ratees[:served])
+            interests = np.asarray(ev_slots, dtype=np.int64)
+            if side is not None:
+                interests %= self._k
+            if served:
+                self._profiles.record_requests(raters[:served], interests)
+                self._metrics.record_requests(raters[:served], ratees[:served])
+            if self.observer is not None:
+                self.observer.flushed(raters, ratees, values, counts, interests)
         if unserved:
             self._metrics.record_unserved_many(np.asarray(unserved, dtype=np.int64))
         if trace_on:

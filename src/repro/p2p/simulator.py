@@ -17,7 +17,10 @@ Genuine requests update three behavioural ledgers shared with SocialTrust:
 the rating ledger, the interaction-frequency ledger and the per-interest
 request counters.  Collusion bursts update the rating and interaction
 ledgers only (a rating exchange without a genuine resource transfer leaves
-no request trace — see :mod:`repro.collusion.models`).
+no request trace — see :mod:`repro.collusion.models`).  During a network
+partition a client reaches only servers on its own side, and cross-side
+bursts are blocked.  The query cycles run on
+:class:`~repro.p2p.engine.BatchedQueryEngine`.
 """
 
 from __future__ import annotations
@@ -29,19 +32,19 @@ import numpy as np
 from repro.collusion.models import CollusionSchedule, NoCollusion
 from repro.faults.injector import FaultInjector
 from repro.obs import NULL_TRACER, Observability
-from repro.p2p.engine import BatchedQueryEngine, EngineMode
+from repro.p2p.engine import BatchedQueryEngine, LedgerObserver
 from repro.p2p.metrics import MetricsCollector
 from repro.p2p.network import InterestOverlay
 from repro.p2p.node import Population
-from repro.p2p.selection import SelectionPolicy, select_server
-from repro.reputation.base import Rating, ReputationSystem
+from repro.p2p.selection import SelectionPolicy
+from repro.reputation.base import ReputationSystem
 from repro.reputation.ledger import RatingLedger
 from repro.social.interactions import InteractionLedger
 from repro.social.interests import InterestProfiles
 from repro.utils.rng import RngStream
 from repro.utils.validation import check_probability
 
-__all__ = ["SimulationConfig", "Simulation", "EngineMode"]
+__all__ = ["SimulationConfig", "Simulation"]
 
 
 @dataclass(frozen=True)
@@ -59,14 +62,8 @@ class SimulationConfig:
     #: Zipf exponent for per-node interest choice (trace: the top 3
     #: categories cover ~88% of a user's purchases).
     interest_zipf_exponent: float = 2.0
-    #: Query-cycle implementation.  ``BATCHED`` (default) is the vectorised
-    #: engine, bit-identical to the ``SCALAR`` seed loop (see
-    #: :mod:`repro.p2p.engine`); accepts the enum or its string value.
-    engine: EngineMode = EngineMode.BATCHED
 
     def __post_init__(self) -> None:
-        if not isinstance(self.engine, EngineMode):
-            object.__setattr__(self, "engine", EngineMode(self.engine))
         if self.simulation_cycles < 1:
             raise ValueError("simulation_cycles must be >= 1")
         if self.query_cycles_per_simulation_cycle < 1:
@@ -128,9 +125,7 @@ class Simulation:
             if observability is not None:
                 fault_injector.bind_observability(observability)
         self._cycles_run = 0
-        # Scratch buffer for per-query-cycle remaining capacities; reset
-        # from the population's capacities at each query cycle.
-        self._remaining_capacity = np.empty_like(population.capacities)
+        self._observer: LedgerObserver | None = None
         # Per-node Zipf weights over the node's own (sorted) interest list.
         s = self._config.interest_zipf_exponent
         self._interest_choices: list[np.ndarray] = []
@@ -141,25 +136,23 @@ class Simulation:
             weights = ranks**-s if s > 0 else np.ones_like(ranks)
             self._interest_choices.append(interests)
             self._interest_weights.append(weights / weights.sum())
-        self._engine: BatchedQueryEngine | None = None
-        if self._config.engine is EngineMode.BATCHED:
-            self._engine = BatchedQueryEngine(
-                population,
-                overlay,
-                rng,
-                threshold=self._config.selection_threshold,
-                policy=self._config.selection_policy,
-                exploration=self._config.selection_exploration,
-                interest_choices=self._interest_choices,
-                interest_weights=self._interest_weights,
-                ledger=self._ledger,
-                interactions=self._interactions,
-                profiles=self._profiles,
-                metrics=self._metrics,
-                collusion=self._collusion,
-                injector=self._injector,
-                observability=observability,
-            )
+        self._engine = BatchedQueryEngine(
+            population,
+            overlay,
+            rng,
+            threshold=self._config.selection_threshold,
+            policy=self._config.selection_policy,
+            exploration=self._config.selection_exploration,
+            interest_choices=self._interest_choices,
+            interest_weights=self._interest_weights,
+            ledger=self._ledger,
+            interactions=self._interactions,
+            profiles=self._profiles,
+            metrics=self._metrics,
+            collusion=self._collusion,
+            injector=self._injector,
+            observability=observability,
+        )
 
     @property
     def population(self) -> Population:
@@ -198,83 +191,11 @@ class Simulation:
     def fault_injector(self) -> FaultInjector | None:
         return self._injector
 
-    def _draw_interest(self, node: int) -> int:
-        choices = self._interest_choices[node]
-        if choices.size == 1:
-            return int(choices[0])
-        return int(self._rng.choice(choices, p=self._interest_weights[node]))
-
-    def _run_query_cycle(
-        self,
-        remaining_capacity: np.ndarray,
-        partition: np.ndarray | None = None,
-    ) -> None:
-        """Seed scalar query-cycle loop (:attr:`EngineMode.SCALAR`).
-
-        Kept verbatim as the reference implementation; the batched engine
-        in :mod:`repro.p2p.engine` is property-tested to be bit-identical
-        to it.  ``partition`` is the injector's boolean side mask during a
-        network partition: clients can only reach servers on their own
-        side, and cross-side collusion bursts cannot happen either.
-        """
-        rng = self._rng
-        population = self._population
-        reputations = self._system.reputations
-        active_draw = rng.random(population.n_nodes)
-        np.copyto(remaining_capacity, population.capacities)
-        # Departed peers neither issue nor serve queries.  The mask is
-        # only consulted when someone is actually offline, so a zero-rate
-        # injector leaves the run bit-identical to an injector-free one.
-        online = self._injector.online_mask if self._injector is not None else None
-        churned = online is not None and not online.all()
-        for client in rng.permutation(population.n_nodes):
-            client = int(client)
-            if churned and not online[client]:
-                continue
-            if active_draw[client] >= population.activity_probs[client]:
-                continue
-            interest = self._draw_interest(client)
-            candidates = self._overlay.candidate_servers(client, interest)
-            if churned:
-                candidates = candidates[online[candidates]]
-            if partition is not None:
-                candidates = candidates[
-                    partition[candidates] == partition[client]
-                ]
-            server = select_server(
-                candidates,
-                reputations,
-                remaining_capacity,
-                rng,
-                threshold=self._config.selection_threshold,
-                policy=self._config.selection_policy,
-                exploration=self._config.selection_exploration,
-            )
-            if server is None:
-                self._metrics.record_unserved(client)
-                continue
-            remaining_capacity[server] -= 1
-            authentic = rng.random() < population.authentic_probs[server]
-            value = 1.0 if authentic else -1.0
-            self._ledger.record(
-                Rating(rater=client, ratee=server, value=value, interest=interest)
-            )
-            self._interactions.record(client, server)
-            self._profiles.record_request(client, interest)
-            self._metrics.record_request(client, server)
-        # Collusion bursts: ratings + interactions, no genuine requests.
-        # Offline colluders cannot exchange ratings either, and a network
-        # partition silences cross-side rating exchange.
-        for burst in self._collusion.bursts(rng):
-            if churned and not (online[burst.rater] and online[burst.ratee]):
-                continue
-            if partition is not None and partition[burst.rater] != partition[burst.ratee]:
-                self._metrics.faults.record_partition_block()
-                continue
-            self._ledger.record_batch(
-                burst.rater, burst.ratee, burst.value, burst.count
-            )
-            self._interactions.record(burst.rater, burst.ratee, burst.count)
+    def attach_observer(self, observer: LedgerObserver | None) -> None:
+        """Send every flushed query cycle and churn decay to ``observer``
+        (``None`` detaches).  Observing never changes the run."""
+        self._observer = observer
+        self._engine.observer = observer
 
     def run_simulation_cycle(self) -> np.ndarray:
         """Run one simulation cycle; returns the updated reputation vector."""
@@ -291,27 +212,15 @@ class Simulation:
                     # Age out departed peers' interaction history so
                     # rejoiners resume with decayed — not stale
                     # full-strength — state.
-                    self._interactions.decay_nodes(
-                        offline, self._injector.config.offline_decay
-                    )
-        # During a network partition, route the interval through the
-        # scalar reference loop: it consumes the identical RNG stream
-        # (the batched engine is bit-compatible with it), and partition
-        # filtering is a per-client candidate restriction that the
-        # engine's hoisted per-interest structures do not model.
-        partition = None
-        if self._injector is not None and self._injector.partition_active:
-            partition = self._injector.partition_mask
-        if self._engine is not None and partition is None:
-            # Reputations and the churn mask are fixed for the whole
-            # interval; hoist the per-interest selection structures once.
-            self._engine.begin_interval(self._system.reputations)
-            for _ in range(self._config.query_cycles_per_simulation_cycle):
-                self._engine.run_query_cycle(self._remaining_capacity)
-        else:
-            with tracer.span("engine.scalar_interval"):
-                for _ in range(self._config.query_cycles_per_simulation_cycle):
-                    self._run_query_cycle(self._remaining_capacity, partition)
+                    factor = self._injector.config.offline_decay
+                    self._interactions.decay_nodes(offline, factor)
+                    if self._observer is not None:
+                        self._observer.decayed(offline, factor)
+        # Reputations, the churn mask and the partition sides are fixed
+        # for the whole interval; hoist the selection structures once.
+        self._engine.begin_interval(self._system.reputations)
+        for _ in range(self._config.query_cycles_per_simulation_cycle):
+            self._engine.run_query_cycle()
         interval = self._ledger.drain()
         with tracer.span("reputation.update", system=self._system.name):
             reputations = self._system.update(interval)

@@ -19,6 +19,8 @@ rewrite must pass through:
 * :mod:`repro.qa.differential` — replays one seeded scenario across every
   reputation backend × engine mode and cross-checks the shared
   invariants;
+* :mod:`repro.qa.oracle` — the seed scalar query loop, substituted for a
+  simulation's batched engine to cross-check it bit for bit;
 * :mod:`repro.qa.cache_audit` — recomputes Ωc/Ωs from scratch and diffs
   the incremental matrices (the ``decay_nodes`` divergence class);
 * :mod:`repro.qa.reconvergence` — injects scripted chaos (partitions,
@@ -54,6 +56,7 @@ from repro.qa.fuzz import (
     build_manager_machine,
     run_fuzz,
 )
+from repro.qa.oracle import ScalarQueryOracle, use_oracle
 from repro.qa.reconvergence import (
     ReconvergenceReport,
     ReconvergenceResult,
@@ -93,6 +96,7 @@ __all__ = [
     "ManagerFuzzHarness",
     "ReconvergenceReport",
     "ReconvergenceResult",
+    "ScalarQueryOracle",
     "TraceDiff",
     "assert_caches_consistent",
     "audit_caches",
@@ -108,5 +112,6 @@ __all__ = [
     "run_differential",
     "run_fuzz",
     "run_reconvergence",
+    "use_oracle",
     "write_trace",
 ]

@@ -2,8 +2,9 @@
 
 Replays the same scenario keywords across all five reputation backends
 (EigenTrust, eBay, PowerTrust, TrustGuard, GossipTrust) and both
-query-cycle engines (batched, scalar) and cross-checks the invariants
-every cell must share regardless of backend:
+query-cycle loops — ``batched`` (the simulation's engine) and ``scalar``
+(the seed loop, :mod:`repro.qa.oracle`) — and cross-checks the
+invariants every cell must share regardless of backend:
 
 * reputations are finite, lie in ``[0, 1]``, and sum to at most 1 (every
   backend normalises its positive mass);
@@ -32,6 +33,8 @@ from typing import Any, Sequence
 
 import numpy as np
 
+from repro.qa.oracle import use_oracle
+
 __all__ = [
     "BACKENDS",
     "ENGINE_MODES",
@@ -54,6 +57,8 @@ BACKENDS: tuple[str, ...] = (
     "gossip",
 )
 
+#: Query-cycle loops a cell can run: the simulation's batched engine or
+#: the scalar seed-loop oracle substituted for it.
 ENGINE_MODES: tuple[str, ...] = ("batched", "scalar")
 
 #: Backends with a SocialTrust-wrapped variant.
@@ -132,6 +137,15 @@ class DifferentialReport:
         return "\n".join(lines)
 
 
+def _run(scenario, engine: str, cycles: int):
+    """Run ``scenario`` on the named query-cycle loop."""
+    if engine not in ENGINE_MODES:
+        raise ValueError(f"unknown engine {engine!r}; choose from {ENGINE_MODES}")
+    if engine == "scalar":
+        use_oracle(scenario.simulation)
+    return scenario.run(cycles)
+
+
 def _cell_invariants(
     reputations: np.ndarray, history: np.ndarray, cycles: int
 ) -> list[str]:
@@ -200,10 +214,9 @@ def run_differential(
                 seed=seed,
                 system=backend,
                 use_socialtrust=True if wrap else None,
-                engine=engine,
                 **build,
             )
-            result = scenario.run(cycles)
+            result = _run(scenario, engine, cycles)
             cell = CellResult(
                 backend=backend,
                 engine=engine,
@@ -355,14 +368,13 @@ def run_coefficient_differential(
                     seed=seed,
                     system=backend,
                     use_socialtrust=True if wrap else None,
-                    engine=engine,
                     socialtrust={
                         **socialtrust_overrides,
                         "coefficient_backend": coeff,
                     },
                     **build,
                 )
-                results[coeff] = (scenario, scenario.run(cycles))
+                results[coeff] = (scenario, _run(scenario, engine, cycles))
             (scenario_d, dense), (_, sparse_r) = results["dense"], results["sparse"]
             violations: list[str] = []
             delta = float(

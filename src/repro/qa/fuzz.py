@@ -4,7 +4,8 @@ Two harnesses drive the *live* engine through interleaved operations and
 assert the pipeline's structural invariants after every step:
 
 * :class:`EngineFuzzHarness` — twin worlds built from the same seed, one
-  on the batched query engine and one on the scalar reference loop.
+  on the batched query engine and one on the scalar oracle
+  (:mod:`repro.qa.oracle`).
   Rules run simulation cycles, inject out-of-band rating bursts, activate
   collusion-style mutual-rating exchanges, and churn peers offline and
   back.  After every cycle the twins must agree **bit-for-bit**, the
@@ -98,16 +99,17 @@ class EngineFuzzHarness:
     colluders = ENGINE_COLLUDERS
 
     def __init__(self, *, seed: int = 0) -> None:
-        from repro.p2p.engine import EngineMode
+        from repro.qa.oracle import use_oracle
 
         self.seed = seed
         self.cycles = 0
         self._twins = {}
         self._obs = {}
-        for name, mode in (("batched", EngineMode.BATCHED), ("scalar", EngineMode.SCALAR)):
-            self._twins[name], self._obs[name] = self._build_twin(mode)
+        for name in ("batched", "scalar"):
+            self._twins[name], self._obs[name] = self._build_twin()
+        use_oracle(self._twins["scalar"])
 
-    def _build_twin(self, engine):
+    def _build_twin(self):
         """One world; both twins share the seed so they start identical."""
         from repro.collusion import PairwiseCollusion
         from repro.core import SocialTrust
@@ -160,9 +162,7 @@ class EngineFuzzHarness:
             overlay,
             system,
             rng,
-            config=SimulationConfig(
-                query_cycles_per_simulation_cycle=3, engine=engine
-            ),
+            config=SimulationConfig(query_cycles_per_simulation_cycle=3),
             collusion=PairwiseCollusion(
                 list(ENGINE_COLLUDERS), interests, ratings_per_cycle=4
             ),

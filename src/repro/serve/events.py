@@ -7,8 +7,8 @@ the batch simulator's query-cycle loop does to the behavioural ledgers:
   ``count`` identical ratings, which is how collusion bursts stream).  A
   rating is *composite*: it updates the interval rating ledger, the
   interaction-frequency ledger, and — when it carries an ``interest`` —
-  the behavioural request counters, in that order, matching the scalar
-  simulation loop rating-for-service path.  Burst ratings carry no
+  the behavioural request counters, in that order, matching the
+  simulation engine's flush.  Burst ratings carry no
   interest (a rating exchange without a genuine resource transfer leaves
   no request trace);
 * :class:`InteractionEvent` — an interaction with no rating attached

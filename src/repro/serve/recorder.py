@@ -1,30 +1,30 @@
 """Record a batch scenario run as a replayable event stream.
 
-The recorder runs a scenario through the *scalar* simulation loop (the
-seed reference implementation, property-tested bit-identical to the
-batched engine) with the three behavioural ledgers instrumented, and
-writes down every mutation the loop performs as a typed service event:
+The recorder runs a scenario on the simulation's own query engine with a
+:class:`~repro.p2p.engine.LedgerObserver` attached, and writes down every
+behavioural-ledger mutation as a typed service event:
 
-* ``ledger.record`` (a genuine serviced request) →
+* a serviced request (a flushed row with an interest) →
   :class:`~repro.serve.events.RatingEvent` carrying the interest.  The
-  loop's companion ``interactions.record`` / ``profiles.record_request``
-  calls are folded into that composite event, not emitted separately —
-  the service re-expands a rating into exactly those three ledger calls;
-* ``ledger.record_batch`` (a collusion burst) → a ``count``-carrying
-  :class:`~repro.serve.events.RatingEvent` with no interest (its paired
-  ``interactions.record`` is folded in the same way);
-* any other ``interactions.record`` →
-  :class:`~repro.serve.events.InteractionEvent`;
-* ``interactions.decay_nodes`` (churn aging) →
+  service re-expands it into the rating, interaction and interest-request
+  increments the engine made;
+* a collusion burst (a flushed row past the requests) → a
+  ``count``-carrying :class:`~repro.serve.events.RatingEvent` with no
+  interest;
+* a churn ``decay_nodes`` call →
   :class:`~repro.serve.events.ChurnEvent`;
 * each completed simulation cycle →
   :class:`~repro.serve.events.WatermarkEvent`.
 
-Because the instrumentation wraps-and-forwards (the original methods
-still run), the recording run is numerically identical to an
-uninstrumented one; the recorder also captures the per-cycle reputation
-vectors so equivalence tests can compare a streamed replay against the
-*same process's* batch history bit-for-bit.
+Observing never changes the run, and the recorder also captures the
+per-cycle reputation vectors, so equivalence tests can compare a
+streamed replay against the *same process's* batch history bit-for-bit.
+
+The service applies events to the ledgers only; it never advances the
+fault injector.  A spec whose reputation update reads injector state —
+distributed managers (``n_managers``) under ``faults`` or ``chaos`` —
+cannot replay what it recorded, so :func:`record_scenario_events`
+rejects it.
 """
 
 from __future__ import annotations
@@ -34,13 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.api import ScenarioSpec, build_scenario
-from repro.serve.events import (
-    ChurnEvent,
-    Event,
-    InteractionEvent,
-    RatingEvent,
-    WatermarkEvent,
-)
+from repro.serve.events import ChurnEvent, Event, RatingEvent, WatermarkEvent
 
 __all__ = ["RecordedStream", "record_scenario_events"]
 
@@ -60,127 +54,47 @@ class RecordedStream:
         return len(self.events)
 
 
-class _LedgerTap:
-    """Instance-level instrumentation of one scenario's three ledgers."""
+class _EventRecorder:
+    """A :class:`~repro.p2p.engine.LedgerObserver` that turns ledger
+    mutations into service events."""
 
-    def __init__(self, simulation) -> None:
+    def __init__(self) -> None:
         self.events: list[Event] = []
-        # The composite-rating fold: after a rating is recorded, the loop
-        # immediately records the implied interaction (and, for genuine
-        # requests, the interest).  Those calls are consumed silently.
-        self._fold_interaction: tuple[int, int, float] | None = None
-        self._fold_profile: tuple[int, int] | None = None
-        self._ledger = simulation.ledger
-        self._interactions = simulation.interactions
-        self._profiles = simulation.profiles
-        orig_record = self._ledger.record
-        orig_record_batch = self._ledger.record_batch
-        orig_interaction = self._interactions.record
-        orig_decay = self._interactions.decay_nodes
-        orig_request = self._profiles.record_request
 
-        def tap_record(rating):
-            self._flush_folds()
-            self.events.append(
-                RatingEvent(
-                    rater=rating.rater,
-                    ratee=rating.ratee,
-                    value=rating.value,
-                    count=1,
-                    interest=rating.interest,
-                )
-            )
-            self._fold_interaction = (rating.rater, rating.ratee, 1.0)
-            if rating.interest is not None:
-                self._fold_profile = (rating.rater, rating.interest)
-            return orig_record(rating)
-
-        def tap_record_batch(rater, ratee, value, count):
-            self._flush_folds()
-            self.events.append(
-                RatingEvent(
-                    rater=rater, ratee=ratee, value=value, count=count
-                )
-            )
-            self._fold_interaction = (rater, ratee, float(count))
-            return orig_record_batch(rater, ratee, value, count)
-
-        def tap_record_many(*args, **kwargs):
-            raise RuntimeError(
-                "event recording requires the scalar engine; a batched "
-                "record_many slipped through"
-            )
-
-        def tap_interaction(i, j, count=1.0):
-            if self._fold_interaction == (i, j, float(count)):
-                self._fold_interaction = None
+    def flushed(self, raters, ratees, values, counts, interests) -> None:
+        served = len(interests)
+        interests = interests.tolist()
+        for i, (rater, ratee, value, count) in enumerate(
+            zip(raters.tolist(), ratees.tolist(), values.tolist(), counts.tolist())
+        ):
+            if i < served:
+                event = RatingEvent(rater, ratee, value, interest=interests[i])
             else:
-                self._flush_folds()
-                self.events.append(
-                    InteractionEvent(source=i, target=j, count=float(count))
-                )
-            return orig_interaction(i, j, count)
+                event = RatingEvent(rater, ratee, value, count=int(count))
+            self.events.append(event)
 
-        def tap_decay(nodes, factor):
-            self._flush_folds()
-            idx = np.asarray(nodes, dtype=np.int64)
-            if idx.size and factor != 1.0:
-                self.events.append(
-                    ChurnEvent(nodes=tuple(int(n) for n in idx), factor=float(factor))
-                )
-            return orig_decay(nodes, factor)
-
-        def tap_request(node, interest, count=1.0):
-            if self._fold_profile == (node, interest) and count == 1.0:
-                self._fold_profile = None
-            else:
-                raise RuntimeError(
-                    f"unexpected profile request ({node}, {interest}) with "
-                    f"no preceding rating — the recorder's fold model no "
-                    f"longer matches the simulation loop"
-                )
-            return orig_request(node, interest, count)
-
-        self._taps = {
-            (self._ledger, "record"): tap_record,
-            (self._ledger, "record_batch"): tap_record_batch,
-            (self._ledger, "record_many"): tap_record_many,
-            (self._interactions, "record"): tap_interaction,
-            (self._interactions, "decay_nodes"): tap_decay,
-            (self._profiles, "record_request"): tap_request,
-        }
-        for (target, name), tap in self._taps.items():
-            setattr(target, name, tap)
-
-    def _flush_folds(self) -> None:
-        """A pending fold that was never consumed means the loop changed
-        shape; fail loudly rather than drop a ledger mutation."""
-        if self._fold_interaction is not None or self._fold_profile is not None:
-            raise RuntimeError(
-                "recorder fold left unconsumed — the simulation loop no "
-                "longer pairs ratings with interactions/requests as the "
-                "recorder assumes"
-            )
-
-    def close(self) -> None:
-        self._flush_folds()
-        for target, name in self._taps:
-            try:
-                delattr(target, name)
-            except AttributeError:
-                pass
+    def decayed(self, nodes, factor) -> None:
+        # A factor of 1.0 leaves the ledger unchanged: nothing to replay.
+        if factor != 1.0:
+            self.events.append(ChurnEvent(nodes=tuple(nodes), factor=float(factor)))
 
 
 def record_scenario_events(spec: ScenarioSpec, cycles: int | None = None) -> RecordedStream:
-    """Run ``spec`` in batch (scalar engine) and capture its event stream.
+    """Run ``spec`` in batch and capture its event stream.
 
-    ``spec`` is normalised to ``engine="scalar"`` for the recording run —
-    the scalar loop is bit-identical to the batched engine, and its
-    per-rating ledger calls are what the taps observe.  The returned
-    stream's :attr:`~RecordedStream.spec` carries that normalisation, so
-    replaying it builds the world the events were recorded against.
+    Raises ``ValueError`` for a spec whose reputation update reads
+    fault-injector state (``n_managers`` with ``faults`` or ``chaos``):
+    the service does not advance the injector, so its replay would see a
+    different partition, Byzantine and crash state.
     """
-    spec = spec.with_updates(engine="scalar")
+    world = spec.world
+    injected = [name for name in ("faults", "chaos") if world.get(name) is not None]
+    if world.get("n_managers") and injected:
+        raise ValueError(
+            f"cannot record a spec with n_managers={world['n_managers']} and "
+            f"{'/'.join(injected)}: the manager layer reads fault-injector "
+            f"state that a streamed replay does not advance"
+        )
     scenario = build_scenario(spec)
     simulation = scenario.world.simulation
     cycles = (
@@ -190,17 +104,15 @@ def record_scenario_events(spec: ScenarioSpec, cycles: int | None = None) -> Rec
     )
     if cycles < 1:
         raise ValueError(f"cycles must be >= 1, got {cycles}")
-    tap = _LedgerTap(simulation)
+    recorder = _EventRecorder()
+    simulation.attach_observer(recorder)
     history: list[np.ndarray] = []
-    try:
-        for cycle in range(cycles):
-            reputations = simulation.run_simulation_cycle()
-            tap.events.append(WatermarkEvent(cycle=cycle))
-            history.append(np.array(reputations, dtype=np.float64, copy=True))
-    finally:
-        tap.close()
+    for cycle in range(cycles):
+        reputations = simulation.run_simulation_cycle()
+        recorder.events.append(WatermarkEvent(cycle=cycle))
+        history.append(np.array(reputations, dtype=np.float64, copy=True))
     return RecordedStream(
         spec=spec,
-        events=tuple(tap.events),
+        events=tuple(recorder.events),
         batch_history=np.vstack(history),
     )

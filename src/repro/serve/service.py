@@ -138,6 +138,7 @@ class ReputationService:
         self._interactions = self._sim.interactions
         self._profiles = self._sim.profiles
         self._n = self._ledger.n_nodes
+        self._k = self._profiles.n_interests
         self._interval_events = interval_events
         self._snapshot_path = snapshot_path
         self._snapshot_every = snapshot_every
@@ -262,8 +263,20 @@ class ReputationService:
         self._interval_rater_events[rater] += 1
         self._c_total.inc()
 
+    def _check_nodes(self, *nodes: int) -> None:
+        """Reject an out-of-range node id before any state is read or
+        touched (a negative id would otherwise wrap to another row)."""
+        for node in nodes:
+            if not 0 <= node < self._n:
+                raise ValueError(f"node {node} out of range [0, {self._n})")
+
     def _apply_rating(self, event: RatingEvent) -> None:
-        # Order matches the scalar simulation loop: rating ledger, then
+        self._check_nodes(event.rater, event.ratee)
+        if event.interest is not None and not 0 <= event.interest < self._k:
+            raise ValueError(
+                f"interest {event.interest} out of range [0, {self._k})"
+            )
+        # Order matches the engine's flush: rating ledger, then
         # interaction frequency, then (genuine requests only) the
         # behavioural interest counter.
         self._ledger.record_batch(
@@ -276,11 +289,13 @@ class ReputationService:
         self._bump(event.rater)
 
     def _apply_interaction(self, event: InteractionEvent) -> None:
+        self._check_nodes(event.source, event.target)
         self._interactions.record(event.source, event.target, event.count)
         self._c_interaction.inc()
         self._bump(event.source)
 
     def _apply_churn(self, event: ChurnEvent) -> None:
+        self._check_nodes(*event.nodes)
         self._interactions.decay_nodes(
             np.asarray(event.nodes, dtype=np.int64), event.factor
         )
@@ -346,8 +361,7 @@ class ReputationService:
         return result
 
     def _pair_weight(self, rater: int, ratee: int) -> float:
-        if not (0 <= rater < self._n and 0 <= ratee < self._n):
-            raise ValueError(f"pair ({rater}, {ratee}) out of range [0, {self._n})")
+        self._check_nodes(rater, ratee)
         pair_weight = getattr(self._system, "pair_weight", None)
         if pair_weight is None:
             # Base systems never damp: every pair carries full weight.
@@ -548,8 +562,7 @@ class ReputationService:
                 request.rater, request.ratee
             )
         elif request.node is not None:
-            if not 0 <= request.node < self._n:
-                raise ValueError(f"node {request.node} out of range [0, {self._n})")
+            self._check_nodes(request.node)
             value = float(self._system.reputations[request.node])
         else:
             value = [float(x) for x in self._system.reputations]

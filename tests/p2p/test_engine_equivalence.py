@@ -1,11 +1,12 @@
-"""Scalar vs batched query-engine equivalence.
+"""Batched query engine vs the scalar seed-loop oracle.
 
 The batched engine (:mod:`repro.p2p.engine`) promises to consume the RNG
-stream draw-for-draw like the scalar reference loop, so whole simulations
-must come out **bit-identical** — not merely close — across selection
-policies, exploration, collusion schedules, SocialTrust variants, and
-churn.  These tests are the contract; the benchmark in
-``benchmarks/test_bench_engine.py`` shows the speed side of the trade.
+stream draw-for-draw like the seed scalar loop (:mod:`repro.qa.oracle`),
+so whole simulations must come out **bit-identical** — not merely close —
+across selection policies, exploration, collusion schedules, SocialTrust
+variants, churn and network partitions.  These tests are the contract;
+the benchmark in ``benchmarks/test_bench_engine.py`` shows the speed side
+of the trade.
 """
 
 import numpy as np
@@ -19,13 +20,13 @@ from repro.core.config import CommonFriendAggregate
 from repro.experiments import CollusionKind, SystemKind, WorldConfig, build_world
 from repro.faults import FaultConfig, FaultInjector
 from repro.p2p import (
-    EngineMode,
     InterestOverlay,
     Population,
     SelectionPolicy,
     Simulation,
     SimulationConfig,
 )
+from repro.qa.oracle import use_oracle
 from repro.reputation import EigenTrust
 from repro.social import InteractionLedger, InterestProfiles
 from repro.social.generators import paper_social_network
@@ -46,24 +47,46 @@ SMALL = dict(
 )
 
 
-def run_world(engine, seed, **overrides):
-    """(reputation history, interaction counts, request totals) for one run."""
-    config = WorldConfig(**{**SMALL, **overrides}, engine=engine)
+#: A scripted partition over cycles [1, 3) of a 4-cycle run.
+PARTITION = {"partitions": [{"start_cycle": 1, "heal_cycle": 3}]}
+
+#: Stochastic partitions plus churn (a chaos spec would replace the
+#: stochastic schedule, churn included).
+PARTITION_CHURN = {
+    "partition_rate": 0.6,
+    "partition_heal_cycles": 2,
+    "peer_leave_rate": 0.15,
+    "peer_rejoin_rate": 0.3,
+    "offline_decay": 0.5,
+}
+
+
+def run_world(oracle, seed, **overrides):
+    """(reputation history, interaction counts, request totals, partition
+    blocks) for one run, on the oracle or the batched engine."""
+    config = WorldConfig(**{**SMALL, **overrides})
     world = build_world(config, seed=seed)
+    if oracle:
+        use_oracle(world.simulation)
     metrics = world.simulation.run()
+    injector = world.simulation.fault_injector
     return (
         metrics.reputation_history(),
         world.interactions.counts_matrix().copy(),
         (metrics.total_requests, metrics.total_served, metrics.unserved),
+        injector.metrics.partition_blocks if injector is not None else 0,
     )
 
 
 def assert_identical(seed, **overrides):
-    hist_s, counts_s, totals_s = run_world(EngineMode.SCALAR, seed, **overrides)
-    hist_b, counts_b, totals_b = run_world(EngineMode.BATCHED, seed, **overrides)
+    """Engine and oracle agree bit for bit; returns the partition blocks."""
+    hist_s, counts_s, totals_s, blocks_s = run_world(True, seed, **overrides)
+    hist_b, counts_b, totals_b, blocks_b = run_world(False, seed, **overrides)
     assert totals_b == totals_s
+    assert blocks_b == blocks_s
     assert np.array_equal(counts_b, counts_s)
     assert np.array_equal(hist_b, hist_s)
+    return blocks_b
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
@@ -103,7 +126,29 @@ def test_bit_identical_with_multinode_collusion(collusion):
     )
 
 
-def _churn_sim(engine, seed):
+@pytest.mark.parametrize("exploration", [0.0, 0.2])
+@pytest.mark.parametrize("policy", list(SelectionPolicy))
+@pytest.mark.parametrize(
+    "faults",
+    [dict(chaos=PARTITION), dict(faults=PARTITION_CHURN)],
+    ids=["partition", "partition+churn"],
+)
+def test_bit_identical_under_partition(faults, policy, exploration):
+    """Partitioned intervals run on the engine's per-side structures; the
+    colluders' cross-side bursts are blocked and counted identically."""
+    blocks = assert_identical(
+        4,
+        collusion=CollusionKind.PCM,
+        system=SystemKind.EIGENTRUST_SOCIALTRUST,
+        selection_policy=policy,
+        selection_exploration=exploration,
+        simulation_cycles=4,
+        **faults,
+    )
+    assert blocks > 0
+
+
+def _churn_sim(seed):
     """Manual wiring (build_world has no injector hook) with heavy churn."""
     n, n_interests = 20, 5
     rng = spawn_rng(seed, 0)
@@ -144,7 +189,6 @@ def _churn_sim(engine, seed):
         config=SimulationConfig(
             simulation_cycles=4,
             query_cycles_per_simulation_cycle=5,
-            engine=engine,
         ),
         collusion=attack,
         interactions=interactions,
@@ -159,8 +203,10 @@ def test_bit_identical_under_churn_and_decay(seed):
     """Churn drives ``decay_nodes`` between intervals — the case where the
     incremental closeness cache takes its low-rank path."""
     results = []
-    for engine in (EngineMode.SCALAR, EngineMode.BATCHED):
-        sim, interactions = _churn_sim(engine, seed)
+    for oracle in (True, False):
+        sim, interactions = _churn_sim(seed)
+        if oracle:
+            use_oracle(sim)
         metrics = sim.run()
         results.append(
             (metrics.reputation_history(), interactions.counts_matrix().copy())
@@ -179,10 +225,14 @@ def test_bit_identical_under_churn_and_decay(seed):
     collusion=st.sampled_from(
         [CollusionKind.NONE, CollusionKind.PCM, CollusionKind.MCM, CollusionKind.MMM]
     ),
+    partition=st.booleans(),
 )
-def test_property_bit_identical(seed, capacity, policy, exploration, collusion):
-    """Hypothesis sweep: any (seed, capacity, policy, exploration, attack)
-    combination must agree bit-for-bit between the two engines."""
+def test_property_bit_identical(
+    seed, capacity, policy, exploration, collusion, partition
+):
+    """Hypothesis sweep: any (seed, capacity, policy, exploration, attack,
+    partition) combination must agree bit-for-bit between the engine and
+    the oracle."""
     assert_identical(
         seed,
         capacity=capacity,
@@ -191,4 +241,7 @@ def test_property_bit_identical(seed, capacity, policy, exploration, collusion):
         collusion=collusion,
         simulation_cycles=2,
         query_cycles=4,
+        chaos={"partitions": [{"start_cycle": 0, "heal_cycle": 1}]}
+        if partition
+        else None,
     )

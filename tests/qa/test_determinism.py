@@ -1,10 +1,11 @@
-"""Seed determinism: same seed ⇒ bit-identical results, across engine
-modes and every collusion model."""
+"""Seed determinism: same seed ⇒ bit-identical results, on the batched
+engine and the scalar oracle, for every collusion model."""
 
 import numpy as np
 import pytest
 
-from repro.api import run_scenario
+from repro.api import build_scenario
+from repro.qa.oracle import use_oracle
 
 SMALL = dict(
     n_nodes=20,
@@ -21,13 +22,15 @@ COLLUSIONS = ["none", "pcm", "mcm", "mmm"]
 
 
 def _run(collusion: str, engine: str, seed: int = 17):
-    return run_scenario(
+    scenario = build_scenario(
         seed=seed,
         system="EigenTrust+SocialTrust",
         collusion=collusion,
-        engine=engine,
         **SMALL,
     )
+    if engine == "scalar":
+        use_oracle(scenario.simulation)
+    return scenario.run()
 
 
 @pytest.mark.parametrize("collusion", COLLUSIONS)

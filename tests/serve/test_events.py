@@ -129,6 +129,24 @@ class TestStreamFiles:
         assert loaded.spec == spec.to_dict()
         assert ScenarioSpec.from_dict(loaded.spec) == spec
 
+    @pytest.mark.parametrize("engine", ["batched", "scalar"])
+    def test_retired_engine_field_dropped(self, engine):
+        """Specs written while the scalar query loop was a world option
+        carry ``world.engine``; either value loads as the plain spec."""
+        from repro.api import ScenarioSpec
+
+        spec = ScenarioSpec(seed=5, world={"n_nodes": 20})
+        old = spec.to_dict()
+        old["world"]["engine"] = engine
+        assert ScenarioSpec.from_dict(old) == spec
+        assert ScenarioSpec.from_build({"n_nodes": 20, "engine": engine}, seed=5) == spec
+
+    def test_unknown_engine_value_still_rejected(self):
+        from repro.api import ScenarioSpec
+
+        with pytest.raises(ValueError, match="unknown WorldConfig field"):
+            ScenarioSpec.from_dict({"world": {"engine": "turbo"}})
+
     def test_headerless_stream(self, tmp_path):
         path = tmp_path / "stream.jsonl"
         write_event_stream(path, [WatermarkEvent()])

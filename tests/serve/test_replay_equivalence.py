@@ -4,11 +4,12 @@ The streaming contract: replaying a recorded batch run event-by-event
 through a fresh :class:`~repro.serve.ReputationService` reproduces the
 batch run's reputation vectors at every interval watermark —
 bit-identically against the same process's batch history, and within
-golden tolerance against the checked-in golden traces (which were
-recorded by the batched engine; the scalar recorder is property-tested
-bit-identical to it).
+golden tolerance against the checked-in golden traces.  The recorded
+streams themselves are pinned by fingerprint.
 """
 
+import hashlib
+import json
 from pathlib import Path
 
 import numpy as np
@@ -18,7 +19,9 @@ from repro.api import ScenarioSpec
 from repro.qa import GOLDEN_SCENARIOS
 from repro.qa.golden import load_trace
 from repro.serve import (
+    ChurnEvent,
     compare_histories,
+    encode_event,
     record_scenario_events,
     replay_recorded,
     replay_report,
@@ -88,9 +91,9 @@ def test_recorded_stream_shape(recorded_streams):
             cycles,
             recorded.spec.world["n_nodes"],
         )
-        # The recording spec is the requested spec normalised to the
-        # scalar engine (what the taps observe).
-        assert recorded.spec.world.get("engine") == "scalar"
+        # The recording spec is the requested spec, unchanged.
+        assert recorded.spec == spec
+        assert "engine" not in recorded.spec.world
         assert recorded.n_events == len(recorded.events)
         # One watermark per batch cycle.
         from repro.serve import WatermarkEvent
@@ -102,3 +105,86 @@ def test_recorded_stream_shape(recorded_streams):
 def test_compare_histories_shape_mismatch():
     with pytest.raises(ValueError, match="shapes differ"):
         compare_histories(np.zeros((2, 3)), np.zeros((3, 3)))
+
+
+#: A small PCM world for the partition and churn streams.
+SMALL_PCM = dict(
+    system="EigenTrust+SocialTrust",
+    collusion="pcm",
+    n_nodes=16,
+    n_pretrusted=2,
+    n_colluders=4,
+    n_interests=5,
+    interests_per_node=(1, 3),
+    capacity=8,
+    simulation_cycles=6,
+    query_cycles=3,
+)
+
+FAULTED_SPECS = {
+    "partition": ScenarioSpec.from_build(
+        dict(SMALL_PCM, chaos={"partitions": [{"start_cycle": 1, "heal_cycle": 3}]}),
+        seed=3,
+    ),
+    "churn": ScenarioSpec.from_build(
+        dict(
+            SMALL_PCM,
+            faults={
+                "peer_leave_rate": 0.3,
+                "peer_rejoin_rate": 0.5,
+                "offline_decay": 0.5,
+            },
+        ),
+        seed=3,
+    ),
+}
+
+#: (events, first 16 hex digits of the stream's sha256) per recording.
+STREAM_FINGERPRINTS = {
+    "ebay_mcm": (1191, "35beb48bfbcd7085"),
+    "eigentrust_pcm": (1331, "de555883b492322d"),
+    "powertrust_mmm": (1241, "e3cc20b4cbebc8df"),
+    "partition": (299, "07284542c1e268de"),
+    "churn": (192, "af707c5a1a4bcdaf"),
+}
+
+
+def fingerprint(events):
+    text = "\n".join(json.dumps(encode_event(e), sort_keys=True) for e in events)
+    return hashlib.sha256(text.encode()).hexdigest()[:16]
+
+
+@pytest.mark.parametrize("name", sorted(STREAM_FINGERPRINTS))
+def test_recorded_stream_fingerprint(name, recorded_streams):
+    if name in FAULTED_SPECS:
+        recorded = record_scenario_events(FAULTED_SPECS[name])
+    else:
+        recorded = recorded_streams[name]
+    assert (recorded.n_events, fingerprint(recorded.events)) == (
+        STREAM_FINGERPRINTS[name]
+    )
+    if name == "churn":
+        assert sum(isinstance(e, ChurnEvent) for e in recorded.events) == 6
+
+
+@pytest.mark.parametrize("name", sorted(FAULTED_SPECS))
+def test_faulted_stream_matches_batch_bitwise(name):
+    _, report = replay_recorded(record_scenario_events(FAULTED_SPECS[name]))
+    assert report.bitwise_equal
+
+
+@pytest.mark.parametrize(
+    "world",
+    [
+        {"chaos": {"partitions": [{"start_cycle": 1, "heal_cycle": 3}]}},
+        {"faults": {"manager_crash_rate": 0.3}},
+    ],
+    ids=["chaos", "faults"],
+)
+def test_managed_fault_spec_rejected(world):
+    """The service never advances the fault injector, so a spec whose
+    manager layer reads injector state cannot replay its recording."""
+    spec = ScenarioSpec.from_build(dict(SMALL_PCM, n_managers=3, **world), seed=3)
+    with pytest.raises(ValueError, match="n_managers=3") as info:
+        record_scenario_events(spec)
+    assert next(iter(world)) in str(info.value)

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from repro.api import ScenarioSpec
+from repro.chaos.checkpoint import encode_state
 from repro.serve import (
     ChurnEvent,
     InteractionEvent,
@@ -87,6 +88,33 @@ class TestSyncCore:
         service.apply(WatermarkEvent(cycle=0))
         with pytest.raises(ServiceError, match="behind"):
             service.apply(WatermarkEvent(cycle=0))
+
+    @pytest.mark.parametrize(
+        "event",
+        [
+            InteractionEvent(source=-1, target=0),
+            InteractionEvent(source=0, target=30),
+            ChurnEvent(nodes=(-1,), factor=0.5),
+            ChurnEvent(nodes=(3, 30), factor=0.5),
+            RatingEvent(rater=-1, ratee=2, value=1.0),
+            RatingEvent(rater=1, ratee=30, value=1.0, interest=0),
+            RatingEvent(rater=1, ratee=2, value=1.0, interest=99),
+            RatingEvent(rater=1, ratee=2, value=1.0, interest=-1),
+        ],
+        ids=repr,
+    )
+    def test_out_of_range_event_rejected_before_any_mutation(self, event):
+        service = ReputationService(small_spec(n_nodes=30, n_interests=5))
+        service.apply(RatingEvent(rater=3, ratee=4, value=1.0, interest=0))
+
+        def state():
+            return json.dumps(encode_state(service.checkpoint()), sort_keys=True)
+
+        before, stats_before = state(), service.stats()
+        with pytest.raises(ValueError, match="out of range"):
+            service.apply(event)
+        assert state() == before
+        assert service.stats() == stats_before
 
     def test_unknown_event_type_rejected(self):
         with pytest.raises(TypeError, match="not a service event"):

@@ -108,7 +108,6 @@ PUBLIC_API = {
         "MetricsCollector",
         "ChordRing",
         "BatchedQueryEngine",
-        "EngineMode",
     ],
     "repro.collusion": [
         "CollusionSchedule",

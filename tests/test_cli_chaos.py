@@ -119,6 +119,36 @@ class TestCheckpointResume:
         assert summary_lines(resumed_out) == summary_lines(full_out)
 
 
+    @pytest.mark.parametrize("engine", ["batched", "scalar"])
+    def test_resume_checkpoint_with_retired_engine_field(
+        self, tmp_path, capsys, engine
+    ):
+        """Checkpoint headers written while ``--engine`` existed carry the
+        flag's value in ``build``; they resume to the same summary."""
+        ck = tmp_path / "ck.jsonl"
+        code = main(
+            [
+                "simulate",
+                *SMALL_WORLD,
+                "--cycles", "5",
+                "--partition", "1:3",
+                "--checkpoint", str(ck),
+                "--checkpoint-every", "2",
+            ]
+        )
+        assert code == 0
+        full_out = capsys.readouterr().out
+        header_line, state_line = ck.read_text().splitlines()
+        header = json.loads(header_line)
+        header["build"]["engine"] = engine
+        ck.write_text(json.dumps(header) + "\n" + state_line + "\n")
+
+        assert main(["simulate", "--resume", str(ck)]) == 0
+        resumed_out = capsys.readouterr().out
+        assert f"resumed {ck} at cycle 4/5" in resumed_out
+        assert summary_lines(resumed_out) == summary_lines(full_out)
+
+
 class TestQaReconverge:
     def test_writes_report_artifact(self, tmp_path, capsys):
         report_path = tmp_path / "reconvergence.json"

@@ -4,9 +4,11 @@ serve-specific exit codes."""
 import io
 import json
 
+import numpy as np
 import pytest
 
 from repro.cli import EXIT_CONFIG, EXIT_OK, EXIT_RUNTIME, main
+from repro.serve import ReputationService
 
 SMALL = [
     "--nodes", "20", "--pretrusted", "2", "--colluders", "4",
@@ -95,6 +97,28 @@ class TestRecordAndStream:
         # The header's spec drove the world: 20 nodes, not the default 100.
         assert summary["n_nodes"] == 20
         assert snapshot.exists()
+
+    def test_stream_with_retired_engine_field(self, recorded_stream, tmp_path, capsys):
+        """Every stream recorded before the scalar loop left production
+        carries ``world.engine = "scalar"`` in its header; it still
+        replays to the same result."""
+        lines = recorded_stream.read_text().splitlines()
+        header = json.loads(lines[0])
+        header["spec"]["world"]["engine"] = "scalar"
+        old = tmp_path / "old.jsonl"
+        old.write_text("\n".join([json.dumps(header), *lines[1:]]) + "\n")
+        services = []
+        for path in (recorded_stream, old):
+            snapshot = tmp_path / f"{path.stem}.ckpt"
+            assert main(
+                ["serve", "--events", str(path), "--snapshot", str(snapshot)]
+            ) == EXIT_OK
+            services.append(ReputationService.from_checkpoint(snapshot))
+        capsys.readouterr()
+        new, retired = services
+        assert retired.spec == new.spec
+        assert retired.intervals_run == new.intervals_run == 2
+        assert np.array_equal(retired.reputations, new.reputations)
 
     def test_resume_from_snapshot(self, recorded_stream, tmp_path, capsys):
         snapshot = tmp_path / "svc.ckpt"

@@ -19,7 +19,6 @@ from repro.api import (
     run_scenario,
 )
 from repro.experiments import CollusionKind, SystemKind, WorldConfig, build_world
-from repro.p2p import EngineMode
 
 SMALL = dict(
     n_nodes=24,
@@ -71,9 +70,9 @@ class TestBuildScenario:
         with pytest.raises(TypeError, match="unknown keyword"):
             build_scenario(n_peers=10)
 
-    def test_engine_forwarded(self):
-        scenario = build_scenario(engine="scalar", **SMALL)
-        assert scenario.config.engine is EngineMode.SCALAR
+    def test_retired_engine_keyword_rejected(self):
+        with pytest.raises(TypeError, match="unknown keyword"):
+            build_scenario(engine="scalar", **SMALL)
 
     def test_scenario_exposes_world_parts(self):
         scenario = build_scenario(**SMALL)

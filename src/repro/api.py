@@ -259,11 +259,25 @@ _RETIRED_WORLD_FIELDS = {"engine": ("batched", "scalar")}
 
 
 def _drop_retired(world: Mapping[str, Any]) -> dict[str, Any]:
-    return {
+    out = {
         key: value
         for key, value in world.items()
         if value not in _RETIRED_WORLD_FIELDS.get(key, ())
     }
+    # ``SocialTrustConfig.to_dict()`` wrote ``sparse_top_k`` while the
+    # top-k truncation existed.  Null ran the exact path and is dropped;
+    # any other value ran an approximation no configuration reproduces.
+    socialtrust = out.get("socialtrust")
+    if isinstance(socialtrust, Mapping) and "sparse_top_k" in socialtrust:
+        if socialtrust["sparse_top_k"] is not None:
+            raise ValueError(
+                "world.socialtrust.sparse_top_k is retired; this spec set it to "
+                f"{socialtrust['sparse_top_k']!r}, a truncation that no longer exists"
+            )
+        out["socialtrust"] = {
+            key: value for key, value in socialtrust.items() if key != "sparse_top_k"
+        }
+    return out
 
 
 @dataclass(frozen=True)
@@ -420,7 +434,9 @@ class ScenarioSpec:
         """Inverse of :meth:`to_dict` (unknown keys rejected).
 
         A retired world field (``engine``, from specs written before the
-        scalar query loop left production) is dropped.
+        scalar query loop left production) is dropped, and so is a null
+        ``world.socialtrust.sparse_top_k``; a non-null one raises
+        :class:`ValueError`.
         """
         data = dict(data)
         unknown = sorted(

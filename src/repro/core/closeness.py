@@ -28,9 +28,14 @@ Two evaluation paths are provided and tested to agree:
   the adjacency support, so the products only pick up common-friend terms).
   The rare no-common-friend pairs fall back to the scalar path walk.
 
-The relationship-factor matrix is cached (relationship structure is static
-within an experiment); call :meth:`ClosenessComputer.invalidate_cache`
-after mutating relationships.
+The relationship factor is a static per-edge quantity, so the social view
+builds it once for every pair: ``view.relationship_factors()`` returns a
+symmetric CSR whose explicit entries are the adjacency.
+:class:`ClosenessBase` caches that CSR and holds what both Ωc computers
+share — the scalar :meth:`~ClosenessBase.adjacent` and the path fallback
+read it, and this dense computer densifies it; the sparse computer
+(:mod:`repro.core.sparse`) uses it as is.  Call
+:meth:`ClosenessComputer.invalidate_cache` after mutating relationships.
 
 The all-pairs matrix itself is cached too, keyed on the interaction
 ledger's mutation version.  When only a few rows' outgoing shares changed
@@ -47,8 +52,9 @@ churn-heavy runs; an update counter forces an exact rebuild after every
 ``SocialTrustConfig.cache_rebuild_interval`` consecutive corrections,
 which pins the worst-case drift to what ``cache_rebuild_interval``
 applications can accumulate (the ``cache_audit`` regression test asserts
-that bound over thousands of updates).  :meth:`ClosenessComputer.rater_band` and
-:meth:`ClosenessComputer.global_band` read from the cached matrix, so they
+that bound over thousands of updates).  The band summaries
+(:class:`~repro.core.gaussian.PairBands`) gather through
+:meth:`ClosenessComputer.pair_values`, i.e. from the cached matrix, so they
 can never diverge from :meth:`ClosenessComputer.closeness_matrix` after
 ``decay_nodes`` the way the per-pair scalar walk silently could.
 """
@@ -56,22 +62,25 @@ can never diverge from :meth:`ClosenessComputer.closeness_matrix` after
 from __future__ import annotations
 
 import numpy as np
+from scipy import sparse
 
 from repro.core.config import CommonFriendAggregate, SocialTrustConfig
-from repro.core.gaussian import RaterBand
-from repro.social.graph import SocialView, relationship_factor
+from repro.core.gaussian import PairBands
+from repro.social.graph import SocialView
 from repro.social.interactions import InteractionLedger
 
-__all__ = ["ClosenessComputer"]
+__all__ = ["ClosenessBase", "ClosenessComputer"]
 
 
-class ClosenessComputer:
-    """Computes ``Ωc`` values against a social view + interaction ledger."""
+class ClosenessBase(PairBands):
+    """What both Ωc computers share: the view/ledger/config triple, the
+    relationship-factor CSR the view builds once, and the scalar Eq. (2) /
+    Eq. (10) helpers that read it."""
 
     def __init__(
         self,
         view: SocialView,
-        interactions: InteractionLedger,
+        interactions,
         config: SocialTrustConfig | None = None,
     ) -> None:
         if view.n_nodes != interactions.n_nodes:
@@ -82,6 +91,68 @@ class ClosenessComputer:
         self._view = view
         self._interactions = interactions
         self._config = config or SocialTrustConfig()
+        self._factors_csr: sparse.csr_matrix | None = None
+
+    @property
+    def n_nodes(self) -> int:
+        return self._view.n_nodes
+
+    @property
+    def view(self) -> SocialView:
+        """The social view the coefficients are computed against."""
+        return self._view
+
+    @property
+    def interactions(self):
+        """The interaction ledger feeding Eq. (2)'s frequency shares."""
+        return self._interactions
+
+    @property
+    def config(self) -> SocialTrustConfig:
+        return self._config
+
+    def _relationship_factors(self) -> sparse.csr_matrix:
+        """The view's relationship-factor CSR (pattern = adjacency), cached:
+        the relationship structure is static within an experiment."""
+        if self._factors_csr is None:
+            self._factors_csr = self._view.relationship_factors(
+                hardened=self._config.hardened,
+                lambda_scaling=self._config.lambda_scaling,
+            )
+        return self._factors_csr
+
+    def adjacent(self, i: int, j: int) -> float:
+        """Eq. (2) (plain) / Eq. (10) first branch (hardened); 0 for a
+        non-adjacent pair."""
+        factors = self._relationship_factors()
+        start, end = factors.indptr[i], factors.indptr[i + 1]
+        k = start + np.searchsorted(factors.indices[start:end], j)
+        if k == end or factors.indices[k] != j:
+            return 0.0
+        return float(factors.data[k]) * self._interactions.share(i, j)
+
+    def _path_min(self, i: int, j: int) -> float:
+        """The no-common-friend fallback: the minimum adjacent closeness
+        along one shortest social path, 0 when no path exists."""
+        path = self._view.path(i, j)
+        if len(path) < 2:
+            return 0.0
+        return min(
+            self.adjacent(path[step], path[step + 1])
+            for step in range(len(path) - 1)
+        )
+
+
+class ClosenessComputer(ClosenessBase):
+    """Computes ``Ωc`` values against a social view + interaction ledger."""
+
+    def __init__(
+        self,
+        view: SocialView,
+        interactions: InteractionLedger,
+        config: SocialTrustConfig | None = None,
+    ) -> None:
+        super().__init__(view, interactions, config)
         self._rel_factors: np.ndarray | None = None
         self._adjacency: np.ndarray | None = None
         self._adj_float: np.ndarray | None = None
@@ -100,26 +171,9 @@ class ClosenessComputer:
         # stays bounded over arbitrarily long churn-heavy runs.
         self._t2_updates = 0
 
-    @property
-    def n_nodes(self) -> int:
-        return self._view.n_nodes
-
-    @property
-    def view(self) -> SocialView:
-        """The social view the coefficients are computed against."""
-        return self._view
-
-    @property
-    def interactions(self) -> InteractionLedger:
-        """The interaction ledger feeding Eq. (2)'s frequency shares."""
-        return self._interactions
-
-    @property
-    def config(self) -> SocialTrustConfig:
-        return self._config
-
     def invalidate_cache(self) -> None:
         """Drop cached relationship factors after mutating the social view."""
+        self._factors_csr = None
         self._rel_factors = None
         self._adjacency = None
         self._adj_float = None
@@ -187,39 +241,16 @@ class ClosenessComputer:
         self._t2_updates = int(state.get("t2_updates", 0))
 
     def _structure(self) -> tuple[np.ndarray, np.ndarray]:
-        """(relationship-factor matrix, boolean adjacency matrix), cached."""
+        """(relationship-factor matrix, boolean adjacency matrix), cached:
+        the dense form of the view's relationship-factor CSR and its
+        pattern."""
         if self._rel_factors is None or self._adjacency is None:
-            n = self.n_nodes
-            factors = np.zeros((n, n), dtype=np.float64)
-            adjacency = np.zeros((n, n), dtype=bool)
-            view = self._view
-            cfg = self._config
-            for i in range(n):
-                for j in view.friends(i):
-                    adjacency[i, j] = True
-                    if factors[i, j] == 0.0:
-                        value = relationship_factor(
-                            view.relationships(i, j),
-                            hardened=cfg.hardened,
-                            lambda_scaling=cfg.lambda_scaling,
-                        )
-                        factors[i, j] = factors[j, i] = value
-            self._rel_factors = factors
-            self._adjacency = adjacency
+            factors = self._relationship_factors()
+            self._rel_factors = factors.toarray()
+            self._adjacency = factors.astype(bool).toarray()
         return self._rel_factors, self._adjacency
 
     # -- scalar reference path ------------------------------------------------
-
-    def adjacent(self, i: int, j: int) -> float:
-        """Eq. (2) (plain) / Eq. (10) first branch (hardened)."""
-        factor = relationship_factor(
-            self._view.relationships(i, j),
-            hardened=self._config.hardened,
-            lambda_scaling=self._config.lambda_scaling,
-        )
-        if factor == 0.0:
-            return 0.0
-        return factor * self._interactions.share(i, j)
 
     def closeness(self, i: int, j: int) -> float:
         """Full piecewise ``Ωc(i,j)`` — Eq. (4) / Eq. (10)."""
@@ -238,15 +269,6 @@ class ClosenessComputer:
             return total
         return self._path_min(i, j)
 
-    def _path_min(self, i: int, j: int) -> float:
-        path = self._view.path(i, j)
-        if len(path) < 2:
-            return 0.0
-        return min(
-            self.adjacent(path[step], path[step + 1])
-            for step in range(len(path) - 1)
-        )
-
     # -- vectorised all-pairs path --------------------------------------------
 
     def _structure_extras(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -264,10 +286,12 @@ class ClosenessComputer:
                 # skip the per-pair BFS for them (pure speedup, the values
                 # are bit-identical).  On community-structured graphs this
                 # is the difference between O(n + m) and O(n^2) BFS walks.
-                from scipy.sparse import csgraph, csr_matrix
+                # Imported here: csgraph pulls in scipy.sparse.linalg
+                # (~11 MiB resident), and most worlds never get here.
+                from scipy.sparse import csgraph
 
                 _, labels = csgraph.connected_components(
-                    csr_matrix(adjacency), directed=False
+                    self._relationship_factors(), directed=False
                 )
                 need_fallback &= labels[:, None] == labels[None, :]
             self._adj_float = adj_f
@@ -352,27 +376,3 @@ class ClosenessComputer:
         i = np.asarray(raters, dtype=np.int64)
         j = np.asarray(ratees, dtype=np.int64)
         return np.asarray(matrix[i, j], dtype=np.float64)
-
-    # -- band summaries ---------------------------------------------------------
-
-    def rater_band(self, rater: int, rated: frozenset[int] | set[int]) -> RaterBand | None:
-        """Band over the rater's closeness to every node it has rated.
-
-        Reads from :meth:`closeness_matrix`, so the band always reflects
-        the current ledger state (including ``decay_nodes`` aging) instead
-        of silently diverging from the matrix the detector sees.
-        """
-        matrix = self.closeness_matrix()
-        values = [float(matrix[rater, j]) for j in rated if j != rater]
-        if not values:
-            return None
-        return RaterBand.from_values(values)
-
-    def global_band(self, pairs: list[tuple[int, int]]) -> RaterBand | None:
-        """Band over the closeness of arbitrary transaction pairs (read from
-        the cached matrix, same consistency guarantee as :meth:`rater_band`)."""
-        matrix = self.closeness_matrix()
-        values = [float(matrix[i, j]) for i, j in pairs if i != j]
-        if not values:
-            return None
-        return RaterBand.from_values(values)

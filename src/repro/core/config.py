@@ -45,9 +45,7 @@ class CoefficientBackend(enum.Enum):
     evaluates the detector only over the frequency-flagged pair set, which
     is what pushes the detector interval from ``n ~ 10^3`` to ``10^5``;
     it agrees with DENSE within floating-point tolerance (summation order
-    differs), and exactly-optionally truncates each node's coefficient
-    neighbourhood to its top-k entries (see
-    :attr:`SocialTrustConfig.sparse_top_k`).
+    differs).
     """
 
     DENSE = "dense"
@@ -159,14 +157,6 @@ class SocialTrustConfig:
     #: Numerical backend for the coefficient computations (see
     #: :class:`CoefficientBackend`); accepts the enum or its string value.
     coefficient_backend: CoefficientBackend = CoefficientBackend.DENSE
-    #: Sparse backend only: keep at most this many Ωc entries per node
-    #: (the strongest ones) when materialising the coefficient matrix.
-    #: Truncated pairs read as coefficient 0 — they sit below ``T_cl`` /
-    #: ``T_sl`` anyway, so they contribute nothing to a rater's band or to
-    #: the Gaussian damping and are simply never materialised.  ``None``
-    #: (default) disables truncation: the sparse path is then exact up to
-    #: float summation order.
-    sparse_top_k: int | None = None
     #: Force an exact from-scratch rebuild of the incrementally-maintained
     #: Ωc ``T2`` term after this many consecutive low-rank corrections.
     #: The correction is mathematically exact but accumulates float drift
@@ -227,10 +217,6 @@ class SocialTrustConfig:
         check_probability("neutral_damping", self.neutral_damping)
         check_fraction("spread_floor", self.spread_floor)
         check_fraction("recidivism_decay", self.recidivism_decay)
-        if self.sparse_top_k is not None and self.sparse_top_k < 1:
-            raise ValueError(
-                f"sparse_top_k must be >= 1 or None, got {self.sparse_top_k}"
-            )
         if self.cache_rebuild_interval < 1:
             raise ValueError(
                 "cache_rebuild_interval must be >= 1, got "

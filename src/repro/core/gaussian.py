@@ -9,6 +9,9 @@ with ``b`` the band centre (the rater's mean coefficient over nodes it has
 rated, or the system-wide mean) and ``c`` the band width
 (``|max - min|`` of the same set).  Eq. (9) multiplies the closeness and
 similarity bells by summing their exponents.
+
+:class:`PairBands` derives the band summaries of every Ωc/Ωs computer
+from its ``pair_values`` gather.
 """
 
 from __future__ import annotations
@@ -17,7 +20,15 @@ import math
 from dataclasses import dataclass
 from typing import Iterable
 
-__all__ = ["RaterBand", "weight_exponent", "gaussian_weight", "combined_weight"]
+import numpy as np
+
+__all__ = [
+    "PairBands",
+    "RaterBand",
+    "weight_exponent",
+    "gaussian_weight",
+    "combined_weight",
+]
 
 
 @dataclass(frozen=True)
@@ -47,6 +58,38 @@ class RaterBand:
             spread=abs(hi - lo),
             size=len(vals),
         )
+
+
+class PairBands:
+    """Band summaries over a coefficient computer's ``pair_values`` gather.
+
+    One implementation for Ωc and Ωs on both backends: a band reads the
+    same cached values the detector kernel reads, so it can never diverge
+    from them.
+    """
+
+    def pair_values(self, raters, ratees) -> np.ndarray:
+        raise NotImplementedError
+
+    def rater_band(
+        self, rater: int, rated: frozenset[int] | set[int]
+    ) -> RaterBand | None:
+        """Band over the rater's coefficient to every node it has rated,
+        gathered in ascending ratee order."""
+        ratees = np.array(sorted(j for j in rated if j != rater), dtype=np.int64)
+        return self._band(np.full(ratees.size, rater, dtype=np.int64), ratees)
+
+    def global_band(self, pairs: list[tuple[int, int]]) -> RaterBand | None:
+        """Band over the coefficients of arbitrary (rater, ratee) pairs."""
+        keep = np.array(
+            [(i, j) for i, j in pairs if i != j], dtype=np.int64
+        ).reshape(-1, 2)
+        return self._band(keep[:, 0], keep[:, 1])
+
+    def _band(self, raters: np.ndarray, ratees: np.ndarray) -> RaterBand | None:
+        if raters.size == 0:
+            return None
+        return RaterBand.from_values(self.pair_values(raters, ratees).tolist())
 
 
 def weight_exponent(

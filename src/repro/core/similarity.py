@@ -23,7 +23,7 @@ from typing import Iterable
 import numpy as np
 
 from repro.core.config import SocialTrustConfig
-from repro.core.gaussian import RaterBand
+from repro.core.gaussian import PairBands
 from repro.social.interests import InterestProfiles
 
 __all__ = ["overlap_similarity", "SimilarityComputer"]
@@ -38,7 +38,7 @@ def overlap_similarity(a: Iterable[int], b: Iterable[int]) -> float:
     return len(sa & sb) / min(len(sa), len(sb))
 
 
-class SimilarityComputer:
+class SimilarityComputer(PairBands):
     """Computes ``Ωs`` values against the interest-profile store."""
 
     def __init__(
@@ -202,25 +202,3 @@ class SimilarityComputer:
         i = np.asarray(a, dtype=np.int64)
         j = np.asarray(b, dtype=np.int64)
         return np.asarray(matrix[i, j], dtype=np.float64)
-
-    def rater_band(self, rater: int, rated: frozenset[int] | set[int]) -> RaterBand | None:
-        """Band over the rater's similarity to every node it has rated.
-
-        Reads from :meth:`similarity_matrix`, so the band always reflects
-        the same cached state the detector consumes.
-        """
-        matrix = self.similarity_matrix()
-        values = [float(matrix[rater, j]) for j in rated if j != rater]
-        if not values:
-            return None
-        return RaterBand.from_values(values)
-
-    def global_band(self, pairs: list[tuple[int, int]]) -> RaterBand | None:
-        """Band over the similarity of arbitrary transaction pairs (read
-        from the cached matrix, same consistency guarantee as
-        :meth:`rater_band`)."""
-        matrix = self.similarity_matrix()
-        values = [float(matrix[i, j]) for i, j in pairs if i != j]
-        if not values:
-            return None
-        return RaterBand.from_values(values)

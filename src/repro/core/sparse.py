@@ -9,6 +9,12 @@ union of the adjacency support and the two-hop (common-friend) support.
 Pairs off that union are either path-fallback pairs (rare; walked exactly
 on demand) or genuinely zero.
 
+Static structure.  The adjacency and the Eq. (2)/(10) relationship
+factors are one CSR, the social view's ``relationship_factors()``; it is
+the same structure the dense computer densifies, cached and read through
+:class:`~repro.core.closeness.ClosenessBase`, which also holds the scalar
+``adjacent`` / path-fallback helpers both computers use.
+
 Value layout.  All per-entry arithmetic happens on *aligned data arrays*
 over one static union pattern ``Pu = pattern(F @ F) ∪ pattern(F)`` (with
 ``F`` the float adjacency CSR).  SciPy's binary ops prune explicit zeros,
@@ -27,12 +33,7 @@ next evaluation rebuilds from scratch.
 
 The sparse path agrees with the dense oracle within floating-point
 tolerance (summation order inside sparse matmuls differs), never bitwise;
-the QA differential runner compares the two in tolerance mode.  With
-``SocialTrustConfig.sparse_top_k`` set, each node's coefficient row is
-additionally truncated to its ``k`` strongest entries — truncated pairs
-read as coefficient 0, which is the documented approximation (they sit
-below ``T_cl`` anyway, so they contribute nothing to a band or to the
-Gaussian damping).
+the QA differential runner compares the two in tolerance mode.
 """
 
 from __future__ import annotations
@@ -40,15 +41,15 @@ from __future__ import annotations
 import numpy as np
 from scipy import sparse
 
-from repro.core.closeness import ClosenessComputer
+from repro.core.closeness import ClosenessBase, ClosenessComputer
 from repro.core.config import (
     CoefficientBackend,
     CommonFriendAggregate,
     SocialTrustConfig,
 )
-from repro.core.gaussian import RaterBand
+from repro.core.gaussian import PairBands
 from repro.core.similarity import SimilarityComputer
-from repro.social.graph import SocialView, relationship_factor
+from repro.social.graph import SocialView
 
 __all__ = [
     "SparseClosenessComputer",
@@ -97,7 +98,7 @@ def _row_major_keys(mat: sparse.csr_matrix, n: int) -> np.ndarray:
     return rows * np.int64(n) + mat.indices.astype(np.int64)
 
 
-class SparseClosenessComputer:
+class SparseClosenessComputer(ClosenessBase):
     """CSR drop-in for :class:`~repro.core.closeness.ClosenessComputer`.
 
     Same constructor signature and coefficient semantics; the all-pairs
@@ -113,17 +114,9 @@ class SparseClosenessComputer:
         interactions,
         config: SocialTrustConfig | None = None,
     ) -> None:
-        if view.n_nodes != interactions.n_nodes:
-            raise ValueError(
-                f"social view has {view.n_nodes} nodes but interaction ledger "
-                f"has {interactions.n_nodes}"
-            )
-        self._view = view
-        self._interactions = interactions
-        self._config = config or SocialTrustConfig()
+        super().__init__(view, interactions, config)
         # Static structure (lazy; the social view is static per experiment).
         self._F: sparse.csr_matrix | None = None
-        self._factors: sparse.csr_matrix | None = None
         self._pu: sparse.csr_matrix | None = None
         self._pu_keys: np.ndarray | None = None
         self._pu_is_adj: np.ndarray | None = None
@@ -155,26 +148,10 @@ class SparseClosenessComputer:
         self._m_patches = registry.counter("sparse.cache.patches")
         self._m_drift.set(float(self._t2_updates))
 
-    @property
-    def n_nodes(self) -> int:
-        return self._view.n_nodes
-
-    @property
-    def view(self) -> SocialView:
-        return self._view
-
-    @property
-    def interactions(self):
-        return self._interactions
-
-    @property
-    def config(self) -> SocialTrustConfig:
-        return self._config
-
     def invalidate_cache(self) -> None:
         """Drop the static structure after mutating the social view."""
+        self._factors_csr = None
         self._F = None
-        self._factors = None
         self._pu = None
         self._pu_keys = None
         self._pu_is_adj = None
@@ -192,54 +169,19 @@ class SparseClosenessComputer:
 
     # -- static structure ------------------------------------------------------
 
-    def _adjacency_csr(self) -> sparse.csr_matrix:
-        view = self._view
-        builder = getattr(view, "adjacency_csr", None)
-        if builder is not None:
-            return builder().tocsr()
-        # Generic SocialView: one pass over the friend sets, O(n + m).
-        rows: list[int] = []
-        cols: list[int] = []
-        for i in range(view.n_nodes):
-            for j in view.friends(i):
-                rows.append(i)
-                cols.append(j)
-        return sparse.csr_matrix(
-            (np.ones(len(rows), dtype=bool), (rows, cols)),
-            shape=(view.n_nodes, view.n_nodes),
-        )
-
     def _structure(self) -> None:
-        """Build the CSR adjacency, relationship factors, and the static
-        union pattern ``Pu`` with its per-entry masks."""
+        """Build the float adjacency and the static union pattern ``Pu``
+        with its per-entry masks from the relationship-factor CSR."""
         if self._F is not None:
             return
         n = self.n_nodes
-        view = self._view
-        cfg = self._config
-        adj = self._adjacency_csr()
-        adj.sort_indices()
-        arows = np.repeat(np.arange(n, dtype=np.int64), np.diff(adj.indptr))
-        factor_data = np.empty(adj.nnz, dtype=np.float64)
-        factor_of: dict[tuple[int, int], float] = {}
-        for k in range(adj.nnz):
-            i = int(arows[k])
-            j = int(adj.indices[k])
-            key = (i, j) if i < j else (j, i)
-            value = factor_of.get(key)
-            if value is None:
-                value = relationship_factor(
-                    view.relationships(i, j),
-                    hardened=cfg.hardened,
-                    lambda_scaling=cfg.lambda_scaling,
-                )
-                factor_of[key] = value
-            factor_data[k] = value
-        self._factors = sparse.csr_matrix(
-            (factor_data, adj.indices.copy(), adj.indptr.copy()), shape=(n, n)
-        )
+        factors = self._relationship_factors()
         f = sparse.csr_matrix(
-            (np.ones(adj.nnz, dtype=np.float64), adj.indices.copy(), adj.indptr.copy()),
+            (
+                np.ones(factors.nnz, dtype=np.float64),
+                factors.indices.copy(),
+                factors.indptr.copy(),
+            ),
             shape=(n, n),
         )
         self._F = f
@@ -278,28 +220,6 @@ class SparseClosenessComputer:
             out[pos] = mat.data
         return out
 
-    # -- scalar reference path -------------------------------------------------
-
-    def adjacent(self, i: int, j: int) -> float:
-        """Eq. (2) / Eq. (10) first branch — identical to the dense scalar."""
-        factor = relationship_factor(
-            self._view.relationships(i, j),
-            hardened=self._config.hardened,
-            lambda_scaling=self._config.lambda_scaling,
-        )
-        if factor == 0.0:
-            return 0.0
-        return factor * self._interactions.share(i, j)
-
-    def _path_min(self, i: int, j: int) -> float:
-        path = self._view.path(i, j)
-        if len(path) < 2:
-            return 0.0
-        return min(
-            self.adjacent(path[step], path[step + 1])
-            for step in range(len(path) - 1)
-        )
-
     def closeness(self, i: int, j: int) -> float:
         """Scalar ``Ωc(i, j)`` read through the sparse machinery."""
         if i == j:
@@ -314,7 +234,7 @@ class SparseClosenessComputer:
 
         Path-fallback pairs (non-adjacent, zero common friends, but
         connected) are *not* in the support; :meth:`pair_values` walks
-        them exactly on demand when ``sparse_top_k`` is unset.
+        them exactly on demand.
         """
         self._structure()
         version = self._interactions.version
@@ -322,7 +242,7 @@ class SparseClosenessComputer:
             return self._cached_matrix
         n = self.n_nodes
         f = self._F
-        factors = self._factors
+        factors = self._relationship_factors()
         dirty = (
             self._interactions.rows_changed_since(self._cached_version)
             if self._a is not None
@@ -392,21 +312,15 @@ class SparseClosenessComputer:
         )
         data[self._pu_diag] = 0.0
         pu = self._pu
-        out = sparse.csr_matrix(
+        return sparse.csr_matrix(
             (data, pu.indices.copy(), pu.indptr.copy()), shape=pu.shape
         )
-        k = self._config.sparse_top_k
-        if k is not None:
-            out = _truncate_top_k(out, k)
-        return out
 
     def pair_values(self, raters, ratees) -> np.ndarray:
         """``Ωc`` over pair arrays — the detector's gather primitive.
 
-        Exact mode (``sparse_top_k`` unset): pairs off the union support
-        are walked through the shortest-path fallback, matching the dense
-        matrix entry for entry.  Truncated mode: off-support (and
-        truncated) pairs read as 0.
+        Pairs off the union support are walked through the shortest-path
+        fallback, matching the dense matrix entry for entry.
         """
         i = np.asarray(raters, dtype=np.int64)
         j = np.asarray(ratees, dtype=np.int64)
@@ -414,18 +328,17 @@ class SparseClosenessComputer:
             return np.zeros(0, dtype=np.float64)
         mat = self.matrix_csr()
         values = np.asarray(mat[i, j], dtype=np.float64).ravel().copy()
-        if self._config.sparse_top_k is None:
-            keys = i * np.int64(self.n_nodes) + j
-            if self._pu_keys.size:
-                pos = np.minimum(
-                    np.searchsorted(self._pu_keys, keys), self._pu_keys.size - 1
-                )
-                off = self._pu_keys[pos] != keys
-            else:
-                off = np.ones(keys.shape, dtype=bool)
-            for t in np.flatnonzero(off):
-                if i[t] != j[t]:
-                    values[t] = self._path_min(int(i[t]), int(j[t]))
+        keys = i * np.int64(self.n_nodes) + j
+        if self._pu_keys.size:
+            pos = np.minimum(
+                np.searchsorted(self._pu_keys, keys), self._pu_keys.size - 1
+            )
+            off = self._pu_keys[pos] != keys
+        else:
+            off = np.ones(keys.shape, dtype=bool)
+        for t in np.flatnonzero(off):
+            if i[t] != j[t]:
+                values[t] = self._path_min(int(i[t]), int(j[t]))
         return values
 
     def closeness_matrix(self) -> np.ndarray:
@@ -437,35 +350,15 @@ class SparseClosenessComputer:
                 "matrix_csr() / pair_values() at this scale"
             )
         out = self.matrix_csr().toarray()
-        if self._config.sparse_top_k is None:
-            adj = self._F.toarray() > 0
-            common = (self._F @ self._F).toarray()
-            need = (~adj) & (common == 0)
-            np.fill_diagonal(need, False)
-            for i, j in np.argwhere(need):
-                out[i, j] = self._path_min(int(i), int(j))
+        adj = self._F.toarray() > 0
+        common = (self._F @ self._F).toarray()
+        need = (~adj) & (common == 0)
+        np.fill_diagonal(need, False)
+        for i, j in np.argwhere(need):
+            out[i, j] = self._path_min(int(i), int(j))
         np.fill_diagonal(out, 0.0)
         out.flags.writeable = False
         return out
-
-    # -- band summaries --------------------------------------------------------
-
-    def rater_band(
-        self, rater: int, rated: frozenset[int] | set[int]
-    ) -> RaterBand | None:
-        js = np.array(sorted(j for j in rated if j != rater), dtype=np.int64)
-        if js.size == 0:
-            return None
-        values = self.pair_values(np.full(js.size, rater, dtype=np.int64), js)
-        return RaterBand.from_values([float(v) for v in values])
-
-    def global_band(self, pairs: list[tuple[int, int]]) -> RaterBand | None:
-        keep = [(i, j) for i, j in pairs if i != j]
-        if not keep:
-            return None
-        arr = np.asarray(keep, dtype=np.int64)
-        values = self.pair_values(arr[:, 0], arr[:, 1])
-        return RaterBand.from_values([float(v) for v in values])
 
     # -- checkpointing ---------------------------------------------------------
 
@@ -515,23 +408,7 @@ class SparseClosenessComputer:
         self._t2_updates = int(state.get("t2_updates", 0))
 
 
-def _truncate_top_k(mat: sparse.csr_matrix, k: int) -> sparse.csr_matrix:
-    """Keep each row's ``k`` largest entries; drop the rest (read as 0).
-
-    Ties at the cut are broken arbitrarily (argpartition order) — callers
-    opted into an approximation by setting ``sparse_top_k`` at all.
-    """
-    counts = np.diff(mat.indptr)
-    for row in np.flatnonzero(counts > k):
-        start, end = mat.indptr[row], mat.indptr[row + 1]
-        values = mat.data[start:end]
-        drop = np.argpartition(values, values.size - k)[: values.size - k]
-        values[drop] = 0.0
-    mat.eliminate_zeros()
-    return mat
-
-
-class SparseSimilarityComputer:
+class SparseSimilarityComputer(PairBands):
     """Row-wise drop-in for :class:`~repro.core.similarity.SimilarityComputer`.
 
     The interest dimension ``k`` is small, so no sparse matrices are
@@ -650,23 +527,6 @@ class SparseSimilarityComputer:
         np.fill_diagonal(out, 0.0)
         out.flags.writeable = False
         return out
-
-    def rater_band(
-        self, rater: int, rated: frozenset[int] | set[int]
-    ) -> RaterBand | None:
-        js = np.array(sorted(j for j in rated if j != rater), dtype=np.int64)
-        if js.size == 0:
-            return None
-        values = self.pair_values(np.full(js.size, rater, dtype=np.int64), js)
-        return RaterBand.from_values([float(v) for v in values])
-
-    def global_band(self, pairs: list[tuple[int, int]]) -> RaterBand | None:
-        keep = [(i, j) for i, j in pairs if i != j]
-        if not keep:
-            return None
-        arr = np.asarray(keep, dtype=np.int64)
-        values = self.pair_values(arr[:, 0], arr[:, 1])
-        return RaterBand.from_values([float(v) for v in values])
 
     # -- checkpointing ---------------------------------------------------------
 

@@ -49,7 +49,11 @@ from repro.reputation import (
     SimilarityWeightedModel,
 )
 from repro.social import AssignedSocialNetwork, InteractionLedger, InterestProfiles
-from repro.social.generators import paper_social_network
+from repro.social.generators import (
+    assign_relationships,
+    assigned_distance_matrix,
+    paper_social_network,
+)
 from repro.utils.rng import RngStream, spawn_rng
 
 __all__ = [
@@ -452,9 +456,6 @@ def build_world(
     )
     if compromised:
         # Re-generate with the extra distance-1 pinnings.
-        from repro.social.generators import assigned_distance_matrix
-        from repro.social.graph import Relationship
-
         colluder_pairs = [
             (a, b)
             for ai, a in enumerate(config.colluder_ids)
@@ -466,17 +467,9 @@ def build_world(
         distances = assigned_distance_matrix(
             config.n_nodes, rng, unit_distance_pairs=pinned
         )
-        network = AssignedSocialNetwork(distances)
-        colluder_set = set(config.colluder_ids) | set(compromised)
-        for i in range(config.n_nodes):
-            for j in range(i + 1, config.n_nodes):
-                if distances[i, j] != 1:
-                    continue
-                if i in colluder_set and j in colluder_set:
-                    count = int(rng.integers(3, 6))
-                else:
-                    count = int(rng.integers(1, 3))
-                network.set_relationships(i, j, [Relationship()] * count)
+        network = assign_relationships(
+            distances, set(config.colluder_ids) | set(compromised), rng
+        )
     interactions = InteractionLedger(config.n_nodes)
     profiles = InterestProfiles(config.n_nodes, config.n_interests)
     for spec in population:

@@ -5,9 +5,10 @@ bundle (the ``repro simulate --trace`` path); :func:`render_file_report`
 re-reads an exported JSONL trace (the ``repro obs report FILE`` path).
 Both produce the same three sections:
 
-* **phases** — per-span-name count / total / mean / max wall-clock, so
-  the engine's candidate-build / selection / rating-flush / cache-patch
-  split is visible at a glance;
+* **phases** — :func:`~repro.obs.profiler.profile_spans` per span name:
+  calls, self, cumulative and max wall-clock, sorted by self time, so the
+  engine's candidate-build / selection / rating-flush / cache-patch split
+  is visible at a glance;
 * **metrics** — the registry's counters, gauges and histogram summaries;
 * **detector audit** — damped/accepted totals, per-behaviour counts and
   the heaviest-damped pairs.
@@ -15,49 +16,26 @@ Both produce the same three sections:
 
 from __future__ import annotations
 
-from typing import Any, Iterable
+from typing import Any
 
-__all__ = ["render_report", "render_file_report", "phase_table"]
+from repro.obs.profiler import PhaseStat, profile_spans
 
-
-def phase_table(span_events: Iterable[dict[str, Any]]) -> list[dict[str, Any]]:
-    """Aggregate span events by name → count/total/mean/max rows, sorted
-    by total descending."""
-    stats: dict[str, dict[str, float]] = {}
-    for event in span_events:
-        row = stats.setdefault(
-            event["name"], {"count": 0, "total": 0.0, "max": 0.0}
-        )
-        row["count"] += 1
-        row["total"] += event["duration"]
-        row["max"] = max(row["max"], event["duration"])
-    table = [
-        {
-            "name": name,
-            "count": int(row["count"]),
-            "total_s": row["total"],
-            "mean_s": row["total"] / row["count"],
-            "max_s": row["max"],
-        }
-        for name, row in stats.items()
-    ]
-    table.sort(key=lambda r: r["total_s"], reverse=True)
-    return table
+__all__ = ["render_report", "render_file_report"]
 
 
-def _phase_lines(table: list[dict[str, Any]]) -> list[str]:
-    if not table:
+def _phase_lines(stats: list[PhaseStat]) -> list[str]:
+    if not stats:
         return ["  (no spans recorded — was tracing enabled?)"]
-    width = max(len(r["name"]) for r in table)
+    width = max(len(s.name) for s in stats)
     lines = [
-        f"  {'phase'.ljust(width)}  {'count':>7}  {'total':>10}  "
-        f"{'mean':>10}  {'max':>10}"
+        f"  {'phase'.ljust(width)}  {'calls':>7}  {'self':>10}  "
+        f"{'cum':>10}  {'max':>10}"
     ]
-    for row in table:
+    for s in stats:
         lines.append(
-            f"  {row['name'].ljust(width)}  {row['count']:>7d}  "
-            f"{row['total_s'] * 1e3:>8.2f}ms  {row['mean_s'] * 1e6:>8.1f}us  "
-            f"{row['max_s'] * 1e3:>8.2f}ms"
+            f"  {s.name.ljust(width)}  {s.calls:>7d}  "
+            f"{s.self_s * 1e3:>8.2f}ms  {s.cumulative_s * 1e3:>8.2f}ms  "
+            f"{s.max_s * 1e3:>8.2f}ms"
         )
     return lines
 
@@ -118,7 +96,7 @@ def _render(
     title: str,
 ) -> str:
     lines = [title, "", "== phases =="]
-    lines += _phase_lines(phase_table(span_events))
+    lines += _phase_lines(profile_spans(span_events))
     lines += ["", "== metrics =="]
     lines += _metrics_lines(metrics)
     lines += ["", "== detector audit =="]

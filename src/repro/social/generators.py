@@ -5,7 +5,9 @@ Builders for the two social-network representations:
 * :func:`paper_social_network` — the assigned-distance network of the
   paper's evaluation (Section 5.1): colluder pairs at distance 1 with 3-5
   same-weight relationships, all other pairs at a distance uniform over
-  [1, 3] with 1-2 relationships when adjacent.
+  [1, 3] with 1-2 relationships when adjacent;
+  :func:`assign_relationships` draws those relationship counts over any
+  assigned distance matrix.
 * :func:`preferential_attachment_graph` — a scale-free friendship graph for
   the Overstock trace substrate (social degree distributions are heavy
   tailed; Fig. 2 relies on friend counts varying over orders of magnitude).
@@ -14,7 +16,7 @@ Builders for the two social-network representations:
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -22,6 +24,7 @@ from repro.social.graph import AssignedSocialNetwork, Relationship, SocialGraph
 from repro.utils.rng import RngStream
 
 __all__ = [
+    "assign_relationships",
     "assigned_distance_matrix",
     "paper_social_network",
     "preferential_attachment_graph",
@@ -86,21 +89,46 @@ def paper_social_network(
     distances = assigned_distance_matrix(n_nodes, rng)
     for i, j in colluder_pairs:
         distances[i, j] = distances[j, i] = colluder_distance
+    return assign_relationships(
+        distances,
+        colluders,
+        rng,
+        normal_relationship_range=normal_relationship_range,
+        colluder_relationship_range=colluder_relationship_range,
+        relationship_weight=relationship_weight,
+    )
+
+
+def assign_relationships(
+    distances: np.ndarray,
+    colluder_ids: Iterable[int],
+    rng: RngStream,
+    *,
+    normal_relationship_range: tuple[int, int] = (1, 2),
+    colluder_relationship_range: tuple[int, int] = (3, 5),
+    relationship_weight: float = 1.0,
+) -> AssignedSocialNetwork:
+    """The assigned-distance network with the paper's relationship counts.
+
+    Every adjacent pair gets a tie count drawn uniformly from
+    ``colluder_relationship_range`` when both ends are colluders and from
+    ``normal_relationship_range`` otherwise; all ties carry
+    ``relationship_weight``.  The counts come from one array-bound
+    ``rng.integers`` call over the adjacent upper-triangle pairs in
+    row-major order, which yields the same values, and leaves ``rng`` in
+    the same state, as one scalar draw per pair in that order.
+    """
     net = AssignedSocialNetwork(distances)
-    colluder_set = set(colluders)
+    colluder = np.zeros(net.n_nodes, dtype=bool)
+    colluder[np.fromiter(colluder_ids, dtype=np.int64)] = True
+    rows, cols = np.nonzero(np.triu(net.distance_matrix == 1, k=1))
+    both = colluder[rows] & colluder[cols]
     lo_n, hi_n = normal_relationship_range
     lo_c, hi_c = colluder_relationship_range
-    for i in range(n_nodes):
-        for j in range(i + 1, n_nodes):
-            if distances[i, j] != 1:
-                continue
-            if i in colluder_set and j in colluder_set:
-                count = int(rng.integers(lo_c, hi_c + 1))
-            else:
-                count = int(rng.integers(lo_n, hi_n + 1))
-            net.set_relationships(
-                i, j, [Relationship(weight=relationship_weight)] * count
-            )
+    counts = rng.integers(np.where(both, lo_c, lo_n), np.where(both, hi_c, hi_n) + 1)
+    tie = Relationship(weight=relationship_weight)
+    for i, j, count in zip(rows.tolist(), cols.tolist(), counts.tolist()):
+        net.set_relationships(i, j, [tie] * count)
     return net
 
 

@@ -18,15 +18,20 @@ the :class:`SocialView` protocol that :mod:`repro.core.closeness` consumes:
 
 Each adjacent pair carries a list of :class:`Relationship` records: the count
 ``m(i,j)`` feeds Eq. (2) and the sorted weights feed the hardened Eq. (10)
-(``sum_l lambda^(l-1) * w_dl``).
+(``sum_l lambda^(l-1) * w_dl``).  Both views build that factor for every
+pair at once with ``relationship_factors()``: a symmetric CSR whose
+explicit entries are the adjacency, the structure both closeness
+computers read.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Protocol, Sequence, runtime_checkable
+from functools import cache
+from typing import Callable, Iterable, Protocol, Sequence, runtime_checkable
 
 import numpy as np
+from scipy import sparse
 
 from repro.utils.validation import check_positive
 
@@ -89,6 +94,46 @@ def relationship_factor(
     return total
 
 
+def _factor_lookup(
+    *, hardened: bool, lambda_scaling: float
+) -> Callable[[tuple[Relationship, ...]], float]:
+    """:func:`relationship_factor` memoised per distinct tie tuple: a
+    network has few distinct tie lists (at most 5 in the paper's world),
+    so a structure build evaluates the formula a handful of times."""
+    return cache(
+        lambda ties: relationship_factor(
+            ties, hardened=hardened, lambda_scaling=lambda_scaling
+        )
+    )
+
+
+def _pair_factors(
+    rels: dict[tuple[int, int], list[Relationship]],
+    factor: Callable[[tuple[Relationship, ...]], float],
+) -> tuple[np.ndarray, np.ndarray]:
+    """``(pairs, factors)`` of a ``{(i, j): ties}`` store, in its order:
+    an ``(m, 2)`` int array and the ``m`` factors."""
+    pairs = np.array(list(rels), dtype=np.int64).reshape(-1, 2)
+    data = np.fromiter(
+        map(factor, map(tuple, rels.values())), dtype=np.float64, count=len(rels)
+    )
+    return pairs, data
+
+
+def _symmetric_csr(
+    n_nodes: int, rows: np.ndarray, cols: np.ndarray, data: np.ndarray
+) -> sparse.csr_matrix:
+    """Canonical CSR holding each unique pair ``(rows[k], cols[k])`` and its
+    mirror, both with value ``data[k]``."""
+    return sparse.csr_matrix(
+        (
+            np.concatenate([data, data]),
+            (np.concatenate([rows, cols]), np.concatenate([cols, rows])),
+        ),
+        shape=(n_nodes, n_nodes),
+    )
+
+
 @runtime_checkable
 class SocialView(Protocol):
     """What the SocialTrust closeness computation needs from a social network."""
@@ -101,6 +146,14 @@ class SocialView(Protocol):
     def friends(self, i: int) -> frozenset[int]: ...
 
     def relationships(self, i: int, j: int) -> tuple[Relationship, ...]: ...
+
+    def relationship_factors(
+        self, *, hardened: bool, lambda_scaling: float
+    ) -> sparse.csr_matrix:
+        """The static Ωc relationship structure: a symmetric CSR whose
+        explicit entries are the adjacency and whose values are each
+        pair's :func:`relationship_factor`."""
+        ...
 
     def distance(self, i: int, j: int) -> int:
         """Hop distance; ``UNREACHABLE`` when no path exists."""
@@ -251,22 +304,16 @@ class SocialGraph:
             out[a, b] = out[b, a] = True
         return out
 
-    def adjacency_csr(self) -> "sparse.csr_matrix":
-        """Boolean adjacency as a CSR matrix, built O(n + m) from the edge
-        set (never densified — this is the 10^5-node entry point for the
-        sparse coefficient backend)."""
-        from scipy import sparse
-
-        m = len(self._rels)
-        rows = np.empty(2 * m, dtype=np.int64)
-        cols = np.empty(2 * m, dtype=np.int64)
-        for k, (a, b) in enumerate(self._rels):
-            rows[2 * k], cols[2 * k] = a, b
-            rows[2 * k + 1], cols[2 * k + 1] = b, a
-        data = np.ones(2 * m, dtype=bool)
-        return sparse.csr_matrix(
-            (data, (rows, cols)), shape=(self._n, self._n), dtype=bool
+    def relationship_factors(
+        self, *, hardened: bool, lambda_scaling: float
+    ) -> sparse.csr_matrix:
+        """:meth:`SocialView.relationship_factors`, built O(n + m) from the
+        edge set in one pass over the unique pairs."""
+        pairs, data = _pair_factors(
+            self._rels,
+            _factor_lookup(hardened=hardened, lambda_scaling=lambda_scaling),
         )
+        return _symmetric_csr(self._n, pairs[:, 0], pairs[:, 1], data)
 
 
 class AssignedSocialNetwork:
@@ -351,11 +398,19 @@ class AssignedSocialNetwork:
         _check_node(self._n, j)
         return int(self._d[i, j])
 
-    def adjacency_csr(self) -> "sparse.csr_matrix":
-        """Boolean adjacency (assigned distance 1) as a CSR matrix."""
-        from scipy import sparse
-
-        return sparse.csr_matrix(self._d == 1)
+    def relationship_factors(
+        self, *, hardened: bool, lambda_scaling: float
+    ) -> sparse.csr_matrix:
+        """:meth:`SocialView.relationship_factors` over the distance-1
+        pairs; a pair without explicit ties carries the single default tie
+        :meth:`relationships` reports for it."""
+        factor = _factor_lookup(hardened=hardened, lambda_scaling=lambda_scaling)
+        n = self._n
+        rows, cols = np.nonzero(np.triu(self._d == 1, k=1))
+        data = np.full(rows.size, factor((Relationship(),)))
+        pairs, explicit = _pair_factors(self._rels, factor)
+        data[np.searchsorted(rows * n + cols, pairs[:, 0] * n + pairs[:, 1])] = explicit
+        return _symmetric_csr(n, rows, cols, data)
 
     def path(self, i: int, j: int) -> list[int]:
         """Shortest path over the distance-1 adjacency graph; [] if none."""

@@ -129,10 +129,11 @@ class InteractionLedger:
     def share_pairs(self, raters: np.ndarray, ratees: np.ndarray) -> np.ndarray:
         """Vectorised :meth:`share` over pair arrays — the lookup the sparse
         coefficient backend uses so it never materialises the full share
-        matrix."""
+        matrix.  Memory is O(n + pairs): the row totals are gathered once,
+        never a count row per pair."""
         i = np.asarray(raters, dtype=np.int64)
         j = np.asarray(ratees, dtype=np.int64)
-        totals = self._counts[i].sum(axis=1)
+        totals = self.row_totals()[i]
         return np.divide(
             self._counts[i, j],
             totals,

@@ -3,8 +3,8 @@
 The sparse backend (:mod:`repro.core.sparse`) must agree with the dense
 computers everywhere both are defined: full-matrix values, sampled pair
 values, band summaries, and the detector's end-to-end damping weights.
-Exact mode (``sparse_top_k=None``) has no approximation — only float
-summation order differs — so the tolerance here is tight.
+The sparse path has no approximation — only float summation order
+differs — so the tolerance here is tight.
 """
 
 import numpy as np
@@ -194,28 +194,6 @@ class TestIncrementalSparseCache:
         ledger.record(2, 3, 1.0)
         sc.closeness_matrix()  # interval reached → exact rebuild
         assert sc._t2_updates == 0
-
-
-class TestTopKTruncation:
-    def test_rows_capped_and_strongest_kept(self):
-        network, ledger, profiles, rng = make_world(10)
-        seed_traffic(ledger, profiles, rng)
-        k = 3
-        cfg = SocialTrustConfig(coefficient_backend="sparse", sparse_top_k=k)
-        full = SparseClosenessComputer(
-            network, ledger, SocialTrustConfig(coefficient_backend="sparse")
-        ).closeness_matrix()
-        truncated = SparseClosenessComputer(network, ledger, cfg).closeness_matrix()
-        full = np.asarray(full)
-        truncated = np.asarray(truncated)
-        for row in range(N):
-            kept = np.flatnonzero(truncated[row])
-            assert kept.size <= k
-            np.testing.assert_allclose(truncated[row][kept], full[row][kept])
-            if kept.size:
-                dropped = np.setdiff1d(np.flatnonzero(full[row]), kept)
-                if dropped.size:
-                    assert full[row][dropped].max() <= full[row][kept].min() + 1e-12
 
 
 class TestSparseDetector:

@@ -1,26 +1,21 @@
 """Tests for the phases/metrics/audit text report."""
 
 from repro.obs import Observability, render_file_report
-from repro.obs.report import phase_table
 
 
-class TestPhaseTable:
-    def test_aggregates_by_name_sorted_by_total(self):
-        spans = [
-            {"name": "a", "duration": 0.1},
-            {"name": "a", "duration": 0.3},
-            {"name": "b", "duration": 1.0},
-        ]
-        table = phase_table(spans)
-        assert [row["name"] for row in table] == ["b", "a"]
-        a = table[1]
-        assert a["count"] == 2
-        assert a["total_s"] == 0.4
-        assert a["mean_s"] == 0.2
-        assert a["max_s"] == 0.3
+def _phase_row(text, name):
+    return next(
+        line.split() for line in text.splitlines() if line.split()[:1] == [name]
+    )
 
-    def test_empty(self):
-        assert phase_table([]) == []
+
+def _nested_bundle():
+    """``outer`` wraps a pre-measured 0.25 s ``inner`` span: the phases
+    table must charge that time to ``inner``'s self column, not ``outer``'s."""
+    obs = Observability()
+    with obs.tracer.span("outer"):
+        obs.tracer.record("inner", 0.25)
+    return obs
 
 
 class TestRenderReport:
@@ -35,8 +30,17 @@ class TestRenderReport:
         assert "== metrics ==" in text
         assert "== detector audit ==" in text
         assert "engine.selection" in text
+        assert _phase_row(text, "phase") == ["phase", "calls", "self", "cum", "max"]
         assert "detector.intervals" in text
         assert "[counter] 1" in text
+
+    def test_phases_charge_self_time_to_the_child(self):
+        text = _nested_bundle().report()
+        assert _phase_row(text, "inner") == [
+            "inner", "1", "250.00ms", "250.00ms", "250.00ms"
+        ]
+        outer = _phase_row(text, "outer")
+        assert outer[:3] == ["outer", "1", "0.00ms"]
 
     def test_empty_bundle_renders_placeholders(self):
         text = Observability(tracing=False).report()
@@ -53,5 +57,14 @@ class TestRenderReport:
         obs.export_jsonl(path)
         text = render_file_report(path)
         assert "phase.x" in text
+        assert _phase_row(text, "phase.x")[1] == "1"
         assert "[gauge] 4" in text
         assert "== detector audit ==" in text
+
+    def test_file_report_keeps_self_column(self, tmp_path):
+        obs = _nested_bundle()
+        path = tmp_path / "trace.jsonl"
+        obs.export_jsonl(path)
+        text = render_file_report(path)
+        assert _phase_row(text, "inner") == _phase_row(obs.report(), "inner")
+        assert _phase_row(text, "outer")[2] == "0.00ms"

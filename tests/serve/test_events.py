@@ -147,6 +147,33 @@ class TestStreamFiles:
         with pytest.raises(ValueError, match="unknown WorldConfig field"):
             ScenarioSpec.from_dict({"world": {"engine": "turbo"}})
 
+    def test_retired_null_sparse_top_k_dropped(self):
+        """``SocialTrustConfig.to_dict()`` wrote ``sparse_top_k`` while the
+        knob existed; its null value loads as the plain spec."""
+        from repro.api import ScenarioSpec
+        from repro.core import SocialTrustConfig
+
+        stored = SocialTrustConfig().to_dict()
+        spec = ScenarioSpec(seed=5, world={"n_nodes": 20, "socialtrust": stored})
+        old = spec.to_dict()
+        old["world"]["socialtrust"] = {**stored, "sparse_top_k": None}
+        loaded = ScenarioSpec.from_dict(old)
+        assert loaded == spec
+        assert SocialTrustConfig(**loaded.world["socialtrust"]) == SocialTrustConfig()
+
+    def test_retired_sparse_top_k_value_rejected(self):
+        """A set ``sparse_top_k`` ran a truncation that no longer exists."""
+        from repro.api import ScenarioSpec
+        from repro.core import SocialTrustConfig
+
+        old = {
+            "world": {
+                "socialtrust": {**SocialTrustConfig().to_dict(), "sparse_top_k": 8}
+            }
+        }
+        with pytest.raises(ValueError, match="sparse_top_k"):
+            ScenarioSpec.from_dict(old)
+
     def test_headerless_stream(self, tmp_path):
         path = tmp_path / "stream.jsonl"
         write_event_stream(path, [WatermarkEvent()])

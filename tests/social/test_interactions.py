@@ -1,5 +1,7 @@
 """Tests for the interaction-frequency ledger."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -169,6 +171,42 @@ class TestRecordMany:
         version = ledger.version
         ledger.record_many(np.array([], dtype=int), np.array([], dtype=int))
         assert ledger.version == version
+
+
+class TestSharePairs:
+    N = 1000
+    PAIRS = 5000
+
+    def _ledger_and_pairs(self):
+        rng = np.random.default_rng(0)
+        ledger = InteractionLedger(self.N)
+        i = rng.integers(0, self.N, 20000)
+        ledger.record_many(i, (i + rng.integers(1, self.N, i.size)) % self.N)
+        raters = rng.integers(0, self.N, self.PAIRS)
+        ratees = (raters + rng.integers(1, self.N, self.PAIRS)) % self.N
+        ledger.record(int(raters[0]), int(ratees[0]))
+        return ledger, raters, ratees
+
+    def test_bitwise_equal_to_scalar_share(self):
+        ledger, raters, ratees = self._ledger_and_pairs()
+        got = ledger.share_pairs(raters, ratees)
+        want = np.array(
+            [ledger.share(int(i), int(j)) for i, j in zip(raters, ratees)]
+        )
+        assert np.array_equal(got, want)
+
+    def test_memory_is_linear_in_nodes_plus_pairs(self):
+        """A count row per pair would peak at ``8 * N * PAIRS`` bytes (40 MB
+        here); the row totals gathered once keep the peak to a few words
+        per node and per pair."""
+        ledger, raters, ratees = self._ledger_and_pairs()
+        tracemalloc.start()
+        try:
+            ledger.share_pairs(raters, ratees)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 32 * (self.N + self.PAIRS)
 
 
 class TestVersionTracking:

@@ -183,9 +183,7 @@ class SimilarityComputer(PairBands):
                 self._cached_numer[dirty, :] = rows
                 self._cached_numer[:, dirty] = rows.T
             numer = self._cached_numer
-            sizes = np.array(
-                [len(self._effective_set(i)) for i in range(n)], dtype=np.float64
-            )
+            sizes = profiles.effective_set_sizes()
             denom = np.minimum.outer(sizes, sizes)
             out = np.divide(numer, denom, out=np.zeros((n, n)), where=denom > 0)
         np.fill_diagonal(out, 0.0)

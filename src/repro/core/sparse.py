@@ -429,8 +429,6 @@ class SparseSimilarityComputer(PairBands):
         self._config = config or SocialTrustConfig()
         self._weights: np.ndarray | None = None
         self._weights_version = -1
-        self._declared: np.ndarray | None = None
-        self._declared_cached_version = -1
         self._sizes: np.ndarray | None = None
         self._sizes_decl_version = -1
         self._sizes_req_version = -1
@@ -454,13 +452,6 @@ class SparseSimilarityComputer(PairBands):
             self._weights_version = p.version
         return self._weights
 
-    def _declared_rows(self) -> np.ndarray:
-        p = self._profiles
-        if self._declared is None or self._declared_cached_version != p.declared_version:
-            self._declared = p.declared_matrix()
-            self._declared_cached_version = p.declared_version
-        return self._declared
-
     def _set_sizes(self) -> np.ndarray:
         """Per-node interest-set sizes: |declared| in plain mode,
         |declared ∪ behavioural| in hardened mode."""
@@ -472,12 +463,10 @@ class SparseSimilarityComputer(PairBands):
             or self._sizes_decl_version != decl_v
             or self._sizes_req_version != req_v
         ):
-            declared = self._declared_rows()
             if self._config.hardened:
-                effective = declared | (self._weight_rows() > 0)
-                self._sizes = effective.sum(axis=1).astype(np.float64)
+                self._sizes = p.effective_set_sizes()
             else:
-                self._sizes = declared.sum(axis=1).astype(np.float64)
+                self._sizes = p.declared_matrix().sum(axis=1).astype(np.float64)
             self._sizes_decl_version = decl_v
             self._sizes_req_version = req_v
         return self._sizes
@@ -498,7 +487,7 @@ class SparseSimilarityComputer(PairBands):
             w = self._weight_rows()
             numer = np.einsum("ij,ij->i", w[i], w[j])
         else:
-            d = self._declared_rows()
+            d = self._profiles.declared_matrix()
             numer = (d[i] & d[j]).sum(axis=1).astype(np.float64)
         denom = np.minimum(sizes[i], sizes[j])
         out = np.divide(
@@ -519,7 +508,7 @@ class SparseSimilarityComputer(PairBands):
             w = self._weight_rows()
             numer = w @ w.T
         else:
-            d = self._declared_rows().astype(np.float64)
+            d = self._profiles.declared_matrix().astype(np.float64)
             numer = d @ d.T
         sizes = self._set_sizes()
         denom = np.minimum.outer(sizes, sizes)
@@ -545,8 +534,6 @@ class SparseSimilarityComputer(PairBands):
             )
         self._weights = None
         self._weights_version = -1
-        self._declared = None
-        self._declared_cached_version = -1
         self._sizes = None
         self._sizes_decl_version = -1
         self._sizes_req_version = -1

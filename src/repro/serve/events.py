@@ -37,6 +37,7 @@ incompatible layout changes.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Iterable, Iterator, TextIO, Union
@@ -62,6 +63,10 @@ __all__ = [
 EVENT_SCHEMA_VERSION = 1
 
 
+#: Largest burst count: the ledgers' counters stay exact float64 integers.
+_MAX_COUNT = 2**53
+
+
 class EventDecodeError(ValueError):
     """A line could not be decoded into a known event."""
 
@@ -81,8 +86,15 @@ class RatingEvent:
     interest: int | None = None
 
     def __post_init__(self) -> None:
-        if self.count < 1:
-            raise ValueError(f"count must be >= 1, got {self.count}")
+        if not 1 <= self.count <= _MAX_COUNT:
+            raise ValueError(f"count must be in [1, 2**53], got {self.count}")
+        # ``value * count`` is the rating ledger's increment: a NaN would
+        # count as a negative rating, and an infinity (or a product that
+        # overflows) turns every reputation NaN at the next update.
+        if not math.isfinite(self.value * self.count):
+            raise ValueError(
+                f"value * count must be finite, got {self.value} * {self.count}"
+            )
         if self.rater == self.ratee:
             raise ValueError("self-ratings are not allowed")
         if self.interest is not None and self.count != 1:
@@ -102,8 +114,8 @@ class InteractionEvent:
     count: float = 1.0
 
     def __post_init__(self) -> None:
-        if self.count <= 0:
-            raise ValueError(f"count must be positive, got {self.count}")
+        if not 0 < self.count < math.inf:
+            raise ValueError(f"count must be positive and finite, got {self.count}")
         if self.source == self.target:
             raise ValueError("self-interactions are not meaningful")
 

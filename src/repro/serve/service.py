@@ -5,23 +5,34 @@
 while events arrive, instead of running the batch cycle loop:
 
 * mutation events (:class:`~repro.serve.events.RatingEvent`,
-  :class:`~repro.serve.events.InteractionEvent`,
-  :class:`~repro.serve.events.ChurnEvent`) are applied directly to the
-  incremental ledgers — the same dirty-row-versioned structures the
-  Ωc/Ωs caches key on, so each watermark's detector pass recomputes only
-  what the interval's events touched;
+  :class:`~repro.serve.events.InteractionEvent`) are validated one by
+  one — a rejected event raises in its own :meth:`~ReputationService.apply`
+  and leaves no trace — and an accepted one is *buffered*: its columns
+  (rater, ratee, value, count, interest, plus an interaction row) are
+  appended to plain lists in arrival order;
+* the buffer is flushed into the incremental ledgers — the same
+  dirty-row-versioned structures the Ωc/Ωs caches key on — with the
+  engine's three batched writes (``RatingLedger.record_many``,
+  ``InteractionLedger.record_many``, ``InterestProfiles.record_requests``)
+  before a watermark drains, before a :class:`~repro.serve.events.ChurnEvent`
+  decays interaction history, when a checkpoint is taken, and whenever
+  it reaches :data:`FLUSH_ROWS` rows, so a stream with no watermarks
+  holds bounded memory;
 * a :class:`~repro.serve.events.WatermarkEvent` (or the
   ``interval_events`` auto-watermark) drains the interval ledger and runs
   the full SocialTrust detector + damping + inner reputation update;
 * :class:`~repro.serve.events.QueryRequest` reads — reputation lookups
   and damping-weight probes — are answered from the live caches in O(1)
-  without touching state.
+  without touching state.  They never flush: SocialTrust reads its
+  inputs only at the watermark, so a pending event is invisible to every
+  reader until then whether or not it has reached a ledger.
 
-Because every ledger increment is an exact float64 integer step and the
-update at a watermark consumes exactly the drained interval, streaming a
-recorded scenario event-by-event reproduces the batch run's reputation
-vectors **bit-identically** at each watermark (pinned by the replay
-equivalence tests in ``tests/serve/``).
+Because every ledger increment is an exact float64 integer step,
+``np.add.at`` applies a flush's increments unbuffered in arrival order,
+and the update at a watermark consumes exactly the drained interval,
+streaming a recorded scenario event-by-event reproduces the batch run's
+reputation vectors **bit-identically** at each watermark (pinned by the
+replay equivalence tests in ``tests/serve/``).
 
 The service runs sync (:meth:`ReputationService.apply` /
 :meth:`ReputationService.serve_events`) or async: an
@@ -62,10 +73,14 @@ from repro.serve.events import (
     WatermarkEvent,
 )
 
-__all__ = ["ReputationService", "ServiceError"]
+__all__ = ["FLUSH_ROWS", "ReputationService", "ServiceError"]
 
 #: Sentinel that tells the ingestion loop to drain out and stop.
 _STOP = object()
+
+#: Buffered interaction rows (one per rating or interaction event) at
+#: which the ingest buffer is flushed without waiting for a watermark.
+FLUSH_ROWS = 4096
 
 
 class ServiceError(RuntimeError):
@@ -147,9 +162,10 @@ class ReputationService:
         self._intervals_run = 0
         self._history: list[np.ndarray] = []
         # Per-rater mutation-event counts within the current interval —
-        # the RepRank-style rating-flood signal.  O(1) per event; the
-        # top-share gauge is published at each watermark.
+        # the RepRank-style rating-flood signal.  Accumulated at each
+        # flush; the top-share gauge is published at each watermark.
         self._interval_rater_events = np.zeros(self._n, dtype=np.int64)
+        self._clear_buffer()
         self._queue: asyncio.Queue | None = None
         self._queue_maxsize = queue_maxsize
         self._running = False
@@ -257,10 +273,9 @@ class ReputationService:
             return self.run_watermark()
         return None
 
-    def _bump(self, rater: int) -> None:
+    def _bump(self) -> None:
         self._events_applied += 1
         self._events_this_interval += 1
-        self._interval_rater_events[rater] += 1
         self._c_total.inc()
 
     def _check_nodes(self, *nodes: int) -> None:
@@ -270,39 +285,99 @@ class ReputationService:
             if not 0 <= node < self._n:
                 raise ValueError(f"node {node} out of range [0, {self._n})")
 
+    def _check_pair(self, source: int, target: int) -> None:
+        """The endpoint checks the ledgers would make at flush time, made
+        now so a bad event is refused by its own :meth:`apply`."""
+        if not (0 <= source < self._n and 0 <= target < self._n):
+            self._check_nodes(source, target)
+        if source == target:
+            raise ValueError(f"self-pair {source} -> {target} is not allowed")
+
     def _apply_rating(self, event: RatingEvent) -> None:
-        self._check_nodes(event.rater, event.ratee)
-        if event.interest is not None and not 0 <= event.interest < self._k:
-            raise ValueError(
-                f"interest {event.interest} out of range [0, {self._k})"
-            )
-        # Order matches the engine's flush: rating ledger, then
-        # interaction frequency, then (genuine requests only) the
-        # behavioural interest counter.
-        self._ledger.record_batch(
-            event.rater, event.ratee, event.value, event.count
+        rater, ratee, count, interest = (
+            event.rater, event.ratee, event.count, event.interest
         )
-        self._interactions.record(event.rater, event.ratee, float(event.count))
-        if event.interest is not None:
-            self._profiles.record_request(event.rater, event.interest)
+        self._check_pair(rater, ratee)
+        if not count >= 1:
+            raise ValueError(f"count must be >= 1, got {count}")
+        if interest is not None and not 0 <= interest < self._k:
+            raise ValueError(f"interest {interest} out of range [0, {self._k})")
+        self._r_raters.append(rater)
+        self._r_ratees.append(ratee)
+        self._r_values.append(event.value)
+        self._r_counts.append(count)
+        if interest is not None:
+            self._q_nodes.append(rater)
+            self._q_interests.append(interest)
         self._c_rating.inc()
-        self._bump(event.rater)
+        self._buffer_interaction(rater, ratee, count)
 
     def _apply_interaction(self, event: InteractionEvent) -> None:
-        self._check_nodes(event.source, event.target)
-        self._interactions.record(event.source, event.target, event.count)
+        source, target, count = event.source, event.target, event.count
+        self._check_pair(source, target)
+        if not count > 0:
+            raise ValueError(f"count must be positive, got {count}")
         self._c_interaction.inc()
-        self._bump(event.source)
+        self._buffer_interaction(source, target, count)
+
+    def _buffer_interaction(self, source: int, target: int, count: float) -> None:
+        self._i_sources.append(source)
+        self._i_targets.append(target)
+        self._i_counts.append(count)
+        self._bump()
+        if len(self._i_sources) >= FLUSH_ROWS:
+            self._flush()
+
+    def _clear_buffer(self) -> None:
+        self._r_raters: list[int] = []
+        self._r_ratees: list[int] = []
+        self._r_values: list[float] = []
+        self._r_counts: list[int] = []
+        self._q_nodes: list[int] = []
+        self._q_interests: list[int] = []
+        self._i_sources: list[int] = []
+        self._i_targets: list[int] = []
+        self._i_counts: list[float] = []
+
+    def _flush(self) -> None:
+        """Write the buffered columns into the ledgers, in arrival order.
+
+        The same three batched calls as the engine's flush: rating ledger,
+        interaction frequency, then the behavioural interest counter.
+        Each is bit-identical to the per-event scalar writes it replaces
+        (``np.add.at`` is unbuffered and in order).
+        """
+        if not self._i_sources:
+            return
+        sources = np.array(self._i_sources, dtype=np.int64)
+        if self._r_raters:
+            self._ledger.record_many(
+                np.array(self._r_raters, dtype=np.int64),
+                np.array(self._r_ratees, dtype=np.int64),
+                np.array(self._r_values, dtype=np.float64),
+                np.array(self._r_counts, dtype=np.float64),
+            )
+        self._interactions.record_many(
+            sources,
+            np.array(self._i_targets, dtype=np.int64),
+            np.array(self._i_counts, dtype=np.float64),
+        )
+        if self._q_nodes:
+            self._profiles.record_requests(
+                np.array(self._q_nodes, dtype=np.int64),
+                np.array(self._q_interests, dtype=np.int64),
+            )
+        self._interval_rater_events += np.bincount(sources, minlength=self._n)
+        self._clear_buffer()
 
     def _apply_churn(self, event: ChurnEvent) -> None:
         self._check_nodes(*event.nodes)
+        self._flush()
         self._interactions.decay_nodes(
             np.asarray(event.nodes, dtype=np.int64), event.factor
         )
         self._c_churn.inc()
-        self._c_total.inc()
-        self._events_applied += 1
-        self._events_this_interval += 1
+        self._bump()
 
     def _apply_watermark(self, event: WatermarkEvent) -> np.ndarray:
         if event.cycle is not None and event.cycle < self._intervals_run:
@@ -315,6 +390,7 @@ class ReputationService:
     def run_watermark(self) -> np.ndarray:
         """Drain the interval and run the reputation update; returns the
         updated reputation vector."""
+        self._flush()
         interval = self._ledger.drain()
         start = time.perf_counter()
         with self._obs.tracer.span("serve.watermark"):
@@ -380,7 +456,12 @@ class ReputationService:
     # -- checkpoint / restore ------------------------------------------------
 
     def checkpoint(self) -> dict:
-        """Full mutable service state (simulation state + progress)."""
+        """Full mutable service state (simulation state + progress).
+
+        Flushes the ingest buffer first, so the state carries every event
+        applied so far and a restore starts with an empty buffer.
+        """
+        self._flush()
         return {
             "simulation": self._sim.checkpoint(),
             "events_applied": self._events_applied,
@@ -393,6 +474,7 @@ class ReputationService:
     def restore(self, state: Mapping[str, Any]) -> None:
         """Restore a :meth:`checkpoint` payload (same spec required)."""
         self._sim.resume(dict(state["simulation"]))
+        self._clear_buffer()
         self._events_applied = int(state["events_applied"])
         self._events_this_interval = int(state["events_this_interval"])
         self._intervals_run = int(state["intervals_run"])

@@ -35,6 +35,8 @@ class InterestProfiles:
         self._version = 0
         self._row_versions = np.zeros(self._n, dtype=np.int64)
         self._declared_version = 0
+        self._declared_matrix: np.ndarray | None = None
+        self._declared_matrix_version = -1
 
     @property
     def n_nodes(self) -> int:
@@ -145,12 +147,28 @@ class InterestProfiles:
         return frozenset(np.flatnonzero(self._requests[node] > 0).tolist())
 
     def declared_matrix(self) -> np.ndarray:
-        """Boolean ``n x k`` membership matrix of the declared sets."""
-        out = np.zeros((self._n, self._k), dtype=bool)
-        for i, vals in enumerate(self._declared):
-            for v in vals:
-                out[i, v] = True
-        return out
+        """Boolean ``n x k`` membership matrix of the declared sets.
+
+        Cached on :attr:`declared_version`; the returned array is the
+        read-only cache.
+        """
+        if self._declared_matrix_version != self._declared_version:
+            sizes = [len(vals) for vals in self._declared]
+            out = np.zeros((self._n, self._k), dtype=bool)
+            out[
+                np.repeat(np.arange(self._n), sizes),
+                [v for vals in self._declared for v in vals],
+            ] = True
+            out.flags.writeable = False
+            self._declared_matrix = out
+            self._declared_matrix_version = self._declared_version
+        return self._declared_matrix
+
+    def effective_set_sizes(self) -> np.ndarray:
+        """``|declared(i) ∪ behavioural_interests(i)|`` for every node —
+        the hardened Ωs denominator's set sizes, as ``float64``."""
+        effective = self.declared_matrix() | (self._requests > 0)
+        return effective.sum(axis=1).astype(np.float64)
 
     def summary(self) -> Mapping[str, float]:
         """Aggregate statistics used in docs/tests."""
@@ -180,6 +198,7 @@ class InterestProfiles:
                 f"declared sets cover {len(declared)} nodes, store has {self._n}"
             )
         self._declared = [frozenset(int(v) for v in vals) for vals in declared]
+        self._declared_matrix_version = -1
         requests = np.asarray(state["requests"], dtype=np.float64)
         if requests.shape != self._requests.shape:
             raise ValueError(

@@ -121,6 +121,23 @@ class TestHardenedSimilarity:
                             j,
                         )
 
+    def test_effective_set_sizes_match_per_node_loop(self):
+        rng = np.random.default_rng(5)
+        p = InterestProfiles(40, 9)
+        for node in range(40):
+            p.set_declared(node, rng.choice(9, size=rng.integers(1, 4), replace=False))
+            for _ in range(int(rng.integers(0, 6))):
+                p.record_request(node, int(rng.integers(0, 9)))
+        for _ in range(2):
+            expected = [
+                len(p.declared(i) | p.behavioural_interests(i)) for i in range(40)
+            ]
+            sizes = p.effective_set_sizes()
+            assert sizes.dtype == np.float64
+            assert sizes.tolist() == expected
+            p.set_declared(0, {8})
+            p.record_request(1, 7)
+
     def test_matrix_symmetric_plain(self, profiles):
         sc = SimilarityComputer(profiles, SocialTrustConfig(hardened=False))
         m = sc.similarity_matrix()

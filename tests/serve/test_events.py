@@ -56,6 +56,30 @@ class TestValidation:
         with pytest.raises(ValueError):
             InteractionEvent(source=0, target=1, count=0.0)
 
+    @pytest.mark.parametrize(
+        "value, count",
+        [
+            (float("nan"), 1),
+            (float("inf"), 1),
+            (float("-inf"), 1),
+            (1e308, 10),
+            (-1e308, 10),
+        ],
+    )
+    def test_rating_increment_must_be_finite(self, value, count):
+        with pytest.raises(ValueError, match="finite"):
+            RatingEvent(rater=0, ratee=1, value=value, count=count)
+
+    def test_rating_count_bounded(self):
+        RatingEvent(rater=0, ratee=1, value=1.0, count=2**53)
+        with pytest.raises(ValueError, match="count"):
+            RatingEvent(rater=0, ratee=1, value=1.0, count=2**53 + 1)
+
+    @pytest.mark.parametrize("count", [float("inf"), float("nan"), -1.0])
+    def test_interaction_count_must_be_finite(self, count):
+        with pytest.raises(ValueError, match="count"):
+            InteractionEvent(source=0, target=1, count=count)
+
     def test_churn_factor_range(self):
         with pytest.raises(ValueError, match="factor"):
             ChurnEvent(nodes=(0,), factor=1.5)
@@ -90,6 +114,21 @@ class TestCodec:
     def test_missing_field(self):
         with pytest.raises(EventDecodeError, match="malformed"):
             decode_event({"t": "rating", "rater": 0})
+
+    @pytest.mark.parametrize(
+        "line",
+        [
+            '{"t":"rating","rater":10,"ratee":11,"value":1e308,"count":10}',
+            '{"t":"rating","rater":10,"ratee":11,"value":NaN}',
+            '{"t":"rating","rater":10,"ratee":11,"value":-Infinity}',
+            '{"t":"rating","rater":10,"ratee":11,"value":1.0,"count":1e30}',
+            '{"t":"interaction","source":10,"target":11,"count":Infinity}',
+            '{"t":"interaction","source":10,"target":11,"count":NaN}',
+        ],
+    )
+    def test_non_finite_mutations_rejected(self, line):
+        with pytest.raises(EventDecodeError, match="malformed"):
+            decode_event(json.loads(line))
 
     def test_non_object(self):
         with pytest.raises(EventDecodeError, match="JSON object"):

@@ -19,6 +19,7 @@ from repro.serve import (
     WatermarkEvent,
 )
 from repro.serve.driver import drive_lines, serve_socket
+from repro.serve.events import EventDecodeError, decode_event
 
 
 def small_spec(**world):
@@ -115,6 +116,28 @@ class TestSyncCore:
             service.apply(event)
         assert state() == before
         assert service.stats() == stats_before
+
+    def test_rejected_overflowing_rating_leaves_reputations_finite(self):
+        lines = [
+            '{"t":"rating","rater":0,"ratee":1,"value":1.0}',
+            '{"t":"rating","rater":10,"ratee":11,"value":1e308,"count":10}',
+            '{"t":"rating","rater":2,"ratee":3,"value":1.0}',
+            '{"t":"watermark"}',
+        ]
+        service = ReputationService(small_spec())
+        rejected = []
+        for line in lines:
+            try:
+                service.apply(decode_event(json.loads(line)))
+            except EventDecodeError:
+                rejected.append(line)
+        assert rejected == [lines[1]]
+        assert np.isfinite(service.reputations).all()
+
+        clean = ReputationService(small_spec())
+        for line in lines[:1] + lines[2:]:
+            clean.apply(decode_event(json.loads(line)))
+        assert np.array_equal(service.reputations, clean.reputations)
 
     def test_unknown_event_type_rejected(self):
         with pytest.raises(TypeError, match="not a service event"):

@@ -38,6 +38,28 @@ class TestDeclared:
         assert m[1, 2] and m[1, 3]
         assert m[1].sum() == 2
 
+    def test_declared_matrix_cached_until_declared_changes(self, profiles):
+        m = profiles.declared_matrix()
+        assert not m.flags.writeable
+        assert profiles.declared_matrix() is m
+        profiles.record_request(0, 5)
+        assert profiles.declared_matrix() is m
+        profiles.set_declared(2, {1, 5})
+        fresh = profiles.declared_matrix()
+        assert fresh[2].tolist() == [False, True, False, False, False, True]
+        assert fresh[:2].tolist() == m[:2].tolist()
+
+    def test_declared_matrix_follows_restore(self, profiles):
+        other = InterestProfiles(4, 6)
+        for node in range(4):
+            other.set_declared(node, {node})
+        profiles.declared_matrix()
+        # Same declared_version, different sets: the cache must not key
+        # on the version alone across a restore.
+        assert other.declared_version == profiles.declared_version
+        profiles.restore_state(other.state_dict())
+        assert profiles.declared_matrix().tolist() == np.eye(4, 6, dtype=bool).tolist()
+
 
 class TestRequests:
     def test_record_and_weights(self, profiles):

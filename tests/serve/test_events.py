@@ -130,6 +130,49 @@ class TestCodec:
         with pytest.raises(EventDecodeError, match="malformed"):
             decode_event(json.loads(line))
 
+    @pytest.mark.parametrize(
+        "line",
+        [
+            '{"t":"rating","rater":3.9,"ratee":1,"value":1.0}',
+            '{"t":"rating","rater":3.0,"ratee":1,"value":1.0}',
+            '{"t":"rating","rater":true,"ratee":1,"value":1.0}',
+            '{"t":"rating","rater":0,"ratee":"2","value":1.0}',
+            '{"t":"rating","rater":0,"ratee":1,"value":1.0,"count":2.7}',
+            '{"t":"rating","rater":0,"ratee":1,"value":1.0,"count":true}',
+            '{"t":"rating","rater":0,"ratee":1,"value":1.0,"interest":1.5}',
+            '{"t":"rating","rater":0,"ratee":1,"value":true}',
+            '{"t":"rating","rater":0,"ratee":1,"value":"1"}',
+            '{"t":"interaction","source":false,"target":1}',
+            '{"t":"interaction","source":0,"target":1,"count":"2"}',
+            '{"t":"interaction","source":0,"target":1,"count":true}',
+            '{"t":"churn","nodes":[1,2.5],"factor":0.5}',
+            '{"t":"churn","nodes":"12","factor":0.5}',
+            '{"t":"churn","nodes":[1],"factor":"0.5"}',
+            '{"t":"watermark","cycle":2.0}',
+            '{"t":"query","node":true}',
+            '{"t":"query","rater":"1","ratee":2}',
+        ],
+    )
+    def test_mistyped_fields_refused_not_coerced(self, line):
+        with pytest.raises(EventDecodeError, match="malformed"):
+            decode_event(json.loads(line))
+
+    def test_numeric_fields_accept_ints_and_floats(self):
+        assert decode_event(
+            {"t": "rating", "rater": 0, "ratee": 1, "value": -1}
+        ) == RatingEvent(rater=0, ratee=1, value=-1.0)
+        assert decode_event(
+            {"t": "interaction", "source": 0, "target": 1, "count": 3}
+        ) == InteractionEvent(source=0, target=1, count=3.0)
+        assert decode_event(
+            {"t": "churn", "nodes": [4], "factor": 1}
+        ) == ChurnEvent(nodes=(4,), factor=1.0)
+
+    @pytest.mark.parametrize("value", [1.5, -1.0000001, 1e308])
+    def test_rating_value_off_scale_refused(self, value):
+        with pytest.raises(EventDecodeError, match=r"\[-1, 1\]"):
+            decode_event({"t": "rating", "rater": 0, "ratee": 1, "value": value})
+
     def test_non_object(self):
         with pytest.raises(EventDecodeError, match="JSON object"):
             decode_event([1, 2, 3])

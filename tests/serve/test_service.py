@@ -139,6 +139,30 @@ class TestSyncCore:
             clean.apply(decode_event(json.loads(line)))
         assert np.array_equal(service.reputations, clean.reputations)
 
+    def test_off_scale_ratings_refused_across_intervals(self):
+        """Each 1e308 rating is finite on its own, but EigenTrust sums the
+        interval increments: two of them overflowed to inf and turned
+        every reputation NaN.  Ratings off the [-1, 1] scale are refused."""
+        off_scale = '{"t":"rating","rater":10,"ratee":11,"value":1e308}'
+        lines = [
+            off_scale,
+            '{"t":"rating","rater":0,"ratee":1,"value":1.0}',
+            '{"t":"watermark"}',
+            off_scale,
+            '{"t":"rating","rater":2,"ratee":3,"value":-1.0}',
+            '{"t":"watermark"}',
+        ]
+        service = ReputationService(small_spec())
+        rejected = []
+        for line in lines:
+            try:
+                service.apply(decode_event(json.loads(line)))
+            except EventDecodeError:
+                rejected.append(line)
+        assert rejected == [off_scale, off_scale]
+        assert service.intervals_run == 2
+        assert np.isfinite(service.reputations).all()
+
     def test_unknown_event_type_rejected(self):
         with pytest.raises(TypeError, match="not a service event"):
             ReputationService(small_spec()).apply("rating")

@@ -76,7 +76,7 @@ class _EventRecorder:
     def decayed(self, nodes, factor) -> None:
         # A factor of 1.0 leaves the ledger unchanged: nothing to replay.
         if factor != 1.0:
-            self.events.append(ChurnEvent(nodes=tuple(nodes), factor=float(factor)))
+            self.events.append(ChurnEvent(nodes=nodes, factor=float(factor)))
 
 
 def record_scenario_events(spec: ScenarioSpec, cycles: int | None = None) -> RecordedStream:

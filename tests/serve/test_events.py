@@ -1,8 +1,12 @@
 """Event types and the line-JSON stream codec."""
 
+import copy
 import io
 import json
+import pickle
+import struct
 
+import numpy as np
 import pytest
 
 from repro.serve.events import (
@@ -84,9 +88,17 @@ class TestValidation:
         with pytest.raises(ValueError, match="factor"):
             ChurnEvent(nodes=(0,), factor=1.5)
 
-    def test_churn_nodes_coerced_to_int_tuple(self):
-        event = ChurnEvent(nodes=[0.0, 3.0], factor=0.5)
-        assert event.nodes == (0, 3)
+    def test_churn_nodes_must_be_integers(self):
+        """Floats, bools and strings were once coerced with ``int()``, so
+        ``nodes=(0.7, True)`` decayed nodes 0 and 1."""
+        for nodes in [(0.7, True), (0.0, 3.0), (True,), ("2",), "12"]:
+            with pytest.raises(TypeError, match="churn node ids must be integers"):
+                ChurnEvent(nodes=nodes, factor=0.5)
+
+    def test_churn_integer_nodes_normalised(self):
+        event = ChurnEvent(nodes=[np.int64(4), 0, np.uint8(7)], factor=0.5)
+        assert event.nodes == (4, 0, 7)
+        assert [type(n) for n in event.nodes] == [int, int, int]
 
     def test_query_needs_both_pair_endpoints(self):
         with pytest.raises(ValueError, match="both"):
@@ -95,6 +107,124 @@ class TestValidation:
     def test_query_node_xor_pair(self):
         with pytest.raises(ValueError, match="either"):
             QueryRequest(node=0, rater=1, ratee=2)
+
+
+class TestRecords:
+    """The events are tuple-backed records that behave as values of their
+    own kind only, and cannot be rebuilt around their checks."""
+
+    @pytest.mark.parametrize("event", ROUND_TRIP_EVENTS, ids=repr)
+    def test_immutable_without_instance_dict(self, event):
+        name = event._fields[0]
+        with pytest.raises(AttributeError):
+            setattr(event, name, getattr(event, name))
+        with pytest.raises(AttributeError):
+            event.extra = 1
+        assert not hasattr(event, "__dict__")
+
+    def test_equality_is_type_strict(self):
+        rating = RatingEvent(1, 2, 1.0)
+        assert rating == RatingEvent(rater=1, ratee=2, value=1.0)
+        assert rating != (1, 2, 1.0, 1, None)
+        assert (1, 2, 1.0, 1, None) != rating
+        assert not rating == (1, 2, 1.0, 1, None)
+        assert rating != InteractionEvent(1, 2, 1.0)
+        # Two kinds whose fields hold the same values.
+        interaction = InteractionEvent(None, 1, 2.0)
+        query = QueryRequest(None, 1, 2.0)
+        assert tuple(interaction) == tuple(query)
+        assert interaction != query and not interaction == query
+        assert WatermarkEvent(3) != (3,)
+
+    def test_hash_consistent_with_equality(self):
+        rating = RatingEvent(1, 2, 1.0)
+        assert hash(rating) == hash(RatingEvent(1, 2, 1.0))
+        assert len({rating, RatingEvent(1, 2, 1.0), (1, 2, 1.0, 1, None)}) == 2
+        assert len({InteractionEvent(None, 1, 2.0), QueryRequest(None, 1, 2.0)}) == 2
+
+    def test_records_do_not_order(self):
+        with pytest.raises(TypeError):
+            RatingEvent(1, 2, 1.0) < RatingEvent(1, 3, 1.0)
+
+    def test_signature_defaults_repr_and_match_args(self):
+        assert RatingEvent(3, 7, -1.0) == RatingEvent(3, 7, -1.0, 1, None)
+        assert repr(RatingEvent(3, 7, -1.0)) == (
+            "RatingEvent(rater=3, ratee=7, value=-1.0, count=1, interest=None)"
+        )
+        assert repr(ChurnEvent([1, 2], 0.5)) == "ChurnEvent(nodes=(1, 2), factor=0.5)"
+        assert InteractionEvent.__match_args__ == ("source", "target", "count")
+        match QueryRequest(rater=1, ratee=2):
+            case QueryRequest(node=None, rater=rater, ratee=ratee):
+                assert (rater, ratee) == (1, 2)
+            case _:
+                pytest.fail("keyword pattern did not match")
+        with pytest.raises(TypeError):
+            RatingEvent(1, 2)
+
+    @pytest.mark.parametrize(
+        "rebuild, message",
+        [
+            (lambda: RatingEvent(1, 2, 1.0)._replace(ratee=1), "self-rating"),
+            (lambda: RatingEvent(1, 2, 1.0)._replace(value=5.0), r"\[-1, 1\]"),
+            (lambda: RatingEvent(1, 2, 1.0)._replace(count=0), "count"),
+            (lambda: RatingEvent._make((4, 4, 1.0)), "self-rating"),
+            (lambda: RatingEvent._make((1, 2, float("nan"))), "finite"),
+            (lambda: InteractionEvent._make((1, 1, 1.0)), "self-interaction"),
+            (lambda: InteractionEvent(1, 2)._replace(count=-1.0), "count"),
+            (lambda: ChurnEvent((1,), 0.5)._replace(factor=2.0), "factor"),
+            (lambda: QueryRequest(node=1)._replace(rater=2), "both"),
+        ],
+    )
+    def test_replace_and_make_validate(self, rebuild, message):
+        with pytest.raises(ValueError, match=message):
+            rebuild()
+
+    def test_churn_replace_refuses_float_nodes(self):
+        with pytest.raises(TypeError, match="integers"):
+            ChurnEvent((1,), 0.5)._replace(nodes=(0.7,))
+
+    @pytest.mark.parametrize("event", ROUND_TRIP_EVENTS, ids=repr)
+    def test_pickle_and_copy_round_trip(self, event):
+        for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+            back = pickle.loads(pickle.dumps(event, protocol))
+            assert type(back) is type(event) and back == event
+        for clone in (copy.copy(event), copy.deepcopy(event)):
+            assert type(clone) is type(event) and clone == event
+
+    @pytest.mark.parametrize("protocol", range(pickle.HIGHEST_PROTOCOL + 1))
+    def test_tampered_pickle_is_validated(self, protocol):
+        """Unpickling calls the validating constructor: a pickle whose
+        fields were edited into a self-rating or an off-scale value is
+        refused, not loaded."""
+        event = RatingEvent(7001, 7002, 0.5)
+        data = pickle.dumps(event, protocol)
+        if protocol == 0:
+            ids = b"I7002\n", b"I7001\n"
+            values = b"F0.5\n", b"F5.5\n"
+        else:
+            ids = b"M" + (7002).to_bytes(2, "little"), b"M" + (7001).to_bytes(2, "little")
+            values = struct.pack(">d", 0.5), struct.pack(">d", 5.5)
+        for old, new in (ids, values):
+            assert data.count(old) == 1
+            with pytest.raises(ValueError):
+                pickle.loads(data.replace(old, new))
+
+    def test_copy_rebuilds_through_the_constructor(self, monkeypatch):
+        """``copy`` and ``deepcopy`` rebuild from ``__reduce__``, which
+        names the record class itself: each copy runs the checks."""
+        event = RatingEvent(1, 2, 1.0)
+        assert event.__reduce__() == (RatingEvent, (1, 2, 1.0, 1, None))
+        calls = []
+        checked_new = RatingEvent.__new__
+
+        def counting_new(cls, *args):
+            calls.append(args)
+            return checked_new(cls, *args)
+
+        monkeypatch.setattr(RatingEvent, "__new__", counting_new)
+        copy.copy(event)
+        copy.deepcopy(event)
+        assert calls == [(1, 2, 1.0, 1, None)] * 2
 
 
 class TestCodec:

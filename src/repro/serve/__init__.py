@@ -38,13 +38,14 @@ from repro.serve.replay import (
     replay_recorded,
     replay_report,
 )
-from repro.serve.service import ReputationService, ServiceError
+from repro.serve.service import EventRejected, ReputationService, ServiceError
 
 __all__ = [
     "EVENT_SCHEMA_VERSION",
     "ChurnEvent",
     "Event",
     "EventDecodeError",
+    "EventRejected",
     "InteractionEvent",
     "QueryRequest",
     "QueryResult",

@@ -19,31 +19,44 @@ Value layout.  The cached Eq. (3) terms ``A`` (adjacent closeness),
 ``T1 = A @ F`` and ``T2 = F @ A`` are stored as flat float64 arrays
 parallel to the entries of one static union pattern
 ``Pu = pattern(F @ F) ∪ pattern(F)`` (with ``F`` the float adjacency
-CSR), zero where a term has no entry.  All three patterns lie in ``Pu``
-by construction; every scatter onto it locates row-major ``row * n +
-col`` keys by searchsorted and asserts the containment.  Ωc itself is a
-fourth aligned array: Eq. (2) at the adjacency slots (a static index
-array), Eq. (3) at the off-diagonal slots off the adjacency (each has a
-common friend, since it comes from ``F @ F``), zero on the diagonal.
+CSR), zero where a term has no entry.  Ωc itself is a fourth aligned
+array: Eq. (2) at the adjacency slots (a static index array), Eq. (3) at
+the off-diagonal slots off the adjacency (each has a common friend,
+since it comes from ``F @ F``), zero on the diagonal.
 :meth:`SparseClosenessComputer.pair_values` gathers each pair's value
 by its position in ``Pu``; the Ωc CSR
 (:meth:`~SparseClosenessComputer.matrix_csr`) is built only when asked
 for.
 
+The two-hop slot table.  ``T1[i, j]`` sums ``A[i, d]`` and ``T2[i, j]``
+sums ``A[d, j]`` over the paths ``i ~ d ~ j``.  The structure build lists
+every such path once, with the ``Pu`` slot of ``(i, j)``, grouped by the
+``F`` entry ``(i, d)`` in ``F``'s (sorted) order -- row-major, so row
+``i``'s paths are one contiguous range -- plus ``F``'s entries grouped by
+centre ``d``, which give any set of centres' paths centre-major.  Both
+orders list a slot's paths in ascending ``d``, the order SciPy's product
+sums them in, and ``np.bincount`` adds in input order from 0.0: a sum
+over the table is bitwise the matching SciPy product.  The table holds
+``Σ_d deg(d)²`` paths, the flop count of the ``F @ F`` the build runs
+anyway; each path's slot count also gives ``Pu``'s common-friend counts.
+
 Incremental updates mirror the dense cache contract, keyed on the
 interaction ledger's version.  A cold cache, more than ``n / 2`` dirty
 rows, or ``SocialTrustConfig.cache_rebuild_interval`` consecutive
 corrections since the last rebuild (the dense path's drift bound) rebuild
-the three terms with SciPy products and align each once.  Otherwise a
-patch writes in place: the dirty rows' adjacency slots of ``A`` become
-``a + (new - a)``, every ``Pu`` slot of those rows in ``T1`` becomes
-``t1 + (new @ F - t1)``, and ``T2`` adds the low-rank correction
-``F[:, D] @ ΔA[D]`` (a SciPy product) at its slots.  That is the same
-arithmetic, entry for entry, as adding the row deltas as CSR matrices,
-so the values are bitwise those of the CSR-cache layout this replaced.
-Ωc is then recomputed only at the slots the patch wrote.  A patch thus
-costs O(nnz of the dirty rows' ``Pu`` slots + nnz of the correction);
-no step touches all of ``Pu`` unless it rebuilds.
+``A`` and sum ``T1`` and ``T2`` over the whole table.  Otherwise a patch
+writes in place: the dirty rows' adjacency slots of ``A`` become
+``a + (new - a)``; every ``Pu`` slot of those rows in ``T1`` becomes
+``t1 + (fresh - t1)``, with ``fresh`` one bincount over the rows' paths
+weighted by the new ``A[i, d]``; and ``T2`` adds the low-rank correction
+``F[:, D] @ ΔA[D]``, one bincount over the dirty centres' paths weighted
+by ``ΔA[d, j]``.  That is the same arithmetic, entry for entry, as adding
+the row deltas as CSR matrices, so the values are bitwise those of the
+CSR-cache layout this replaced.  Ωc is then recomputed only at the slots
+the patch wrote.  A patch makes no SciPy product and no search of
+``Pu``: it costs O(the dirty rows' ``Pu`` slots + the dirty rows' and
+centres' paths), plus one ``Pu``-length scratch vector for the
+correction.
 
 The sparse path agrees with the dense oracle within floating-point
 tolerance (summation order inside sparse matmuls differs), never bitwise;
@@ -127,6 +140,13 @@ class SparseClosenessComputer(ClosenessBase):
         self._pu_common: np.ndarray | None = None
         self._adj_pos: np.ndarray | None = None  # Pu slot of each F entry
         self._pu_is_common: np.ndarray | None = None  # Eq. (3) slots
+        # The two-hop slot table: the Pu slot of (i, j) for every path
+        # i ~ d ~ j, grouped by the F entry (i, d) in F's order, and F's
+        # entries grouped by centre d (see _structure).
+        self._hop_start: np.ndarray | None = None  # first path of each F entry
+        self._hop_slot: np.ndarray | None = None
+        self._by_centre: np.ndarray | None = None
+        self._centre_indptr: np.ndarray | None = None
         # Value caches aligned to Pu, keyed on the interaction ledger's
         # mutation version.
         self._a: np.ndarray | None = None
@@ -165,6 +185,10 @@ class SparseClosenessComputer(ClosenessBase):
         self._pu_common = None
         self._adj_pos = None
         self._pu_is_common = None
+        self._hop_start = None
+        self._hop_slot = None
+        self._by_centre = None
+        self._centre_indptr = None
         self._drop_value_cache()
 
     def _drop_value_cache(self) -> None:
@@ -179,8 +203,9 @@ class SparseClosenessComputer(ClosenessBase):
     # -- static structure ------------------------------------------------------
 
     def _structure(self) -> None:
-        """Build the float adjacency and the static union pattern ``Pu``
-        with its common-friend counts and adjacency slots."""
+        """Build the float adjacency, the static union pattern ``Pu`` with
+        its adjacency slots and common-friend counts, and the two-hop slot
+        table."""
         if self._F is not None:
             return
         n = self.n_nodes
@@ -193,19 +218,38 @@ class SparseClosenessComputer(ClosenessBase):
             ),
             shape=(n, n),
         )
-        # Common-friend counts: every structural entry of F @ F sums 1*1
-        # terms, so its data is >= 1 and the union F@F + F never loses
-        # entries to zero-pruning.
-        p2 = (f @ f).tocsr()
-        pu = (p2 + f).tocsr()
+        # Every structural entry of F @ F sums 1*1 terms, so its data is
+        # >= 1 and the union F@F + F never loses entries to zero-pruning.
+        pu = ((f @ f) + f).tocsr()
         pu.sort_indices()
         self._pu_indptr = pu.indptr
         self._pu_indices = pu.indices
         self._pu_keys = _row_major_keys(pu, n)
-        self._pu_common = self._align(p2)
         self._adj_pos = _locate(self._pu_keys, _row_major_keys(f, n))
-        # Every non-adjacent Pu entry comes from F @ F, i.e. has a common
-        # friend; off the diagonal, Eq. (3) gives its value.
+        # The two-hop table.  F entry (i, d) carries the paths i ~ d ~ j
+        # over row d's entries, so row i's paths are one contiguous range
+        # and list each of its slots' paths in ascending d.
+        indptr = factors.indptr.astype(np.int64)
+        indices = factors.indices.astype(np.int64)
+        degree = np.diff(indptr)
+        hops = degree[indices]
+        self._hop_start = np.concatenate([[0], np.cumsum(hops)])
+        row_paths = np.diff(self._hop_start[indptr])
+        keys = np.repeat(np.arange(n, dtype=np.int64) * np.int64(n), row_paths)
+        keys += indices[_ranges(indptr[indices], hops)]
+        self._hop_slot = _locate(self._pu_keys, keys)
+        # F's entries by centre d (ascending i within one d): the paths
+        # through a set of centres, centre-major.
+        self._by_centre = np.argsort(indices, kind="stable")
+        self._centre_indptr = np.concatenate(
+            [[0], np.cumsum(np.bincount(indices, minlength=n))]
+        )
+        # A slot's path count is its number of common friends; every
+        # non-adjacent Pu entry has one, so off the diagonal Eq. (3)
+        # gives its value.
+        self._pu_common = np.bincount(
+            self._hop_slot, minlength=self._pu_keys.size
+        ).astype(np.float64)
         pu_rows = np.repeat(np.arange(n, dtype=np.int64), np.diff(pu.indptr))
         self._pu_is_common = pu_rows != pu.indices
         self._pu_is_common[self._adj_pos] = False
@@ -266,30 +310,41 @@ class SparseClosenessComputer(ClosenessBase):
         return self._values
 
     def _rebuild(self) -> None:
-        """Exact ``A``, ``T1 = A @ F`` and ``T2 = F @ A``, recomputed in full."""
+        """Exact ``A``, ``T1 = A @ F`` and ``T2 = F @ A``, recomputed in
+        full over the two-hop table."""
         n = self.n_nodes
-        f = self._F
         factors = self._relationship_factors()
-        rows = np.repeat(np.arange(n, dtype=np.int64), np.diff(factors.indptr))
-        a_data = factors.data * self._interactions.share_pairs(rows, factors.indices)
-        a = sparse.csr_matrix(
-            (a_data, factors.indices, factors.indptr), shape=(n, n)
-        )
-        self._a = np.zeros(self._pu_keys.size, dtype=np.float64)
+        indptr = factors.indptr.astype(np.int64)
+        indices = factors.indices
+        rows = np.repeat(np.arange(n, dtype=np.int64), np.diff(indptr))
+        a_data = factors.data * self._interactions.share_pairs(rows, indices)
+        size = self._pu_keys.size
+        self._a = np.zeros(size, dtype=np.float64)
         self._a[self._adj_pos] = a_data
-        self._t1 = self._align(a @ f)
-        self._t2 = self._align(f @ a)
+        # T1[i, j] sums A[i, d] and T2[i, j] sums A[d, j] over the paths
+        # i ~ d ~ j.  bincount adds in input order from 0.0, and the table
+        # lists a slot's paths in ascending d -- the order SciPy's product
+        # sums them in -- so the values are bitwise ``A @ F`` and ``F @ A``.
+        hops = np.diff(self._hop_start)
+        self._t1 = np.bincount(
+            self._hop_slot, np.repeat(a_data, hops), minlength=size
+        )
+        self._t2 = np.bincount(
+            self._hop_slot,
+            a_data[_ranges(indptr[indices], hops)],
+            minlength=size,
+        )
 
     def _patch(self, dirty: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Rewrite the dirty rows' slots of ``A`` and ``T1`` and add the
-        low-rank correction ``F[:, D] @ ΔA[D]`` to ``T2``, in place.
+        low-rank correction ``F[:, D] @ ΔA[D]`` to ``T2``, in place, each
+        summed over the two-hop table.
 
         Returns the ``Pu`` slots written in ``A`` and in ``T1``/``T2``
         (the latter possibly repeated).
         """
-        n = self.n_nodes
-        f = self._F
         factors = self._relationship_factors()
+        hop_start = self._hop_start
         # A: the dirty rows' adjacency entries, in F's (sorted) order.
         counts = factors.indptr[dirty + 1] - factors.indptr[dirty]
         entries = _ranges(factors.indptr[dirty], counts)
@@ -301,32 +356,36 @@ class SparseClosenessComputer(ClosenessBase):
         old = self._a[slots]
         delta = new - old
         self._a[slots] = old + delta
-        indptr = np.concatenate([[0], np.cumsum(counts)])
-        shape = (dirty.size, n)
         # T1 rows only depend on the matching A rows: exact recompute over
-        # every Pu slot of the dirty rows (a slot the new product misses
-        # goes to zero).
-        t1_rows = (sparse.csr_matrix((new, cols, indptr), shape=shape) @ f).tocsr()
-        row_slots = _ranges(
-            self._pu_indptr[dirty],
-            self._pu_indptr[dirty + 1] - self._pu_indptr[dirty],
+        # every Pu slot of the dirty rows (a slot no path reaches goes to
+        # zero).  Row i's paths are contiguous; shifting their slots by
+        # row makes them positions in ``row_slots``.
+        starts = self._pu_indptr[dirty]
+        widths = self._pu_indptr[dirty + 1] - starts
+        row_slots = _ranges(starts, widths)
+        first = hop_start[factors.indptr[dirty]]
+        paths = hop_start[factors.indptr[dirty + 1]] - first
+        fresh = np.bincount(
+            self._hop_slot[_ranges(first, paths)]
+            - np.repeat(starts - (np.cumsum(widths) - widths), paths),
+            np.repeat(new, hop_start[entries + 1] - hop_start[entries]),
+            minlength=row_slots.size,
         )
-        fresh = np.zeros(row_slots.size, dtype=np.float64)
-        fresh[
-            _locate(
-                self._pu_keys[row_slots],
-                np.repeat(dirty, np.diff(t1_rows.indptr)) * np.int64(n)
-                + t1_rows.indices,
-            )
-        ] = t1_rows.data
         old = self._t1[row_slots]
         self._t1[row_slots] = old + (fresh - old)
-        # T2 takes the low-rank correction F[:, D] @ ΔA[D].
-        correction = (
-            f[:, dirty] @ sparse.csr_matrix((delta, cols, indptr), shape=shape)
-        ).tocsr()
-        t2_slots = _locate(self._pu_keys, _row_major_keys(correction, n))
-        self._t2[t2_slots] += correction.data
+        # T2 takes the low-rank correction F[:, D] @ ΔA[D]: each dirty
+        # centre d, ascending, adds ΔA[d, j] at (i, j) for every F entry
+        # (i, d) -- row d's deltas once per entry.
+        fan_in = self._centre_indptr[dirty + 1] - self._centre_indptr[dirty]
+        inbound = self._by_centre[_ranges(self._centre_indptr[dirty], fan_in)]
+        block = np.repeat(counts, fan_in)
+        t2_slots = self._hop_slot[_ranges(hop_start[inbound], block)]
+        correction = np.bincount(
+            t2_slots,
+            delta[_ranges(np.repeat(np.cumsum(counts) - counts, fan_in), block)],
+            minlength=self._pu_keys.size,
+        )
+        self._t2[t2_slots] += correction[t2_slots]
         return slots, np.concatenate([row_slots, t2_slots])
 
     def _assemble(self, adj: np.ndarray, common: np.ndarray) -> None:
@@ -471,11 +530,20 @@ class SparseSimilarityComputer(PairBands):
 
     The interest dimension ``k`` is small, so no sparse matrices are
     needed: the all-pairs ``n x n`` product is simply never formed.
-    :meth:`pair_values` computes Eq. (7)/(11) for requested pairs from the
-    ``n x k`` declared/request-weight rows, and bands gather the same way.
-    Every value is a k-length dot product, a pure function of the profile
-    store — so unlike Ωc there is no drift-prone incremental state and
-    checkpoints carry nothing but a size check.
+    Eq. (7)/(11) for a pair is a k-length dot product of the ``n x k``
+    declared/request-weight rows, a pure function of the pair and the
+    profile store, and bands gather the same way.
+
+    :meth:`pair_values` caches what it computes: sorted row-major pair
+    keys and their values, valid for one version of the profile store
+    (its ``declared_version``, and in hardened mode also its request
+    ``version``).  A query gathers the hits with one searchsorted,
+    computes only the misses, and merges them in; any move of those
+    versions drops the cache, since a request or a declared set changes
+    whole rows.  The cache holds the distinct pairs asked since the last
+    move -- for the detector, its active and band pairs, a subset of
+    the rated pairs.  Cached and fresh values are bitwise equal, so
+    checkpoints still carry nothing but a size check.
     """
 
     def __init__(
@@ -485,11 +553,24 @@ class SparseSimilarityComputer(PairBands):
     ) -> None:
         self._profiles = profiles
         self._config = config or SocialTrustConfig()
+        self._drop_caches()
+
+    def _drop_caches(self) -> None:
+        self._versions: tuple[int, int] | None = None
         self._weights: np.ndarray | None = None
-        self._weights_version = -1
         self._sizes: np.ndarray | None = None
-        self._sizes_decl_version = -1
-        self._sizes_req_version = -1
+        self._pair_keys = np.zeros(0, dtype=np.int64)
+        self._pair_values = np.zeros(0, dtype=np.float64)
+
+    def _sync(self) -> None:
+        """Drop every cache once the profile-store versions Ωs reads have
+        moved: the declared sets, and in hardened mode the request
+        counters."""
+        p = self._profiles
+        versions = (p.declared_version, p.version if self._config.hardened else -1)
+        if versions != self._versions:
+            self._drop_caches()
+            self._versions = versions
 
     @property
     def n_nodes(self) -> int:
@@ -504,29 +585,19 @@ class SparseSimilarityComputer(PairBands):
         return self._config
 
     def _weight_rows(self) -> np.ndarray:
-        p = self._profiles
-        if self._weights is None or self._weights_version != p.version:
-            self._weights = p.request_weight_matrix()
-            self._weights_version = p.version
+        if self._weights is None:
+            self._weights = self._profiles.request_weight_matrix()
         return self._weights
 
     def _set_sizes(self) -> np.ndarray:
         """Per-node interest-set sizes: |declared| in plain mode,
         |declared ∪ behavioural| in hardened mode."""
-        p = self._profiles
-        decl_v = p.declared_version
-        req_v = p.version if self._config.hardened else -1
-        if (
-            self._sizes is None
-            or self._sizes_decl_version != decl_v
-            or self._sizes_req_version != req_v
-        ):
+        if self._sizes is None:
+            p = self._profiles
             if self._config.hardened:
                 self._sizes = p.effective_set_sizes()
             else:
                 self._sizes = p.declared_matrix().sum(axis=1).astype(np.float64)
-            self._sizes_decl_version = decl_v
-            self._sizes_req_version = req_v
         return self._sizes
 
     def similarity(self, i: int, j: int) -> float:
@@ -535,11 +606,39 @@ class SparseSimilarityComputer(PairBands):
         return float(self.pair_values(np.array([i]), np.array([j]))[0])
 
     def pair_values(self, a, b) -> np.ndarray:
-        """``Ωs`` over pair arrays (Eq. (7) plain / Eq. (11) hardened)."""
+        """``Ωs`` over pair arrays (Eq. (7) plain / Eq. (11) hardened),
+        read through the pair cache."""
         i = np.asarray(a, dtype=np.int64)
         j = np.asarray(b, dtype=np.int64)
         if i.size == 0:
             return np.zeros(0, dtype=np.float64)
+        n = self.n_nodes
+        # Keys must name one pair each: an id off [0, n) would alias
+        # another pair's cached value.
+        if min(i.min(), j.min()) < 0 or max(i.max(), j.max()) >= n:
+            raise IndexError(f"node ids must lie in [0, {n})")
+        keys = i * np.int64(n) + j
+        self._sync()
+        cached = self._pair_keys
+        if cached.size:
+            pos = np.minimum(np.searchsorted(cached, keys), cached.size - 1)
+            hit = cached[pos] == keys
+            out = np.where(hit, self._pair_values[pos], 0.0)
+        else:
+            hit = np.zeros(keys.shape, dtype=bool)
+            out = np.zeros(keys.shape, dtype=np.float64)
+        if not hit.all():
+            miss = ~hit
+            fresh_keys, inverse = np.unique(keys[miss], return_inverse=True)
+            fresh = self._compute(*np.divmod(fresh_keys, np.int64(n)))
+            out[miss] = fresh[inverse]
+            at = np.searchsorted(cached, fresh_keys)
+            self._pair_keys = np.insert(cached, at, fresh_keys)
+            self._pair_values = np.insert(self._pair_values, at, fresh)
+        return out
+
+    def _compute(self, i: np.ndarray, j: np.ndarray) -> np.ndarray:
+        """Eq. (7)/(11) for 1-D pair arrays, from the profile rows."""
         sizes = self._set_sizes()
         if self._config.hardened:
             w = self._weight_rows()
@@ -562,6 +661,7 @@ class SparseSimilarityComputer(PairBands):
                 f"refusing to densify a {n}x{n} coefficient matrix; use "
                 "pair_values() at this scale"
             )
+        self._sync()
         if self._config.hardened:
             w = self._weight_rows()
             numer = w @ w.T
@@ -578,8 +678,9 @@ class SparseSimilarityComputer(PairBands):
     # -- checkpointing ---------------------------------------------------------
 
     def state_dict(self) -> dict:
-        """Every Ωs value is recomputed on demand from the profile store,
-        so nothing but a size check needs to travel with a checkpoint."""
+        """Every Ωs value is a pure function of its pair and the profile
+        store, recomputed on demand after a restore, so nothing but a size
+        check needs to travel with a checkpoint."""
         return {"n_nodes": self.n_nodes}
 
     def restore_state(self, state: dict) -> None:
@@ -590,11 +691,7 @@ class SparseSimilarityComputer(PairBands):
                 f"covers {self.n_nodes} — is the checkpoint from a different "
                 "network size?"
             )
-        self._weights = None
-        self._weights_version = -1
-        self._sizes = None
-        self._sizes_decl_version = -1
-        self._sizes_req_version = -1
+        self._drop_caches()
 
 
 def coefficient_computers(

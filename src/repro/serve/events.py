@@ -119,6 +119,17 @@ class _Record:
 _tuple_new = tuple.__new__
 
 
+def _id(value: Any, refusal: str) -> int:
+    """A record's integer field: a Python or numpy integer, as a Python
+    ``int``.  numpy integers register as ``Integral``; ``bool`` is one too
+    but is no id or count, and floats and strings are refused rather than
+    coerced.  Constructors test ``type(x) is int`` inline first, so the
+    common case costs no call."""
+    if isinstance(value, numbers.Integral) and not isinstance(value, bool):
+        return int(value)
+    raise TypeError(f"{refusal}, got {value!r}")
+
+
 class _RatingFields(NamedTuple):
     rater: int
     ratee: int
@@ -144,6 +155,17 @@ class RatingEvent(_Record, _RatingFields):
         count: int = 1,
         interest: int | None = None,
     ) -> "RatingEvent":
+        # The ledgers cast ids to int64 at flush: 1.5 would become node 1
+        # there and ``True`` node 1, so (1.5, True) passes the self-rating
+        # check here and fails every later flush.
+        if type(rater) is not int:
+            rater = _id(rater, "rater must be an integer")
+        if type(ratee) is not int:
+            ratee = _id(ratee, "ratee must be an integer")
+        if type(count) is not int:
+            count = _id(count, "count must be an integer")
+        if interest is not None and type(interest) is not int:
+            interest = _id(interest, "interest must be an integer")
         if not 1 <= count <= _MAX_COUNT:
             raise ValueError(f"count must be in [1, 2**53], got {count}")
         # Ratings live on the paper's [-1, 1] scale.  ``value * count`` is
@@ -180,22 +202,15 @@ class InteractionEvent(_Record, _InteractionFields):
     def __new__(
         cls, source: int, target: int, count: float = 1.0
     ) -> "InteractionEvent":
+        if type(source) is not int:
+            source = _id(source, "source must be an integer")
+        if type(target) is not int:
+            target = _id(target, "target must be an integer")
         if not 0 < count < math.inf:
             raise ValueError(f"count must be positive and finite, got {count}")
         if source == target:
             raise ValueError("self-interactions are not meaningful")
         return _tuple_new(cls, (source, target, count))
-
-
-def _node_id(node: Any) -> int:
-    """A churn node id: a Python or numpy integer, as a Python ``int``."""
-    if type(node) is int:
-        return node
-    # numpy integers register as ``Integral``; ``bool`` is one too but is
-    # no node id, and floats and strings are refused rather than coerced.
-    if isinstance(node, numbers.Integral) and not isinstance(node, bool):
-        return int(node)
-    raise TypeError(f"churn node ids must be integers, got {node!r}")
 
 
 class _ChurnFields(NamedTuple):
@@ -209,7 +224,10 @@ class ChurnEvent(_Record, _ChurnFields):
     __slots__ = ()
 
     def __new__(cls, nodes: Iterable[int], factor: float) -> "ChurnEvent":
-        nodes = tuple(_node_id(n) for n in nodes)
+        nodes = tuple(
+            n if type(n) is int else _id(n, "churn node ids must be integers")
+            for n in nodes
+        )
         if not 0.0 <= factor <= 1.0:
             raise ValueError(f"factor must be in [0, 1], got {factor}")
         return _tuple_new(cls, (nodes, factor))
@@ -252,6 +270,12 @@ class QueryRequest(_Record, _QueryFields):
         rater: int | None = None,
         ratee: int | None = None,
     ) -> "QueryRequest":
+        if node is not None and type(node) is not int:
+            node = _id(node, "node must be an integer")
+        if rater is not None and type(rater) is not int:
+            rater = _id(rater, "rater must be an integer")
+        if ratee is not None and type(ratee) is not int:
+            ratee = _id(ratee, "ratee must be an integer")
         if (rater is None) != (ratee is None):
             raise ValueError("damping queries need both rater and ratee")
         if node is not None and rater is not None:
@@ -439,6 +463,12 @@ def iter_event_lines(handle: TextIO) -> Iterator[Event]:
     A header line, if present, must come first and is skipped (version
     checked); blank lines are ignored.
     """
+    return _decode_lines(handle, {})
+
+
+def _decode_lines(handle: TextIO, header: dict[str, Any]) -> Iterator[Event]:
+    """:func:`iter_event_lines`' loop; a header line's fields are copied
+    into ``header``."""
     for number, raw in enumerate(handle, start=1):
         raw = raw.strip()
         if not raw:
@@ -456,6 +486,7 @@ def iter_event_lines(handle: TextIO) -> Iterator[Event]:
                     f"event schema version {version!r} != supported "
                     f"{EVENT_SCHEMA_VERSION}"
                 )
+            header.update(data)
             continue
         try:
             yield decode_event(data)
@@ -473,33 +504,7 @@ class _LoadedStream:
 
 def read_event_stream(path: Path | str) -> _LoadedStream:
     """Load a whole stream file: ``(spec_dict_or_None, events)``."""
-    path = Path(path)
-    spec: dict[str, Any] | None = None
-    events: list[Event] = []
-    with path.open("r", encoding="utf-8") as handle:
-        for number, raw in enumerate(handle, start=1):
-            raw = raw.strip()
-            if not raw:
-                continue
-            try:
-                data = json.loads(raw)
-            except json.JSONDecodeError as exc:
-                raise EventDecodeError(f"line {number}: invalid JSON ({exc})") from None
-            if isinstance(data, dict) and data.get("t") == "header":
-                if number != 1:
-                    raise EventDecodeError(
-                        f"line {number}: header must be the first line"
-                    )
-                version = data.get("schema_version")
-                if version != EVENT_SCHEMA_VERSION:
-                    raise EventDecodeError(
-                        f"event schema version {version!r} != supported "
-                        f"{EVENT_SCHEMA_VERSION}"
-                    )
-                spec = data.get("spec")
-                continue
-            try:
-                events.append(decode_event(data))
-            except EventDecodeError as exc:
-                raise EventDecodeError(f"line {number}: {exc}") from None
-    return _LoadedStream(spec=spec, events=tuple(events))
+    header: dict[str, Any] = {}
+    with Path(path).open("r", encoding="utf-8") as handle:
+        events = tuple(_decode_lines(handle, header))
+    return _LoadedStream(spec=header.get("spec"), events=events)

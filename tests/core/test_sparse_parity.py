@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy import sparse
 
 import repro.core.sparse as sparse_module
 from repro.core.closeness import ClosenessComputer
@@ -25,6 +26,8 @@ from tests.core.csr_reference import CsrCacheClosenessComputer
 
 N = 240
 COMMUNITY = 12
+ISOLATED = 20
+CLUSTER = 24
 
 CONFIGS = [
     SocialTrustConfig(coefficient_backend="sparse", cache_rebuild_interval=3),
@@ -57,6 +60,26 @@ def make_graph(seed: int = 0) -> SocialGraph:
             graph.add_friendship(int(i), int(j), kinds[int(rng.integers(0, 3))])
     for hub in range(0, N - 2 * COMMUNITY, 2 * COMMUNITY):
         graph.add_friendship(hub + 1, hub + COMMUNITY + 1)
+    return graph
+
+
+def make_hub_graph(seed: int = 0) -> SocialGraph:
+    """One hub befriending half the nodes (its row and column dominate
+    the two-hop table), a dense cluster on nodes ``1..CLUSTER`` (its pairs
+    share many friends), sparse random ties among the rest, and the last
+    :data:`ISOLATED` nodes with no friend at all."""
+    rng = np.random.default_rng(seed)
+    graph = SocialGraph(N)
+    linked = N - ISOLATED
+    for member in rng.choice(np.arange(1, linked), linked // 2, replace=False):
+        graph.add_friendship(0, int(member), [Relationship("kin", 2.0)])
+    for i in range(1, CLUSTER + 1):
+        for j in range(i + 1, CLUSTER + 1):
+            if rng.random() < 0.5:
+                graph.add_friendship(i, j)
+    for _ in range(linked):
+        i, j = rng.choice(np.arange(1, linked), 2, replace=False)
+        graph.add_friendship(int(i), int(j))
     return graph
 
 
@@ -93,78 +116,108 @@ def assert_bitwise(new, ref, pairs) -> None:
     assert np.array_equal(new.matrix_csr().toarray(), ref.matrix_csr().toarray())
 
 
+def check_history(graph: SocialGraph, cfg) -> None:
+    """Drive both caches through one ledger history -- cold build, small
+    and large patches, an exact rebuild, churn decay, the periodic
+    rebuild -- asserting bitwise agreement at every step."""
+    rng = np.random.default_rng(5)
+    ledger = SparseInteractionLedger(N)
+    ledger.record_many(*edge_traffic(graph, rng))
+    new = SparseClosenessComputer(graph, ledger, cfg)
+    ref = CsrCacheClosenessComputer(graph, ledger, cfg)
+    pairs = probe_pairs(rng)
+    assert np.any(pairs[0] == pairs[1])
+
+    # Cold rebuild.
+    assert_bitwise(new, ref, pairs)
+    assert new._t2_updates == 0
+    # One dirty row.
+    ledger.record(3, 0, 90.0)
+    assert_bitwise(new, ref, pairs)
+    assert new._t2_updates == 1
+    # ~10% dirty rows.
+    tenth = rng.choice(N, N // 10, replace=False)
+    ledger.record_many(*edge_traffic(graph, rng, tenth))
+    assert_bitwise(new, ref, pairs)
+    # Rows 1..CLUSTER at once: a slot there sums the deltas of several
+    # dirty common friends, so the order of the correction's sum shows.
+    ledger.record_many(*edge_traffic(graph, rng, np.arange(1, CLUSTER + 1)))
+    assert_bitwise(new, ref, pairs)
+    assert new._t2_updates == 3
+    # More than half the rows dirty: exact rebuild.
+    most = rng.choice(N, 3 * N // 5, replace=False)
+    ledger.record_many(*edge_traffic(graph, rng, most))
+    assert_bitwise(new, ref, pairs)
+    assert new._t2_updates == 0
+    # Node 0's row alone (the hub of either graph).
+    ledger.record_many(*edge_traffic(graph, rng, [0]))
+    assert_bitwise(new, ref, pairs)
+    # Churn decay marks the decayed rows and every row pointing at them.
+    ledger.decay_nodes(np.array([0, 13, 40, N - 1]), 0.5)
+    assert_bitwise(new, ref, pairs)
+    assert new._t2_updates == 2
+    # Corrections up to cache_rebuild_interval, then a forced rebuild on
+    # an otherwise patchable step.
+    for k in range(cfg.cache_rebuild_interval - new._t2_updates):
+        ledger.record(20 + k, 12, 1.0)
+        assert_bitwise(new, ref, pairs)
+    assert new._t2_updates == cfg.cache_rebuild_interval
+    ledger.record(30, 24, 1.0)
+    assert_bitwise(new, ref, pairs)
+    assert new._t2_updates == 0
+
+
 class TestAlignedCacheParity:
     @pytest.mark.parametrize("cfg", CONFIGS, ids=["mean", "sum"])
     def test_history_matches_csr_cache_bitwise(self, cfg):
-        rng = np.random.default_rng(5)
-        graph = make_graph(1)
-        ledger = SparseInteractionLedger(N)
-        ledger.record_many(*edge_traffic(graph, rng))
-        new = SparseClosenessComputer(graph, ledger, cfg)
-        ref = CsrCacheClosenessComputer(graph, ledger, cfg)
-        pairs = probe_pairs(rng)
-        assert np.any(pairs[0] == pairs[1])
+        check_history(make_graph(1), cfg)
 
-        # Cold rebuild.
-        assert_bitwise(new, ref, pairs)
-        assert new._t2_updates == 0
-        # One dirty row.
-        ledger.record(3, 0, 90.0)
-        assert_bitwise(new, ref, pairs)
-        assert new._t2_updates == 1
-        # ~10% dirty rows.
-        tenth = rng.choice(N, N // 10, replace=False)
-        ledger.record_many(*edge_traffic(graph, rng, tenth))
-        assert_bitwise(new, ref, pairs)
-        assert new._t2_updates == 2
-        # More than half the rows dirty: exact rebuild.
-        most = rng.choice(N, 3 * N // 5, replace=False)
-        ledger.record_many(*edge_traffic(graph, rng, most))
-        assert_bitwise(new, ref, pairs)
-        assert new._t2_updates == 0
-        # Churn decay marks the decayed rows and every row pointing at them.
-        ledger.decay_nodes(np.array([0, 13, 40]), 0.5)
-        assert_bitwise(new, ref, pairs)
-        assert new._t2_updates == 1
-        # cache_rebuild_interval consecutive corrections, then a forced
-        # rebuild on an otherwise patchable step.
-        for k in range(cfg.cache_rebuild_interval - 1):
-            ledger.record(20 + k, 12, 1.0)
-            assert_bitwise(new, ref, pairs)
-        assert new._t2_updates == cfg.cache_rebuild_interval
-        ledger.record(30, 24, 1.0)
-        assert_bitwise(new, ref, pairs)
-        assert new._t2_updates == 0
+    @pytest.mark.parametrize("cfg", CONFIGS, ids=["mean", "sum"])
+    def test_hub_and_isolated_nodes_match_bitwise(self, cfg):
+        check_history(make_hub_graph(7), cfg)
 
     @pytest.mark.parametrize("cfg", CONFIGS, ids=["mean", "sum"])
     def test_restore_from_csr_layout_state(self, cfg):
         """A checkpoint of the CSR-cache layout (patterns pruned by sparse
         adds, explicit zeros kept by the rebuild) restores bitwise, and
         so does the aligned cache's own state."""
-        rng = np.random.default_rng(9)
-        graph = make_graph(2)
-        ledger = SparseInteractionLedger(N)
-        ledger.record_many(*edge_traffic(graph, rng))
-        ref = CsrCacheClosenessComputer(graph, ledger, cfg)
-        new = SparseClosenessComputer(graph, ledger, cfg)
-        pairs = probe_pairs(rng)
-        for rows in ([5], [7, 8, 9], [60, 61]):
-            ledger.record_many(*edge_traffic(graph, rng, rows))
-            assert_bitwise(new, ref, pairs)
-        from_ref = SparseClosenessComputer(graph, ledger, cfg)
-        from_ref.restore_state(ref.state_dict())
-        from_new = SparseClosenessComputer(graph, ledger, cfg)
-        from_new.restore_state(new.state_dict())
-        for restored in (from_ref, from_new):
-            assert restored._t2_updates == new._t2_updates
-            assert_bitwise(restored, ref, pairs)
-        ledger.record_many(*edge_traffic(graph, rng, [100, 101, 150]))
+        check_restore(make_graph(2), cfg)
+
+    @pytest.mark.parametrize("cfg", CONFIGS, ids=["mean", "sum"])
+    def test_hub_graph_restores_bitwise(self, cfg):
+        check_restore(make_hub_graph(8), cfg)
+
+
+def check_restore(graph: SocialGraph, cfg) -> None:
+    """Patch both caches, restore fresh computers from either's state,
+    and patch on: every step agrees bitwise with the CSR-cache layout."""
+    rng = np.random.default_rng(9)
+    ledger = SparseInteractionLedger(N)
+    ledger.record_many(*edge_traffic(graph, rng))
+    ref = CsrCacheClosenessComputer(graph, ledger, cfg)
+    new = SparseClosenessComputer(graph, ledger, cfg)
+    pairs = probe_pairs(rng)
+    for rows in ([5], [7, 8, 9], [60, 61]):
+        ledger.record_many(*edge_traffic(graph, rng, rows))
+        assert_bitwise(new, ref, pairs)
+    from_ref = SparseClosenessComputer(graph, ledger, cfg)
+    from_ref.restore_state(ref.state_dict())
+    from_new = SparseClosenessComputer(graph, ledger, cfg)
+    from_new.restore_state(new.state_dict())
+    for restored in (from_ref, from_new):
+        assert restored._t2_updates == new._t2_updates
+        assert_bitwise(restored, ref, pairs)
+    for rows in ([100, 101, 150], [0]):
+        ledger.record_many(*edge_traffic(graph, rng, rows))
         for restored in (from_ref, from_new):
             assert_bitwise(restored, ref, pairs)
 
 
 class TestPatchCost:
     def test_patch_never_aligns_over_all_of_pu(self, monkeypatch):
+        """A warm patch sums over the two-hop table: no SciPy sparse
+        product, no search of ``Pu``, and it writes and reassembles fewer
+        slots than a share of ``Pu`` that shrinks with the dirty rows."""
         rng = np.random.default_rng(3)
         graph = make_graph(3)
         ledger = SparseInteractionLedger(N)
@@ -173,9 +226,15 @@ class TestPatchCost:
         cc.matrix_csr()  # cold rebuild
         pu = cc._pu_keys.size
 
-        located, aligned, assembled = [], [], []
-        real_locate, real_align, real_assemble = (
-            sparse_module._locate, cc._align, cc._assemble
+        products, located, aligned, written, assembled = [], [], [], [], []
+        real_matmul = sparse.csr_matrix.__matmul__
+        real_locate, real_align, real_patch, real_assemble = (
+            sparse_module._locate, cc._align, cc._patch, cc._assemble
+        )
+        monkeypatch.setattr(
+            sparse.csr_matrix,
+            "__matmul__",
+            lambda a, b: products.append(b) or real_matmul(a, b),
         )
         monkeypatch.setattr(
             sparse_module,
@@ -185,6 +244,13 @@ class TestPatchCost:
         monkeypatch.setattr(
             cc, "_align", lambda mat: aligned.append(mat) or real_align(mat)
         )
+
+        def patch(dirty):
+            a_slots, t_slots = real_patch(dirty)
+            written.append(np.union1d(a_slots, t_slots).size)
+            return a_slots, t_slots
+
+        monkeypatch.setattr(cc, "_patch", patch)
         monkeypatch.setattr(
             cc,
             "_assemble",
@@ -192,13 +258,13 @@ class TestPatchCost:
             or real_assemble(adj, common),
         )
         for rows, share in (([17], 0.05), (rng.choice(N, N // 10, replace=False), 0.5)):
-            located.clear()
+            written.clear()
             assembled.clear()
             ledger.record_many(*edge_traffic(graph, rng, rows))
             cc.pair_values(np.array([0, 1]), np.array([1, 2]))
             assert cc._t2_updates >= 1  # took the patch path
-            assert aligned == []
-            assert 0 < sum(located) < share * pu
+            assert products == [] and located == [] and aligned == []
+            assert len(written) == 1 and 0 < written[0] < share * pu
             assert 0 < sum(assembled) < share * pu
 
 

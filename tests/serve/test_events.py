@@ -100,6 +100,61 @@ class TestValidation:
         assert event.nodes == (4, 0, 7)
         assert [type(n) for n in event.nodes] == [int, int, int]
 
+    @pytest.mark.parametrize(
+        "build, field",
+        [
+            (lambda x: RatingEvent(rater=x, ratee=2, value=1.0), "rater"),
+            (lambda x: RatingEvent(rater=1, ratee=x, value=1.0), "ratee"),
+            (lambda x: RatingEvent(rater=1, ratee=2, value=1.0, count=x), "count"),
+            (lambda x: RatingEvent(rater=1, ratee=2, value=1.0, interest=x), "interest"),
+            (lambda x: InteractionEvent(source=x, target=2), "source"),
+            (lambda x: InteractionEvent(source=1, target=x), "target"),
+            (lambda x: QueryRequest(node=x), "node"),
+            (lambda x: QueryRequest(rater=x, ratee=2), "rater"),
+            (lambda x: QueryRequest(rater=1, ratee=x), "ratee"),
+        ],
+    )
+    @pytest.mark.parametrize("bad", [1.5, 1.0, True, False, "1"])
+    def test_integer_fields_refuse_other_types(self, build, field, bad):
+        """A float or bool id passed the old constructors and the service's
+        range checks, and the flush's int64 cast then turned it into
+        another node (``1.5`` and ``True`` both into node 1)."""
+        with pytest.raises(TypeError, match=f"{field} must be an integer"):
+            build(bad)
+
+    def test_required_integer_fields_refuse_none(self):
+        for build in (
+            lambda: RatingEvent(rater=None, ratee=2, value=1.0),
+            lambda: RatingEvent(rater=1, ratee=None, value=1.0),
+            lambda: RatingEvent(rater=1, ratee=2, value=1.0, count=None),
+            lambda: InteractionEvent(source=None, target=2),
+            lambda: InteractionEvent(source=1, target=None),
+        ):
+            with pytest.raises(TypeError, match="must be an integer"):
+                build()
+
+    @pytest.mark.parametrize(
+        "event, fields",
+        [
+            (
+                RatingEvent(np.int64(1), np.uint8(2), 1.0, np.int32(3)),
+                ("rater", "ratee", "count"),
+            ),
+            (
+                RatingEvent(np.int16(1), 2, -1.0, interest=np.int64(4)),
+                ("rater", "interest"),
+            ),
+            (InteractionEvent(np.int64(5), np.int64(6)), ("source", "target")),
+            (QueryRequest(node=np.int64(7)), ("node",)),
+            (QueryRequest(rater=np.int8(1), ratee=np.uint64(2)), ("rater", "ratee")),
+        ],
+        ids=repr,
+    )
+    def test_numpy_integers_normalised(self, event, fields):
+        for name in fields:
+            assert type(getattr(event, name)) is int
+        assert event == decode_event(encode_event(event))
+
     def test_query_needs_both_pair_endpoints(self):
         with pytest.raises(ValueError, match="both"):
             QueryRequest(rater=1)
@@ -129,9 +184,10 @@ class TestRecords:
         assert (1, 2, 1.0, 1, None) != rating
         assert not rating == (1, 2, 1.0, 1, None)
         assert rating != InteractionEvent(1, 2, 1.0)
-        # Two kinds whose fields hold the same values.
-        interaction = InteractionEvent(None, 1, 2.0)
-        query = QueryRequest(None, 1, 2.0)
+        # Two kinds whose fields hold the same values.  No valid query
+        # holds an interaction's fields, so the query skips its checks.
+        interaction = InteractionEvent(1, 2, 3.0)
+        query = tuple.__new__(QueryRequest, (1, 2, 3.0))
         assert tuple(interaction) == tuple(query)
         assert interaction != query and not interaction == query
         assert WatermarkEvent(3) != (3,)
@@ -140,7 +196,9 @@ class TestRecords:
         rating = RatingEvent(1, 2, 1.0)
         assert hash(rating) == hash(RatingEvent(1, 2, 1.0))
         assert len({rating, RatingEvent(1, 2, 1.0), (1, 2, 1.0, 1, None)}) == 2
-        assert len({InteractionEvent(None, 1, 2.0), QueryRequest(None, 1, 2.0)}) == 2
+        interaction = InteractionEvent(1, 2, 3.0)
+        query = tuple.__new__(QueryRequest, (1, 2, 3.0))
+        assert len({interaction, query}) == 2
 
     def test_records_do_not_order(self):
         with pytest.raises(TypeError):
@@ -423,6 +481,56 @@ class TestStreamFiles:
         write_event_stream(path, events)
         with path.open() as handle:
             assert list(iter_event_lines(handle)) == events
+
+    HEADER = json.dumps({"t": "header", "schema_version": EVENT_SCHEMA_VERSION})
+
+    @pytest.mark.parametrize(
+        "text, want",
+        [
+            ('\n{"t":"watermark"}\n   \n\n{"t":"query","node":1}\n\n', 2),
+            ('{"t":"watermark"}\n\n{"t":"watermark",\n', "line 3: invalid JSON"),
+            (HEADER + "\n{not json}\n", "line 2: invalid JSON"),
+            ('{"t":"watermark"}\n' + HEADER + "\n", "line 2: header must be"),
+            ("\n" + HEADER + "\n", "line 2: header must be"),
+            ('{"t":"header","schema_version":999}\n', "event schema version 999 !="),
+            ('{"t":"header"}\n{"t":"watermark"}\n', "event schema version None !="),
+            (
+                HEADER
+                + '\n{"t":"watermark"}\n\n'
+                + '{"t":"rating","rater":1.5,"ratee":2,"value":1}\n',
+                "line 4: malformed 'rating' event: rater must be an integer",
+            ),
+        ],
+        ids=[
+            "blank-lines",
+            "invalid-json",
+            "invalid-json-after-header",
+            "late-header",
+            "header-after-blank-line",
+            "wrong-schema-version",
+            "missing-schema-version",
+            "bad-event-on-line-4",
+        ],
+    )
+    def test_both_readers_share_one_loop(self, tmp_path, text, want):
+        """read_event_stream and iter_event_lines give the same events, or
+        the same error text, for one file."""
+        path = tmp_path / "stream.jsonl"
+        path.write_text(text)
+
+        def outcome(read):
+            try:
+                return tuple(read())
+            except EventDecodeError as exc:
+                return str(exc)
+
+        loaded = outcome(lambda: read_event_stream(path).events)
+        with path.open() as handle:
+            assert outcome(lambda: iter_event_lines(handle)) == loaded
+        if isinstance(want, int):
+            assert len(loaded) == want
+        else:
+            assert isinstance(loaded, str) and loaded.startswith(want)
 
     def test_iter_event_lines_from_string_handle(self):
         text = '{"t":"query","node":4}\n'

@@ -186,6 +186,27 @@ class TestSyncCore:
             ReputationService(small_spec()).apply(event)
         assert isinstance(info.value, legacy)
 
+    def test_mistyped_ids_refused_at_construction(self):
+        """``RatingEvent(rater=1.5, ratee=True, ...)`` once passed its
+        constructor and the service's range checks (1.5 != True), was
+        buffered, and the flush's int64 cast made it the self-pair (1, 1):
+        every later watermark then raised "self-ratings are not allowed"
+        and the service was wedged."""
+        service = ReputationService(small_spec())
+        for build in (
+            lambda: RatingEvent(rater=1.5, ratee=True, value=1.0),
+            lambda: RatingEvent(rater=0, ratee=1, value=1.0, count=1.5),
+            lambda: InteractionEvent(source=0.5, target=True),
+            lambda: QueryRequest(node=2.5),
+        ):
+            with pytest.raises(TypeError):
+                service.apply(build())
+        service.apply(RatingEvent(rater=0, ratee=1, value=1.0))
+        for expected in (1, 2):
+            service.apply(WatermarkEvent())
+            assert service.intervals_run == expected
+        assert service.events_applied == 1
+
     def test_serve_events_counts_queries(self):
         service = ReputationService(small_spec())
         consumed = service.serve_events(

@@ -11,9 +11,15 @@ the rating bursts.
 
 from __future__ import annotations
 
-from typing import Iterator, Sequence
+from typing import Sequence
 
-from repro.collusion.models import CollusionSchedule, RatingBurst, pick
+from repro.collusion.models import (
+    BurstColumns,
+    CollusionSchedule,
+    FixedBursts,
+    Integers,
+    pick,
+)
 from repro.utils.rng import RngStream
 
 __all__ = ["CompromisedPretrustedCollusion"]
@@ -43,11 +49,18 @@ class CompromisedPretrustedCollusion(CollusionSchedule):
             )
         if ratings_per_cycle < 1:
             raise ValueError("ratings_per_cycle must be >= 1")
-        self._pools = self._interest_pools(interests)
-        self._count = int(ratings_per_cycle)
         self._partners: list[tuple[int, int]] = [
             (p, pick(colluders, rng)) for p in compromised
         ]
+        count = int(ratings_per_cycle)
+        self._fixed = FixedBursts(
+            [
+                (rater, ratee, 1.0, count)
+                for pretrusted, colluder in self._partners
+                for rater, ratee in ((pretrusted, colluder), (colluder, pretrusted))
+            ],
+            interests,
+        )
 
     @property
     def partners(self) -> tuple[tuple[int, int], ...]:
@@ -65,13 +78,5 @@ class CompromisedPretrustedCollusion(CollusionSchedule):
                     out.append(node)
         return tuple(out)
 
-    def bursts(self, rng: RngStream) -> Iterator[RatingBurst]:
-        for pretrusted, colluder in self._partners:
-            for rater, ratee in ((pretrusted, colluder), (colluder, pretrusted)):
-                yield RatingBurst(
-                    rater=rater,
-                    ratee=ratee,
-                    value=1.0,
-                    count=self._count,
-                    interest=self._pick_interest(self._pools, ratee, rng),
-                )
+    def draw_cycle(self, integers: Integers) -> BurstColumns:
+        return self._fixed.draw(integers)

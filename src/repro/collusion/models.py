@@ -7,6 +7,13 @@ tagged with an interest drawn from the ratee's declared interests ("a
 boosting node rates a boosted node ... on an interest randomly selected
 from the interests of the boosted node").
 
+The query engine takes a cycle's bursts as columns from
+:meth:`CollusionSchedule.draw_cycle`, drawing on its open word replay;
+:meth:`CollusionSchedule.bursts` wraps the same draw as
+:class:`RatingBurst` records for the scalar oracle and callers that want
+objects.  Each schedule builds its fixed columns (pairs, values, counts,
+sorted interest pools) once at construction.
+
 Bursts count toward the rater's *interaction frequency* (the paper equates
 interaction frequency with rating frequency) but **not** toward its
 behavioural interest-request weights: a collusion rating is not a genuine
@@ -19,11 +26,12 @@ from __future__ import annotations
 
 import abc
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
 from repro.utils.rng import RngStream
 
 __all__ = [
+    "BurstColumns",
     "RatingBurst",
     "CollusionSchedule",
     "NoCollusion",
@@ -32,6 +40,17 @@ __all__ = [
     "MutualMultiNodeCollusion",
     "CompositeCollusion",
 ]
+
+#: ``integers(m)`` draws like ``int(rng.integers(0, m))`` for ``m >= 1``.
+Integers = Callable[[int], int]
+
+#: One query cycle's bursts as five parallel columns: raters, ratees,
+#: values, counts and interests (``None`` where the ratee declares none).
+BurstColumns = tuple[
+    Sequence[int], Sequence[int], Sequence[float], Sequence[int], Sequence["int | None"]
+]
+
+_NO_BURSTS: BurstColumns = ((), (), (), (), ())
 
 
 @dataclass(frozen=True)
@@ -60,8 +79,50 @@ def pick(pool: Sequence[int], rng: RngStream) -> int:
     return pool[int(rng.integers(0, len(pool)))]
 
 
+def _draw_interest(pool: Sequence[int], integers: Integers) -> int | None:
+    """``pick(pool)``; a one-entry pool draws nothing, an empty one gives
+    ``None``."""
+    if len(pool) > 1:
+        return pool[integers(len(pool))]
+    return pool[0] if pool else None
+
+
+def _ratee_pools(
+    interests: Sequence[frozenset[int]], ratees: Sequence[int]
+) -> tuple[tuple[int, ...], ...]:
+    """Each ratee's declared interests, sorted (empty past the list's end)."""
+    return tuple(
+        tuple(sorted(interests[j])) if j < len(interests) else () for j in ratees
+    )
+
+
+class FixedBursts:
+    """Bursts whose rater, ratee, value and count never change: a cycle
+    draws only each burst's interest, from its ratee's declared interests."""
+
+    __slots__ = ("raters", "ratees", "values", "counts", "pools")
+
+    def __init__(
+        self,
+        bursts: Sequence[tuple[int, int, float, int]],
+        interests: Sequence[frozenset[int]],
+    ) -> None:
+        columns = tuple(zip(*bursts)) if bursts else ((), (), (), ())
+        self.raters, self.ratees, self.values, self.counts = columns
+        self.pools = _ratee_pools(interests, self.ratees)
+
+    def draw(self, integers: Integers) -> BurstColumns:
+        return (
+            self.raters,
+            self.ratees,
+            self.values,
+            self.counts,
+            [_draw_interest(pool, integers) for pool in self.pools],
+        )
+
+
 class CollusionSchedule(abc.ABC):
-    """Produces the colluders' rating bursts, one call per query cycle."""
+    """Produces the colluders' rating bursts, one draw per query cycle."""
 
     @property
     @abc.abstractmethod
@@ -69,24 +130,21 @@ class CollusionSchedule(abc.ABC):
         """All node ids participating in the collusion."""
 
     @abc.abstractmethod
+    def draw_cycle(self, integers: Integers) -> BurstColumns:
+        """One query cycle's bursts as columns.
+
+        Every random choice -- an interest, a victim, an MCM count -- is
+        one ``integers(m)`` call, made burst by burst in burst order.  The
+        query engine passes its open :class:`~repro.utils.rng.WordReplay`'s
+        ``integers``; :meth:`bursts` passes ``rng.integers(0, m)``.  Fixed
+        columns are shared between calls and must not be modified.
+        """
+
     def bursts(self, rng: RngStream) -> Iterator[RatingBurst]:
-        """Rating bursts for one query cycle."""
-
-    @staticmethod
-    def _interest_pools(
-        interests: Sequence[frozenset[int]],
-    ) -> list[list[int]]:
-        """Each node's declared interests, sorted once for :meth:`_pick_interest`."""
-        return [sorted(pool) for pool in interests]
-
-    @staticmethod
-    def _pick_interest(
-        pools: list[list[int]], ratee: int, rng: RngStream
-    ) -> int | None:
-        pool = pools[ratee] if ratee < len(pools) else None
-        if not pool:
-            return None
-        return pick(pool, rng)
+        """Rating bursts for one query cycle, drawn from ``rng``."""
+        columns = self.draw_cycle(lambda m: int(rng.integers(0, m)))
+        for rater, ratee, value, count, interest in zip(*columns):
+            yield RatingBurst(rater, ratee, value, count, interest)
 
 
 class NoCollusion(CollusionSchedule):
@@ -96,8 +154,8 @@ class NoCollusion(CollusionSchedule):
     def colluders(self) -> tuple[int, ...]:
         return ()
 
-    def bursts(self, rng: RngStream) -> Iterator[RatingBurst]:
-        return iter(())
+    def draw_cycle(self, integers: Integers) -> BurstColumns:
+        return _NO_BURSTS
 
 
 class PairwiseCollusion(CollusionSchedule):
@@ -124,14 +182,20 @@ class PairwiseCollusion(CollusionSchedule):
         if ratings_per_cycle < 1:
             raise ValueError("ratings_per_cycle must be >= 1")
         self._ids = tuple(ids)
-        self._pools = self._interest_pools(interests)
-        self._count = int(ratings_per_cycle)
-        self._value = float(rating_value)
         self._pairs: list[tuple[int, int]] = []
         for k in range(0, len(ids) - 1, 2):
             self._pairs.append((ids[k], ids[k + 1]))
         if len(ids) % 2 == 1:
             self._pairs.append((ids[-1], ids[0]))
+        count, value = int(ratings_per_cycle), float(rating_value)
+        self._fixed = FixedBursts(
+            [
+                (rater, ratee, value, count)
+                for a, b in self._pairs
+                for rater, ratee in ((a, b), (b, a))
+            ],
+            interests,
+        )
 
     @property
     def colluders(self) -> tuple[int, ...]:
@@ -141,16 +205,8 @@ class PairwiseCollusion(CollusionSchedule):
     def pairs(self) -> tuple[tuple[int, int], ...]:
         return tuple(self._pairs)
 
-    def bursts(self, rng: RngStream) -> Iterator[RatingBurst]:
-        for a, b in self._pairs:
-            for rater, ratee in ((a, b), (b, a)):
-                yield RatingBurst(
-                    rater=rater,
-                    ratee=ratee,
-                    value=self._value,
-                    count=self._count,
-                    interest=self._pick_interest(self._pools, ratee, rng),
-                )
+    def draw_cycle(self, integers: Integers) -> BurstColumns:
+        return self._fixed.draw(integers)
 
 
 class MultiNodeCollusion(CollusionSchedule):
@@ -183,9 +239,11 @@ class MultiNodeCollusion(CollusionSchedule):
         if not 1 <= lo <= hi:
             raise ValueError(f"invalid ratings_range {ratings_range}")
         self._ids = tuple(ids)
-        self._pools = self._interest_pools(interests)
-        self._range = (int(lo), int(hi))
-        self._value = float(rating_value)
+        # ``rng.integers(lo, hi + 1)`` is ``lo + integers(0, hi + 1 - lo)``:
+        # numpy bounds the draw on the range alone, and a one-value range
+        # draws nothing.
+        self._lo = int(lo)
+        self._span = int(hi) + 1 - self._lo
         boosted = rng.choice(len(ids), size=n_boosted, replace=False)
         self._boosted = tuple(sorted(ids[int(k)] for k in boosted))
         boosted_set = set(self._boosted)
@@ -193,6 +251,13 @@ class MultiNodeCollusion(CollusionSchedule):
         self._target = {
             b: pick(self._boosted, rng) for b in self._boosting
         }
+        #: The forward bursts; their counts column holds ``lo``, which is
+        #: every count when the range has one value.
+        value = float(rating_value)
+        self._forward = FixedBursts(
+            [(b, self._target[b], value, self._lo) for b in self._boosting],
+            interests,
+        )
 
     @property
     def colluders(self) -> tuple[int, ...]:
@@ -209,17 +274,17 @@ class MultiNodeCollusion(CollusionSchedule):
     def target_of(self, boosting_node: int) -> int:
         return self._target[boosting_node]
 
-    def bursts(self, rng: RngStream) -> Iterator[RatingBurst]:
-        lo, hi = self._range
-        for rater in self._boosting:
-            ratee = self._target[rater]
-            yield RatingBurst(
-                rater=rater,
-                ratee=ratee,
-                value=self._value,
-                count=int(rng.integers(lo, hi + 1)),
-                interest=self._pick_interest(self._pools, ratee, rng),
-            )
+    def draw_cycle(self, integers: Integers) -> BurstColumns:
+        forward = self._forward
+        if self._span == 1:
+            return forward.draw(integers)
+        lo, span = self._lo, self._span
+        counts: list[int] = []
+        interests: list[int | None] = []
+        for pool in forward.pools:
+            counts.append(lo + integers(span))
+            interests.append(_draw_interest(pool, integers))
+        return forward.raters, forward.ratees, forward.values, counts, interests
 
 
 class MutualMultiNodeCollusion(MultiNodeCollusion):
@@ -256,18 +321,23 @@ class MutualMultiNodeCollusion(MultiNodeCollusion):
         self._boosters_of: dict[int, list[int]] = {b: [] for b in self.boosted}
         for booster in self.boosting:
             self._boosters_of[self.target_of(booster)].append(booster)
+        # Forward counts are fixed, so a cycle draws only interests: the
+        # forward bursts', then each boosted node's back bursts'.
+        self._fixed = FixedBursts(
+            [
+                (booster, self.target_of(booster), float(rating_value), self._lo)
+                for booster in self.boosting
+            ]
+            + [
+                (boosted, booster, 1.0, self._back)
+                for boosted, boosters in self._boosters_of.items()
+                for booster in boosters
+            ],
+            interests,
+        )
 
-    def bursts(self, rng: RngStream) -> Iterator[RatingBurst]:
-        yield from super().bursts(rng)
-        for boosted, boosters in self._boosters_of.items():
-            for booster in boosters:
-                yield RatingBurst(
-                    rater=boosted,
-                    ratee=booster,
-                    value=1.0,
-                    count=self._back,
-                    interest=self._pick_interest(self._pools, booster, rng),
-                )
+    def draw_cycle(self, integers: Integers) -> BurstColumns:
+        return self._fixed.draw(integers)
 
 
 class BadmouthingCollusion(CollusionSchedule):
@@ -303,12 +373,19 @@ class BadmouthingCollusion(CollusionSchedule):
             raise ValueError("ratings_per_cycle must be >= 1")
         self._colluders = tuple(colluders)
         self._victims = tuple(victims)
-        self._pools = self._interest_pools(interests)
-        self._count = int(ratings_per_cycle)
+        self._victim_pools = _ratee_pools(interests, victims)
         #: paired=True is the classic competitor attack: colluder ``k``
         #: always targets ``victims[k % len(victims)]`` (its market rival);
         #: paired=False sprays a random victim each cycle.
         self._paired = bool(paired)
+        count = int(ratings_per_cycle)
+        self._fixed = FixedBursts(
+            [
+                (rater, victims[k % len(victims)], -1.0, count)
+                for k, rater in enumerate(colluders)
+            ],
+            interests,
+        )
 
     @property
     def colluders(self) -> tuple[int, ...]:
@@ -325,19 +402,18 @@ class BadmouthingCollusion(CollusionSchedule):
         k = self._colluders.index(colluder)
         return self._victims[k % len(self._victims)]
 
-    def bursts(self, rng: RngStream) -> Iterator[RatingBurst]:
-        for k, rater in enumerate(self._colluders):
-            if self._paired:
-                ratee = self._victims[k % len(self._victims)]
-            else:
-                ratee = pick(self._victims, rng)
-            yield RatingBurst(
-                rater=rater,
-                ratee=ratee,
-                value=-1.0,
-                count=self._count,
-                interest=self._pick_interest(self._pools, ratee, rng),
-            )
+    def draw_cycle(self, integers: Integers) -> BurstColumns:
+        fixed = self._fixed
+        if self._paired:
+            return fixed.draw(integers)
+        victims, pools, m = self._victims, self._victim_pools, len(self._victims)
+        ratees: list[int] = []
+        interests: list[int | None] = []
+        for _ in self._colluders:
+            k = integers(m)
+            ratees.append(victims[k])
+            interests.append(_draw_interest(pools[k], integers))
+        return fixed.raters, ratees, fixed.values, fixed.counts, interests
 
 
 class CompositeCollusion(CollusionSchedule):
@@ -359,6 +435,10 @@ class CompositeCollusion(CollusionSchedule):
                     out.append(c)
         return tuple(out)
 
-    def bursts(self, rng: RngStream) -> Iterator[RatingBurst]:
-        for schedule in self._schedules:
-            yield from schedule.bursts(rng)
+    def draw_cycle(self, integers: Integers) -> BurstColumns:
+        parts = [schedule.draw_cycle(integers) for schedule in self._schedules]
+        if len(parts) == 1:
+            return parts[0]
+        return tuple(  # type: ignore[return-value]
+            [x for part in parts for x in part[column]] for column in range(5)
+        )

@@ -385,7 +385,6 @@ class ClosenessComputer(ClosenessBase):
     def pair_values(self, raters, ratees) -> np.ndarray:
         """``Ωc`` over pair arrays — same gather API as the sparse backend
         (reads from the cached matrix)."""
+        i, j = self._pair_ids(raters, ratees)
         matrix = self.closeness_matrix()
-        i = np.asarray(raters, dtype=np.int64)
-        j = np.asarray(ratees, dtype=np.int64)
         return np.asarray(matrix[i, j], dtype=np.float64)

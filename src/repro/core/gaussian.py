@@ -71,6 +71,20 @@ class PairBands:
     def pair_values(self, raters, ratees) -> np.ndarray:
         raise NotImplementedError
 
+    def _pair_ids(self, raters, ratees) -> tuple[np.ndarray, np.ndarray]:
+        """The pair arrays as int64, refusing ids off ``[0, n)``: a sparse
+        pair key ``i * n + j`` would name another pair, and a dense gather
+        would wrap ``-1`` to ``n - 1``."""
+        i = np.asarray(raters, dtype=np.int64)
+        j = np.asarray(ratees, dtype=np.int64)
+        if i.size:
+            n = self.n_nodes
+            # Read as unsigned, a negative id is above every valid one, so
+            # one max per array checks both ends of the range.
+            if max(i.view(np.uint64).max(), j.view(np.uint64).max()) >= np.uint64(n):
+                raise IndexError(f"node ids must lie in [0, {n})")
+        return i, j
+
     def rater_band(
         self, rater: int, rated: frozenset[int] | set[int]
     ) -> RaterBand | None:

@@ -196,7 +196,6 @@ class SimilarityComputer(PairBands):
     def pair_values(self, a, b) -> np.ndarray:
         """``Ωs`` over pair arrays — same gather API as the sparse backend
         (reads from the cached matrix)."""
+        i, j = self._pair_ids(a, b)
         matrix = self.similarity_matrix()
-        i = np.asarray(a, dtype=np.int64)
-        j = np.asarray(b, dtype=np.int64)
         return np.asarray(matrix[i, j], dtype=np.float64)

@@ -425,8 +425,7 @@ class SparseClosenessComputer(ClosenessBase):
         are walked through the shortest-path fallback, matching the dense
         matrix entry for entry.
         """
-        i = np.asarray(raters, dtype=np.int64)
-        j = np.asarray(ratees, dtype=np.int64)
+        i, j = self._pair_ids(raters, ratees)
         if i.size == 0:
             return np.zeros(0, dtype=np.float64)
         values = self._evaluate()
@@ -608,15 +607,10 @@ class SparseSimilarityComputer(PairBands):
     def pair_values(self, a, b) -> np.ndarray:
         """``Ωs`` over pair arrays (Eq. (7) plain / Eq. (11) hardened),
         read through the pair cache."""
-        i = np.asarray(a, dtype=np.int64)
-        j = np.asarray(b, dtype=np.int64)
+        i, j = self._pair_ids(a, b)
         if i.size == 0:
             return np.zeros(0, dtype=np.float64)
         n = self.n_nodes
-        # Keys must name one pair each: an id off [0, n) would alias
-        # another pair's cached value.
-        if min(i.min(), j.min()) < 0 or max(i.max(), j.max()) >= n:
-            raise IndexError(f"node ids must lie in [0, {n})")
         keys = i * np.int64(n) + j
         self._sync()
         cached = self._pair_keys

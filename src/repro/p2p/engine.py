@@ -25,15 +25,19 @@ random draw**.  Three observations make this possible:
    :class:`~repro.utils.rng.WordReplay`: one block of raw PCG64 words per
    query cycle, decoded the way numpy's ``Generator`` decodes them
    (53-bit doubles, Lemire bounded integers on buffered 32-bit halves)
-   and rewound to the exact stream position before the collusion bursts
-   draw again.  The simulation's generator must therefore be PCG64 —
+   and rewound to the exact stream position when the cycle ends.  The
+   collusion bursts draw on the same open replay: each schedule's
+   :meth:`~repro.collusion.models.CollusionSchedule.draw_cycle` makes its
+   interest, victim and count choices through ``integers(m)``, so the
+   replay stays open through them and no burst object is built.  The
+   simulation's generator must therefore be PCG64 —
    :func:`~repro.utils.rng.spawn_rng` and ``default_rng`` always are; any
    other bit generator is rejected at construction.
 
 2. Reputations only change at simulation-cycle boundaries, so the
    available/qualified provider sets of every interest group are constant
    within an interval — except for capacity exhaustion.
-   :meth:`BatchedQueryEngine.begin_interval` hoists those structures once
+   :meth:`BatchedQueryEngine.run_interval` hoists those structures once
    per simulation cycle.
 
 3. Capacity exhaustion is *monotone* within a query cycle (capacity never
@@ -45,14 +49,19 @@ random draw**.  Three observations make this possible:
    is then a couple of list lookups and one bisect, regardless of how
    saturated the cycle gets.
 
-Outcomes are buffered per query cycle, together with the cycle's
-collusion bursts, and flushed through the batched ``record_many`` entry
-points of the rating/interaction/profile/metric ledgers (``np.add.at`` is
-unbuffered and applied in the seed's order, and the increments are exact
-``float64`` integers, so batching preserves bit-identity as well).
+Ratings are read only at the reputation update that ends a simulation
+cycle, so outcomes and collusion bursts are buffered for the whole
+interval, each query cycle's requests followed by its bursts, and
+written once before the rating ledger is drained: one ``record_many`` per
+rating and interaction ledger, one ``record_requests`` each for the
+interest profiles and the metrics, and one ``record_unserved_many``.
+``np.add.at`` is unbuffered and applied in the seed's order, and the
+increments are exact ``float64`` integers, so batching preserves
+bit-identity as well; the interaction ledger's dirty rows per interval
+are the same set, so the Ωc cache makes the same rebuild-or-patch choice.
 
 A network partition is one more candidate filter.  The injector's side
-mask is fixed for an interval, so :meth:`BatchedQueryEngine.begin_interval`
+mask is fixed for an interval, so :meth:`BatchedQueryEngine.run_interval`
 hoists the structures per (side, interest): side 0 keeps the plain
 interest offsets ``[0, k)``, side 1 lives at ``[k, 2k)``, and a client on
 side 1 draws from interest lists shifted by ``k``.  Capacity exhaustion
@@ -91,11 +100,16 @@ __all__ = ["BatchedQueryEngine", "LedgerObserver"]
 class LedgerObserver(Protocol):
     """Receives every behavioural-ledger mutation a simulation makes.
 
-    ``flushed`` gets each query cycle's flush columns: the first
-    ``len(interests)`` rows are serviced requests (count 1, interest
-    ``interests[i]``), the rest are collusion bursts.  ``decayed`` gets
-    each churn ``decay_nodes`` call.  The arrays are the ones the ledgers
-    were given; do not modify them.
+    ``flushed`` gets each query cycle's rows, once per non-empty query
+    cycle in cycle order, when the engine writes the interval at the end
+    of the simulation cycle: the first ``len(interests)`` rows are
+    serviced requests (count 1, interest ``interests[i]``), the rest are
+    collusion bursts.  Concatenated, the cycles' columns are exactly the
+    rows the ledgers were given, in the same order, so a recorded stream
+    replays in ledger write order.  ``decayed`` gets each churn
+    ``decay_nodes`` call, made before the interval's query cycles.  The
+    arrays are views of the ones the ledgers were given; do not modify
+    them.
     """
 
     def flushed(
@@ -115,10 +129,9 @@ class BatchedQueryEngine:
 
     Consumes the simulation's :class:`~repro.utils.rng.RngStream` in
     exactly the seed order; see the module docstring for why the streams
-    stay aligned.  :meth:`begin_interval` must be called once per
-    simulation cycle (after fault-injector advance/decay, before the first
-    query cycle) so the hoisted per-interest structures see the current
-    reputations, online mask and partition sides.
+    stay aligned.  :meth:`run_interval` runs one simulation cycle's query
+    cycles (after fault-injector advance/decay) and writes their rows to
+    the ledgers.
     """
 
     def __init__(
@@ -164,6 +177,17 @@ class BatchedQueryEngine:
         self._injector = injector
         #: Optional :class:`LedgerObserver` fed every flushed query cycle.
         self.observer: LedgerObserver | None = None
+        # One interval's rows, written by _flush(): requests and bursts
+        # per query cycle in cycle order, the requests' slots, the
+        # unserved clients, and (row start, requests, row end) per cycle.
+        # Empty outside run_interval().
+        self._raters: list[int] = []
+        self._ratees: list[int] = []
+        self._values: list[float] = []
+        self._counts: list[int] = []
+        self._slots: list[int] = []
+        self._unserved: list[int] = []
+        self._cycles: list[tuple[int, int, int]] = []
 
         self._capacities = population.capacities
         self._capacity_list: list[int] = population.capacities.tolist()
@@ -187,7 +211,7 @@ class BatchedQueryEngine:
             cdf /= cdf[-1]
             self._cdf_lists.append(cdf.tolist())
 
-        # Interval masters, populated by begin_interval(); per-query-cycle
+        # Interval masters, populated by _begin_interval(); per-query-cycle
         # working copies diverge from them only on capacity exhaustion and
         # are restored lazily at the next cycle start.  All per-interest
         # structures are indexed by slot ``side * k + interest``; without
@@ -211,18 +235,28 @@ class BatchedQueryEngine:
         self._qual_cdf: list[list[float]] = []
         self._modified: set[int] = set()
 
-    # -- per-interval precomputation -----------------------------------------
+    # -- one simulation cycle --------------------------------------------------
 
-    def begin_interval(self, reputations: np.ndarray) -> None:
-        """Hoist per-slot selection structures for one simulation cycle.
+    def run_interval(self, reputations: np.ndarray, query_cycles: int) -> None:
+        """Run one simulation cycle's ``query_cycles`` query cycles.
 
         Reputations, the churn mask and the partition sides are constant
         between reputation updates, so available, qualified and
         weighted-cdf structures are built once here instead of once per
-        request.
+        request (call after the fault injector's advance and decay).  The
+        cycles' rows are written to the ledgers before this returns, so
+        the interval is complete and the buffers are empty whenever the
+        caller drains the rating ledger or takes a checkpoint.
         """
         with self._tracer.span("engine.candidate_build", interests=self._k):
             self._begin_interval(reputations)
+        try:
+            for _ in range(query_cycles):
+                self._run_query_cycle()
+            self._flush()
+        finally:
+            self._raters, self._ratees, self._values, self._counts = [], [], [], []
+            self._slots, self._unserved, self._cycles = [], [], []
 
     def _begin_interval(self, reputations: np.ndarray) -> None:
         reps = np.asarray(reputations, dtype=np.float64)
@@ -349,18 +383,16 @@ class BatchedQueryEngine:
 
     # -- the hot loop ------------------------------------------------------------
 
-    def run_query_cycle(self) -> None:
+    def _run_query_cycle(self) -> None:
         """One query cycle, bit-identical to the seed scalar loop.
 
-        Phase timings (candidate-build lives in :meth:`begin_interval`):
+        Phase timings (candidate-build lives in :meth:`run_interval`):
 
         * ``engine.cache_patch`` — master-restore at cycle start plus the
           per-exhaustion candidate-list patching, accumulated across the
           cycle and emitted as one pre-measured span;
         * ``engine.selection``   — the per-client loop, minus the cache
-          patching it triggered (phases stay additive);
-        * ``engine.rating_flush``— the batched ledger/metric flush of the
-          requests and collusion bursts.
+          patching it triggered (phases stay additive).
 
         All timing is gated on ``_trace_on``; with tracing disabled the
         cycle runs the exact untimed path.
@@ -386,10 +418,11 @@ class BatchedQueryEngine:
             skip |= ~online
         skip_list = skip.tolist()
         perm = rng.permutation(n).tolist()
-        # Every per-request draw below comes from the raw-word replay; it
-        # is opened after the Generator's array draws (the permutation may
-        # leave a half word buffered, which begin() picks up) and closed
-        # before the collusion bursts draw from ``rng`` again.
+        # Every per-request draw below, and the collusion bursts' draws
+        # after the loop, come from the raw-word replay.  It is opened
+        # after the Generator's array draws (the permutation may leave a
+        # half word buffered, which begin() picks up) and closed at the
+        # end of the cycle.
         replay = self._replay
         replay.begin()
 
@@ -409,11 +442,15 @@ class BatchedQueryEngine:
         q_list = self._q_list
         authentic = self._authentic
 
-        ev_raters: list[int] = []
-        ev_ratees: list[int] = []
-        ev_values: list[float] = []
-        ev_slots: list[int] = []
-        unserved: list[int] = []
+        # The interval's row buffers: this cycle's requests, then its
+        # bursts, behind the earlier cycles' rows.
+        ev_raters = self._raters
+        ev_ratees = self._ratees
+        ev_values = self._values
+        ev_slots = self._slots
+        unserved = self._unserved
+        row_start = len(ev_raters)
+        unserved_start = len(unserved)
 
         cache_before = self._cache_patch_s
         selection_start = perf_counter() if trace_on else 0.0
@@ -476,59 +513,98 @@ class BatchedQueryEngine:
             ev_ratees.append(server)
             ev_values.append(value)
             ev_slots.append(slot)
-        replay.end()
-        served = len(ev_raters)
+        served = len(ev_raters) - row_start
         if trace_on:
             patched = self._cache_patch_s - cache_before
             self._tracer.record(
                 "engine.selection",
                 perf_counter() - selection_start - patched,
                 served=served,
-                unserved=len(unserved),
+                unserved=len(unserved) - unserved_start,
             )
 
-        # Collusion bursts: same order and semantics as the seed loop.  A
-        # burst's ratings and interactions join the flush behind the
-        # requests', so every ledger sees the seed's increment order.
+        # Collusion bursts: same order and semantics as the seed loop,
+        # drawn on the open replay.  A burst's ratings and interactions
+        # follow the cycle's requests, so every ledger sees the seed's
+        # increment order.
+        raters, ratees, values, counts, _ = self._collusion.draw_cycle(rint)
+        replay.end()
         side = self._side
-        ev_counts = [1] * served
-        for burst in self._collusion.bursts(rng):
-            if churned and not (online[burst.rater] and online[burst.ratee]):
-                continue
-            if side is not None and side[burst.rater] != side[burst.ratee]:
-                self._metrics.faults.record_partition_block()
-                continue
-            ev_raters.append(burst.rater)
-            ev_ratees.append(burst.ratee)
-            ev_values.append(burst.value)
-            ev_counts.append(burst.count)
+        if raters and (churned or side is not None):
+            r = np.asarray(raters, dtype=np.int64)
+            e = np.asarray(ratees, dtype=np.int64)
+            keep = online[r] & online[e] if churned else np.ones(r.size, dtype=bool)
+            if side is not None:
+                cross = keep & (side[r] != side[e])
+                blocked = int(cross.sum())
+                if blocked:
+                    self._metrics.faults.record_partition_block(blocked)
+                    keep &= ~cross
+            kept = np.flatnonzero(keep).tolist()
+            raters = [raters[t] for t in kept]
+            ratees = [ratees[t] for t in kept]
+            values = [values[t] for t in kept]
+            counts = [counts[t] for t in kept]
+        ev_counts = self._counts
+        ev_counts += [1] * served
+        ev_raters += raters
+        ev_ratees += ratees
+        ev_values += values
+        ev_counts += counts
+        self._cycles.append((row_start, served, len(ev_raters)))
+        if trace_on and self._cache_patch_s:
+            self._tracer.record("engine.cache_patch", self._cache_patch_s)
 
+    def _flush(self) -> None:
+        """Write the interval's rows: one batched call per ledger.
+
+        ``np.add.at`` applies the increments unbuffered in row order, and
+        every increment is an exact ``float64`` integer, so one write per
+        interval leaves each ledger bitwise where one write per query
+        cycle did; the interaction ledger's dirty rows are the same set.
+        The observer still sees each query cycle's rows on their own.
+        """
+        trace_on = self._trace_on
         if trace_on:
             flush_start = perf_counter()
-        if ev_raters:
-            raters = np.asarray(ev_raters, dtype=np.int64)
-            ratees = np.asarray(ev_ratees, dtype=np.int64)
-            counts = np.asarray(ev_counts, dtype=np.float64)
-            values = np.asarray(ev_values, dtype=np.float64)
+        served = len(self._slots)
+        if self._raters:
+            raters = np.asarray(self._raters, dtype=np.int64)
+            ratees = np.asarray(self._ratees, dtype=np.int64)
+            values = np.asarray(self._values, dtype=np.float64)
+            counts = np.asarray(self._counts, dtype=np.float64)
             self._ledger.record_many(raters, ratees, values, counts)
             self._interactions.record_many(raters, ratees, counts)
-            interests = np.asarray(ev_slots, dtype=np.int64)
-            if side is not None:
+            interests = np.asarray(self._slots, dtype=np.int64)
+            if self._side is not None:
                 interests %= self._k
             if served:
-                self._profiles.record_requests(raters[:served], interests)
-                self._metrics.record_requests(raters[:served], ratees[:served])
-            if self.observer is not None:
-                self.observer.flushed(raters, ratees, values, counts, interests)
-        if unserved:
-            self._metrics.record_unserved_many(np.asarray(unserved, dtype=np.int64))
-        if trace_on:
-            self._tracer.record(
-                "engine.rating_flush", perf_counter() - flush_start
+                requests = np.zeros(raters.size, dtype=bool)
+                for start, n_served, _ in self._cycles:
+                    requests[start:start + n_served] = True
+                clients = raters[requests]
+                self._profiles.record_requests(clients, interests)
+                self._metrics.record_requests(clients, ratees[requests])
+            observer = self.observer
+            if observer is not None:
+                first = 0
+                for start, n_served, end in self._cycles:
+                    if end > start:
+                        observer.flushed(
+                            raters[start:end],
+                            ratees[start:end],
+                            values[start:end],
+                            counts[start:end],
+                            interests[first:first + n_served],
+                        )
+                    first += n_served
+        if self._unserved:
+            self._metrics.record_unserved_many(
+                np.asarray(self._unserved, dtype=np.int64)
             )
-            if self._cache_patch_s:
-                self._tracer.record("engine.cache_patch", self._cache_patch_s)
+        if trace_on:
+            self._tracer.record("engine.rating_flush", perf_counter() - flush_start)
         if self._obs is not None:
             metrics = self._obs.metrics
             metrics.counter("engine.requests.served").inc(served)
-            metrics.counter("engine.requests.unserved").inc(len(unserved))
+            metrics.counter("engine.requests.unserved").inc(len(self._unserved))

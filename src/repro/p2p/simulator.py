@@ -216,11 +216,12 @@ class Simulation:
                     self._interactions.decay_nodes(offline, factor)
                     if self._observer is not None:
                         self._observer.decayed(offline, factor)
-        # Reputations, the churn mask and the partition sides are fixed
-        # for the whole interval; hoist the selection structures once.
-        self._engine.begin_interval(self._system.reputations)
-        for _ in range(self._config.query_cycles_per_simulation_cycle):
-            self._engine.run_query_cycle()
+        # The engine writes the interval's rows before returning, so the
+        # rating ledger holds the whole interval here.
+        self._engine.run_interval(
+            self._system.reputations,
+            self._config.query_cycles_per_simulation_cycle,
+        )
         interval = self._ledger.drain()
         with tracer.span("reputation.update", system=self._system.name):
             reputations = self._system.update(interval)

@@ -3,10 +3,10 @@
 :class:`ScalarQueryOracle` is the original per-client query-cycle loop
 of :class:`~repro.p2p.simulator.Simulation`: one ``Generator.choice``
 per interest draw, one :func:`~repro.p2p.selection.select_server` per
-request and four Python-level ledger/metric ``record`` calls.  It exposes
-the :class:`~repro.p2p.engine.BatchedQueryEngine` interface
-(:meth:`~ScalarQueryOracle.begin_interval` /
-:meth:`~ScalarQueryOracle.run_query_cycle`), so :func:`use_oracle` can
+request and four Python-level ledger/metric ``record`` calls, made as
+each request is served.  It exposes the
+:class:`~repro.p2p.engine.BatchedQueryEngine` interface
+(:meth:`~ScalarQueryOracle.run_interval`), so :func:`use_oracle` can
 substitute it for a built simulation's engine.  The engine equivalence
 tests, ``repro qa diff``, the engine fuzz twin and the engine benchmark
 compare the batched engine against it bit for bit.
@@ -43,7 +43,13 @@ class ScalarQueryOracle:
         self._reputations: np.ndarray | None = None
         self._partition: np.ndarray | None = None
 
-    def begin_interval(self, reputations: np.ndarray) -> None:
+    def run_interval(self, reputations: np.ndarray, query_cycles: int) -> None:
+        """Run one simulation cycle's ``query_cycles`` query cycles."""
+        self._begin_interval(reputations)
+        for _ in range(query_cycles):
+            self._run_query_cycle()
+
+    def _begin_interval(self, reputations: np.ndarray) -> None:
         """Pin the interval's reputations and partition side mask."""
         self._reputations = reputations
         injector = self._injector
@@ -59,7 +65,7 @@ class ScalarQueryOracle:
             return int(choices[0])
         return int(self._rng.choice(choices, p=self._interest_weights[node]))
 
-    def run_query_cycle(self) -> None:
+    def _run_query_cycle(self) -> None:
         """One query cycle of the seed loop.
 
         ``partition`` is the injector's boolean side mask during a network

@@ -168,6 +168,14 @@ class RatingEvent(_Record, _RatingFields):
             interest = _id(interest, "interest must be an integer")
         if not 1 <= count <= _MAX_COUNT:
             raise ValueError(f"count must be in [1, 2**53], got {count}")
+        # A value is stored as a Python float, as the codec reads it back.
+        # ``True`` lies in [-1, 1] but would encode as JSON ``true``, which
+        # the codec refuses, and numpy scalars other than float64 do not
+        # encode at all.
+        if type(value) is not float:
+            if isinstance(value, bool) or not isinstance(value, numbers.Real):
+                raise TypeError(f"value must be a number, got {value!r}")
+            value = float(value)
         # Ratings live on the paper's [-1, 1] scale.  ``value * count`` is
         # the rating ledger's increment, and EigenTrust sums increments
         # across intervals: a NaN would count as a negative rating, and

@@ -135,6 +135,53 @@ class TestSimilarityEquivalence:
         np.testing.assert_allclose(got, matrix, atol=1e-12, rtol=0.0)
 
 
+def four_computers():
+    """Dense and sparse Ωc and Ωs over one world with traffic."""
+    network, ledger, profiles, rng = make_world(5)
+    seed_traffic(ledger, profiles, rng)
+    cfg = CONFIG_VARIANTS[0]
+    return {
+        "dense_closeness": ClosenessComputer(network, ledger, dense_config(cfg)),
+        "dense_similarity": SimilarityComputer(profiles, dense_config(cfg)),
+        "sparse_closeness": SparseClosenessComputer(network, ledger, cfg),
+        "sparse_similarity": SparseSimilarityComputer(profiles, cfg),
+    }
+
+
+class TestPairIdRange:
+    """Ids off ``[0, n)`` are refused, not wrapped (dense ``-1`` reads
+    node ``n - 1``) or aliased (sparse key ``0 * n + n`` is pair (1, 0))."""
+
+    @pytest.mark.parametrize(
+        "name",
+        ["dense_closeness", "dense_similarity", "sparse_closeness", "sparse_similarity"],
+    )
+    @pytest.mark.parametrize(
+        "raters, ratees",
+        [([0], [-1]), ([-1], [0]), ([0], [N]), ([N], [0]), ([0, 1, 2], [1, 2, N])],
+    )
+    def test_pair_values_refuse_ids_off_range(self, name, raters, ratees):
+        computer = four_computers()[name]
+        with pytest.raises(IndexError, match=r"node ids must lie in \[0, 16\)"):
+            computer.pair_values(np.array(raters), np.array(ratees))
+
+    @pytest.mark.parametrize("j", [-1, N])
+    def test_sparse_scalar_closeness_refuses_ids_off_range(self, j):
+        with pytest.raises(IndexError, match="node ids must lie"):
+            four_computers()["sparse_closeness"].closeness(0, j)
+
+    @pytest.mark.parametrize(
+        "name",
+        ["dense_closeness", "dense_similarity", "sparse_closeness", "sparse_similarity"],
+    )
+    def test_edge_ids_still_read(self, name):
+        computers = four_computers()
+        values = computers[name].pair_values(np.array([0, N - 1]), np.array([N - 1, 0]))
+        assert values.shape == (2,)
+        empty = computers[name].pair_values(np.array([], dtype=int), np.array([], dtype=int))
+        assert empty.shape == (0,)
+
+
 class TestIncrementalSparseCache:
     @settings(max_examples=20, deadline=None)
     @given(seed=st.integers(0, 40), steps=st.integers(1, 8))

@@ -148,6 +148,43 @@ def test_bit_identical_under_partition(faults, policy, exploration):
     assert blocks > 0
 
 
+def query_cycle_states(oracle, seed, **overrides):
+    """The generator's state after every query cycle of one run."""
+    world = build_world(WorldConfig(**{**SMALL, **overrides}), seed=seed)
+    sim = world.simulation
+    engine = use_oracle(sim) if oracle else sim._engine
+    run_query_cycle = engine._run_query_cycle
+    states = []
+
+    def recorded():
+        run_query_cycle()
+        states.append(sim._rng.bit_generator.state)
+
+    engine._run_query_cycle = recorded
+    sim.run()
+    return states
+
+
+@pytest.mark.parametrize(
+    "overrides",
+    [
+        dict(collusion=CollusionKind.PCM),
+        dict(collusion=CollusionKind.MCM),
+        dict(collusion=CollusionKind.MMM),
+        dict(collusion=CollusionKind.PCM, faults=PARTITION_CHURN, simulation_cycles=4),
+    ],
+    ids=["pcm", "mcm", "mmm", "partition+churn"],
+)
+def test_generator_state_after_every_query_cycle(overrides):
+    """The engine leaves the stream where the seed loop does after each
+    query cycle, bursts included, not just at the end of the run."""
+    batched = query_cycle_states(False, 3, **overrides)
+    scalar = query_cycle_states(True, 3, **overrides)
+    cycles = overrides.get("simulation_cycles", SMALL["simulation_cycles"])
+    assert len(batched) == cycles * SMALL["query_cycles"]
+    assert batched == scalar
+
+
 def _churn_sim(seed):
     """Manual wiring (build_world has no injector hook) with heavy churn."""
     n, n_interests = 20, 5

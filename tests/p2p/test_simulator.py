@@ -262,3 +262,101 @@ class TestChurn:
     def test_injector_size_mismatch_rejected(self):
         with pytest.raises(ValueError):
             build_sim(fault_injector=FaultInjector(N + 1))
+
+
+class _Calls:
+    """Records every call of one bound method, then forwards it."""
+
+    def __init__(self, obj, name):
+        self.args = []
+        method = getattr(obj, name)
+
+        def record(*args):
+            self.args.append([np.array(a, copy=True) for a in args])
+            return method(*args)
+
+        setattr(obj, name, record)
+
+
+class _Flushes:
+    def __init__(self):
+        self.cycles = []
+
+    def flushed(self, raters, ratees, values, counts, interests):
+        self.cycles.append(
+            [np.array(a, copy=True) for a in (raters, ratees, values, counts, interests)]
+        )
+
+    def decayed(self, nodes, factor):
+        pass
+
+
+class TestWriteGranularity:
+    """The engine writes each ledger once per simulation cycle; the
+    observer still sees every query cycle, in ledger write order."""
+
+    CYCLES = 3
+    QUERY_CYCLES = 30
+
+    @pytest.fixture(scope="class")
+    def run(self):
+        from repro.experiments import CollusionKind, WorldConfig, build_world
+
+        config = WorldConfig(
+            n_nodes=40,
+            n_pretrusted=3,
+            n_colluders=8,
+            # Scarce capacity leaves some requests unserved every cycle.
+            capacity=1,
+            collusion=CollusionKind.PCM,
+            simulation_cycles=self.CYCLES,
+            query_cycles=self.QUERY_CYCLES,
+        )
+        sim = build_world(config, seed=4).simulation
+        calls = {
+            "ledger": _Calls(sim.ledger, "record_many"),
+            "interactions": _Calls(sim.interactions, "record_many"),
+            "profiles": _Calls(sim.profiles, "record_requests"),
+            "requests": _Calls(sim.metrics, "record_requests"),
+            "unserved": _Calls(sim.metrics, "record_unserved_many"),
+        }
+        per_cycle = []
+        for _ in range(self.CYCLES):
+            observer = _Flushes()
+            sim.attach_observer(observer)
+            sim.run_simulation_cycle()
+            per_cycle.append(observer.cycles)
+        return sim, calls, per_cycle
+
+    def test_one_write_per_ledger_per_simulation_cycle(self, run):
+        sim, calls, _ = run
+        for name, call in calls.items():
+            assert len(call.args) == self.CYCLES, name
+
+    def test_observer_sees_every_query_cycle(self, run):
+        _, _, per_cycle = run
+        assert [len(cycles) for cycles in per_cycle] == [self.QUERY_CYCLES] * self.CYCLES
+
+    def test_observer_columns_are_the_rows_the_ledgers_got(self, run):
+        sim, calls, per_cycle = run
+        for cycle, flushes in enumerate(per_cycle):
+            raters, ratees, values, counts, interests = (
+                np.concatenate(column) for column in zip(*flushes)
+            )
+            assert all(
+                np.array_equal(got, want)
+                for got, want in zip(calls["ledger"].args[cycle], (raters, ratees, values, counts))
+            )
+            assert all(
+                np.array_equal(got, want)
+                for got, want in zip(calls["interactions"].args[cycle], (raters, ratees, counts))
+            )
+            # Each flush's first len(interests) rows are the served requests.
+            served = np.concatenate([f[0][: f[4].size] for f in flushes])
+            servers = np.concatenate([f[1][: f[4].size] for f in flushes])
+            profile_nodes, profile_interests = calls["profiles"].args[cycle]
+            assert np.array_equal(profile_nodes, served)
+            assert np.array_equal(profile_interests, interests)
+            clients, hit = calls["requests"].args[cycle]
+            assert np.array_equal(clients, served)
+            assert np.array_equal(hit, servers)

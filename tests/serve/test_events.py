@@ -74,6 +74,13 @@ class TestValidation:
         with pytest.raises(ValueError, match="finite"):
             RatingEvent(rater=0, ratee=1, value=value, count=count)
 
+    @pytest.mark.parametrize("value", [True, False, np.True_, "1.0", None])
+    def test_rating_value_must_be_a_number(self, value):
+        """``True`` lies in [-1, 1] but encodes as JSON ``true``, which
+        ``decode_event`` refuses."""
+        with pytest.raises(TypeError, match="value must be a number"):
+            RatingEvent(rater=0, ratee=1, value=value)
+
     def test_rating_count_bounded(self):
         RatingEvent(rater=0, ratee=1, value=1.0, count=2**53)
         with pytest.raises(ValueError, match="count"):
@@ -398,6 +405,16 @@ class TestStreamFiles:
         assert loaded.events == tuple(events)
         assert loaded.spec == spec.to_dict()
         assert ScenarioSpec.from_dict(loaded.spec) == spec
+
+    def test_every_constructible_rating_value_round_trips(self, tmp_path):
+        """Whatever value the typed constructor accepts, the written stream
+        reads back as the same events."""
+        values = [1.0, -1.0, 0.0, 0.25, 1, -1, 0, np.float64(-0.5), np.int64(1)]
+        events = [RatingEvent(0, 1, value) for value in values]
+        assert [type(e.value) for e in events] == [float] * len(values)
+        path = tmp_path / "values.jsonl"
+        write_event_stream(path, events)
+        assert read_event_stream(path).events == tuple(events)
 
     @pytest.mark.parametrize("engine", ["batched", "scalar"])
     def test_retired_engine_field_dropped(self, engine):

@@ -40,6 +40,7 @@ from __future__ import annotations
 import enum
 from dataclasses import astuple, dataclass
 from functools import cached_property
+from itertools import repeat
 from typing import NamedTuple
 
 import numpy as np
@@ -76,6 +77,8 @@ _BEHAVIORS = tuple(
     tuple(flag.name for flag in SuspicionReason if flag in reasons)
     for reasons in _REASONS
 )
+#: The audit decision by bit code: any behaviour damps.
+_DECISIONS = ("accepted",) + ("damped",) * 15
 
 
 @dataclass(frozen=True)
@@ -624,7 +627,12 @@ class CollusionDetector:
         codes: np.ndarray,
         weights: np.ndarray,
     ) -> None:
-        """One audit event per frequency-flagged pair: damped or accepted."""
+        """One audit event per frequency-flagged pair: damped or accepted.
+
+        ``fired`` and ``behaviors`` are looked up by the pair's hit
+        pattern and behaviour code, and once the log is full the rest of
+        the interval's events are counted as dropped without being built.
+        """
         from repro.obs import AuditEvent
 
         assert self._obs is not None
@@ -632,7 +640,6 @@ class CollusionDetector:
         metrics = self._obs.metrics
         cfg = self._config
         t = thresholds
-        threshold_values = t.as_dict()
         checks = [("T+", flag_pos), ("T-", flag_neg), ("TR", low_rep)]
         if cfg.use_closeness:
             checks += [
@@ -644,29 +651,33 @@ class CollusionDetector:
                 ("Tsl", omega_s < t.similarity_low),
                 ("Tsh", omega_s > t.similarity_high),
             ]
-        names = [name for name, _ in checks]
-        hits = np.stack([hit for _, hit in checks], axis=1).tolist()
-        for i, j, code, hit, c, s, w, p, q in zip(
-            fi.tolist(), fj.tolist(), codes.tolist(), hits,
-            omega_c.tolist(), omega_s.tolist(), weights.tolist(),
-            pos_cnt.tolist(), neg_cnt.tolist(),
-        ):
-            audit.record(
-                AuditEvent(
-                    interval=interval_index,
-                    rater=i,
-                    ratee=j,
-                    decision="damped" if code else "accepted",
-                    behaviors=_BEHAVIORS[code],
-                    fired=tuple(name for name, h in zip(names, hit) if h),
-                    closeness=c,
-                    similarity=s,
-                    weight=w,
-                    pos_count=p,
-                    neg_count=q,
-                    thresholds=threshold_values,
-                )
-            )
+        # Bit b of a pair's pattern is set when check b hit.
+        pattern = np.zeros(fi.size, dtype=np.int64)
+        for bit, (_, hit) in enumerate(checks):
+            pattern[hit] += 1 << bit
+        fired = [
+            tuple(name for bit, (name, _) in enumerate(checks) if bits >> bit & 1)
+            for bits in range(1 << len(checks))
+        ]
+        codes_list = codes.tolist()
+        audit.record_many(
+            map(
+                AuditEvent,
+                repeat(interval_index),
+                fi.tolist(),
+                fj.tolist(),
+                map(_DECISIONS.__getitem__, codes_list),
+                map(_BEHAVIORS.__getitem__, codes_list),
+                map(fired.__getitem__, pattern.tolist()),
+                omega_c.tolist(),
+                omega_s.tolist(),
+                weights.tolist(),
+                pos_cnt.tolist(),
+                neg_cnt.tolist(),
+                repeat(t.as_dict()),
+            ),
+            int(fi.size),
+        )
         metrics.counter("detector.pairs_examined").inc(int(fi.size))
         metrics.counter("detector.pairs_damped").inc(int(np.count_nonzero(codes)))
 

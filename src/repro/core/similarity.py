@@ -115,6 +115,8 @@ class SimilarityComputer(PairBands):
         """``Ωs(i,j)`` under the configured mode."""
         if i == j:
             raise ValueError("similarity of a node to itself is undefined")
+        # The profile store reads -1 as its last node, so refuse first.
+        self._pair_ids(i, j)
         profiles = self._profiles
         if not self._config.hardened:
             return overlap_similarity(profiles.declared(i), profiles.declared(j))

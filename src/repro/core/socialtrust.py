@@ -128,7 +128,9 @@ class SocialTrust(ReputationSystem):
         self._rated_mask |= interval.counts > 0
         np.fill_diagonal(self._rated_mask, False)
         self._flag_counts[result.pairs[:, 0], result.pairs[:, 1]] += 1
-        adjusted = interval.scaled(result.weights)
+        adjusted = interval.scaled_pairs(
+            result.pairs[:, 0], result.pairs[:, 1], result.pair_weights
+        )
         with self._tracer.span("reputation.inner_update", system=self._inner.name):
             return self._inner.update(adjusted)
 

@@ -24,7 +24,8 @@ the schema tests assert.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field
-from typing import Any, Iterator
+from itertools import islice
+from typing import Any, Iterable, Iterator
 
 __all__ = ["AuditEvent", "DetectorAuditLog"]
 
@@ -99,6 +100,17 @@ class DetectorAuditLog:
             self.n_dropped += 1
             return
         self._events.append(event)
+
+    def record_many(self, events: Iterable[AuditEvent], count: int) -> None:
+        """:meth:`record` each of the ``count`` events of ``events``.
+
+        ``events`` is consumed only as far as the log has room, so a lazy
+        iterable never builds the events that would be dropped; those are
+        counted in one step.
+        """
+        stored = min(count, self._max - len(self._events))
+        self._events.extend(islice(events, stored))
+        self.n_dropped += count - stored
 
     @property
     def events(self) -> tuple[AuditEvent, ...]:

@@ -96,6 +96,17 @@ class IntervalRatings:
         out.neg_counts[:] = self.neg_counts
         return out
 
+    def scaled_pairs(
+        self, raters: np.ndarray, ratees: np.ndarray, weights: np.ndarray
+    ) -> "IntervalRatings":
+        """:meth:`scaled` by a weight matrix that is 1.0 except at the
+        given distinct pairs, without building that matrix: the copy's
+        ``value_sum`` is multiplied only at the pairs, which gives the same
+        bits (``x * 1.0 == x``)."""
+        out = self.copy()
+        out.value_sum[raters, ratees] *= weights
+        return out
+
     def copy(self) -> "IntervalRatings":
         out = IntervalRatings(self.n_nodes)
         out.value_sum[:] = self.value_sum

@@ -14,7 +14,7 @@ from repro.core.config import SocialTrustConfig
 from repro.core.detector import CollusionDetector
 from repro.core.similarity import SimilarityComputer
 from repro.core.sparse import SparseClosenessComputer, SparseSimilarityComputer
-from repro.obs import Observability
+from repro.obs import AuditEvent, Observability
 from repro.reputation.base import IntervalRatings
 from repro.social.generators import paper_social_network
 from repro.social.interactions import InteractionLedger
@@ -60,8 +60,9 @@ def make_interval(rng):
     return interval
 
 
-def run_detector(backend):
-    """One analysed interval: (observability, result, interval, inputs)."""
+def run_detector(backend, intervals=1, max_audit_events=100_000):
+    """Analysed intervals (the same one each time): (observability, last
+    result, interval, inputs)."""
     network, ledger, profiles, rng = make_world()
     interval = make_interval(rng)
     reputations = np.full(N, 1.0 / N)
@@ -76,9 +77,10 @@ def run_detector(backend):
     else:
         closeness = SparseClosenessComputer(network, ledger, cfg)
         similarity = SparseSimilarityComputer(profiles, cfg)
-    obs = Observability(tracing=False)
+    obs = Observability(tracing=False, max_audit_events=max_audit_events)
     detector = CollusionDetector(closeness, similarity, cfg, observability=obs)
-    result = detector.analyze(interval, reputations, rated, flag_counts)
+    for _ in range(intervals):
+        result = detector.analyze(interval, reputations, rated, flag_counts)
     return obs, result, interval, reputations, closeness, similarity
 
 
@@ -167,3 +169,76 @@ class TestAuditEmitter:
             assert obs.metrics["detector.pairs_examined"].value == len(events)
             assert obs.metrics["detector.pairs_damped"].value == result.n_adjusted
             assert obs.metrics["detector.intervals"].value == 1
+
+
+def reference_events(obs_events, result, interval, reputations, closeness, similarity):
+    """The events as the per-pair emitter built them: keyword construction,
+    ``fired`` from a generator over the checks, in row-major pair order."""
+    t = result.thresholds
+    findings = {(f.rater, f.ratee): f for f in result.findings}
+    omega_c = closeness.closeness_matrix()
+    omega_s = similarity.similarity_matrix()
+    out = []
+    for event in obs_events:
+        i, j = event.rater, event.ratee
+        checks = [
+            ("T+", interval.pos_counts[i, j] > t.pos_frequency),
+            ("T-", interval.neg_counts[i, j] > t.neg_frequency),
+            ("TR", reputations[j] < t.low_reputation),
+            ("Tcl", omega_c[i, j] < t.closeness_low),
+            ("Tch", omega_c[i, j] > t.closeness_high),
+            ("Tsl", omega_s[i, j] < t.similarity_low),
+            ("Tsh", omega_s[i, j] > t.similarity_high),
+        ]
+        finding = findings.get((i, j))
+        out.append(
+            AuditEvent(
+                interval=0,
+                rater=i,
+                ratee=j,
+                decision="accepted" if finding is None else "damped",
+                behaviors=() if finding is None else tuple(
+                    flag.name for flag in type(finding.reasons) if flag in finding.reasons
+                ),
+                fired=tuple(name for name, hit in checks if hit),
+                closeness=float(omega_c[i, j]),
+                similarity=float(omega_s[i, j]),
+                weight=1.0 if finding is None else finding.weight,
+                pos_count=float(interval.pos_counts[i, j]),
+                neg_count=float(interval.neg_counts[i, j]),
+                thresholds=t.as_dict(),
+            )
+        )
+    return out
+
+
+class TestAuditLogBound:
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_events_equal_the_per_pair_reference(self, backend):
+        obs, *rest = run_detector(backend)
+        events = obs.audit.events
+        keys = [(e.rater, e.ratee) for e in events]
+        assert keys == sorted(keys)
+        assert list(events) == reference_events(events, *rest)
+        for event in events:
+            assert type(event.fired) is tuple and type(event.behaviors) is tuple
+
+    def test_full_log_keeps_the_first_events_and_counts_the_rest(self, monkeypatch):
+        unbounded = run_detector("dense", intervals=2)[0].audit.events
+        per_interval = len(unbounded) // 2
+        assert per_interval >= 2
+        built = []
+        init = AuditEvent.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(1)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(AuditEvent, "__init__", counting_init)
+        room = per_interval - 1
+        # Two intervals: the first fills the log, the second finds it full.
+        obs = run_detector("dense", intervals=2, max_audit_events=room)[0]
+        assert obs.audit.events == unbounded[:room]
+        assert obs.audit.n_dropped == len(unbounded) - room
+        assert len(built) == room
+        assert obs.metrics["detector.pairs_examined"].value == len(unbounded)

@@ -170,6 +170,18 @@ class TestPairIdRange:
         with pytest.raises(IndexError, match="node ids must lie"):
             four_computers()["sparse_closeness"].closeness(0, j)
 
+    @pytest.mark.parametrize("hardened", [True, False], ids=["hardened", "plain"])
+    @pytest.mark.parametrize("i, j", [(0, -1), (-1, 0), (0, N), (N, 0)])
+    def test_dense_scalar_similarity_refuses_ids_off_range(self, hardened, i, j):
+        network, ledger, profiles, rng = make_world(5)
+        seed_traffic(ledger, profiles, rng)
+        computer = SimilarityComputer(profiles, SocialTrustConfig(hardened=hardened))
+        with pytest.raises(IndexError, match=r"node ids must lie in \[0, 16\)"):
+            computer.similarity(i, j)
+        assert computer.similarity(0, N - 1) == pytest.approx(
+            computer.similarity_matrix()[0, N - 1], abs=1e-12
+        )
+
     @pytest.mark.parametrize(
         "name",
         ["dense_closeness", "dense_similarity", "sparse_closeness", "sparse_similarity"],

@@ -63,6 +63,23 @@ class TestDetectorAuditLog:
         assert len(log) == 2
         assert log.n_dropped == 3
 
+    def test_record_many_consumes_only_what_fits(self):
+        log = DetectorAuditLog(max_events=3)
+        log.record(_event())
+        taken = []
+
+        def events():
+            for k in range(5):
+                taken.append(k)
+                yield _event(weight=k / 10)
+
+        log.record_many(events(), 5)
+        assert [e.weight for e in log] == [0.1, 0.0, 0.1]
+        assert taken == [0, 1]
+        assert log.n_dropped == 3
+        log.record_many(events(), 5)
+        assert taken == [0, 1] and log.n_dropped == 8
+
     def test_cap_must_be_positive(self):
         with pytest.raises(ValueError):
             DetectorAuditLog(max_events=0)

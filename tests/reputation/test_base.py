@@ -62,6 +62,28 @@ class TestIntervalRatings:
         with pytest.raises(ValueError):
             iv.scaled(np.ones((3, 3)))
 
+    @given(
+        values=st.lists(
+            st.floats(-5.0, 5.0, allow_subnormal=False), min_size=16, max_size=16
+        ),
+        pairs=st.sets(st.integers(0, 15), max_size=10),
+        weights=st.lists(st.floats(0.0, 1.0), min_size=10, max_size=10),
+    )
+    def test_scaled_pairs_is_bitwise_scaled(self, values, pairs, weights):
+        iv = IntervalRatings(4)
+        iv.value_sum[:] = np.reshape(values, (4, 4))
+        iv.pos_counts[:] = 2.0
+        keys = np.array(sorted(pairs), dtype=np.int64)
+        w = np.array(weights[: keys.size])
+        dense = np.ones((4, 4))
+        dense[keys // 4, keys % 4] = w
+        want = iv.scaled(dense)
+        got = iv.scaled_pairs(keys // 4, keys % 4, w)
+        assert np.array_equal(got.value_sum, want.value_sum)
+        assert np.array_equal(got.pos_counts, want.pos_counts)
+        assert np.array_equal(got.neg_counts, want.neg_counts)
+        assert np.array_equal(iv.value_sum, np.reshape(values, (4, 4)))
+
     def test_copy_independent(self):
         iv = IntervalRatings(2)
         iv.add(Rating(0, 1, 1.0))

@@ -86,7 +86,7 @@ def main() -> None:
     dist_sim, dist = build(distributed=True)
     dist_sim.run()
 
-    identical = np.allclose(central.reputations, dist.reputations)
+    identical = np.array_equal(central.reputations, dist.reputations)
     print(f"centralised vs distributed reputations identical: {identical}")
     assert identical
 

@@ -17,9 +17,12 @@ level:
 * each suspected pair whose rater and ratee live under *different*
   managers costs one ``info_request`` / ``info_response`` round trip;
 * the numerical judgement each rater-side manager performs is exactly the
-  centralised detector's — so :class:`DistributedSocialTrust` provably
-  produces reputations identical to :class:`~repro.core.socialtrust.SocialTrust`
-  while exposing the message-complexity of the distributed execution.
+  centralised detector's: :class:`DistributedSocialTrust` is a
+  :class:`~repro.core.socialtrust.SocialTrust` whose one override, the
+  ``_adjust`` hook, runs the protocol (message accounting, failover and
+  degradation tiers, Byzantine rows).  With no fault active the hook
+  applies the detector's weights unchanged, so the reputations equal the
+  centralised wrapper's by construction.
 """
 
 from __future__ import annotations
@@ -30,22 +33,11 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.core.closeness import ClosenessComputer
 from repro.core.config import SocialTrustConfig
-from repro.core.detector import (
-    CollusionDetector,
-    DetectionResult,
-    Finding,
-    detected_pair_weight,
-)
-from repro.core.similarity import SimilarityComputer
-from repro.core.sparse import (
-    SparseClosenessComputer,
-    SparseSimilarityComputer,
-    coefficient_computers,
-)
+from repro.core.detector import _BEHAVIORS, DetectionResult, Finding
+from repro.core.socialtrust import SocialTrust
 from repro.faults.injector import FaultInjector
-from repro.obs import NULL_TRACER, Observability
+from repro.obs import Observability
 from repro.p2p.dht import ChordRing
 from repro.reputation.base import IntervalRatings, ReputationSystem
 from repro.social.graph import SocialView
@@ -89,12 +81,18 @@ class ResourceManager:
         return sum(self.messages_sent.values())
 
 
-class DistributedSocialTrust(ReputationSystem):
+class DistributedSocialTrust(SocialTrust):
     """SocialTrust executed across a set of resource managers.
 
-    Parameters mirror :class:`~repro.core.socialtrust.SocialTrust`, plus
+    Parameters are :class:`~repro.core.socialtrust.SocialTrust`'s, plus
     ``n_managers`` (nodes are assigned round-robin) or an explicit
-    ``assignment`` array mapping node id → manager id.
+    ``assignment`` array mapping node id → manager id, and an optional
+    Chord ``ring`` and fault ``injector``.
+
+    Only :meth:`_adjust` is overridden.  :meth:`pair_weight` still reads
+    the detector's judgement; under manager faults the weight actually
+    applied to a pair's ratings may differ (failover, neutral damping,
+    Byzantine rows).
     """
 
     def __init__(
@@ -111,8 +109,11 @@ class DistributedSocialTrust(ReputationSystem):
         injector: "FaultInjector | None" = None,
         observability: Observability | None = None,
     ) -> None:
-        super().__init__(inner.n_nodes)
-        n = inner.n_nodes
+        super().__init__(
+            inner, social_view, interactions, profiles, config,
+            observability=observability,
+        )
+        n = self.n_nodes
         if assignment is not None:
             assign = np.asarray(assignment, dtype=np.int64)
             if assign.shape != (n,):
@@ -153,23 +154,6 @@ class DistributedSocialTrust(ReputationSystem):
             if self._ring is None:
                 # Failover needs a ring to agree on crash successors.
                 self._ring = ChordRing(manager_ids)
-        self._inner = inner
-        self._config = config or SocialTrustConfig()
-        self._obs = observability
-        self._tracer = (
-            observability.tracer if observability is not None else NULL_TRACER
-        )
-        self._closeness, self._similarity = coefficient_computers(
-            social_view, interactions, profiles, self._config,
-            observability=observability,
-        )
-        self._detector = CollusionDetector(
-            self._closeness, self._similarity, self._config,
-            observability=observability,
-        )
-        self._rated_mask = np.zeros((n, n), dtype=bool)
-        self._flag_counts = np.zeros((n, n), dtype=np.int64)
-        self._last_result: DetectionResult | None = None
         #: Weights applied in the previous interval — what a Byzantine
         #: manager in ``"stale"`` mode replays for its rows.
         self._last_weights: np.ndarray | None = None
@@ -179,35 +163,8 @@ class DistributedSocialTrust(ReputationSystem):
         return f"{self._inner.name}+SocialTrust(distributed)"
 
     @property
-    def inner(self) -> ReputationSystem:
-        return self._inner
-
-    @property
     def managers(self) -> tuple[ResourceManager, ...]:
         return tuple(self._managers.values())
-
-    @property
-    def last_detection(self) -> DetectionResult | None:
-        return self._last_result
-
-    def pair_weight(self, rater: int, ratee: int) -> float:
-        """Detector damping weight for one rater→ratee pair from the most
-        recent :meth:`update` (1.0 when not adjusted or before any update).
-
-        Like :meth:`SocialTrust.pair_weight` this reads the detector's
-        judgement; under manager faults the weight actually applied to the
-        pair's ratings may differ (failover, neutral damping, Byzantine
-        rows).
-        """
-        return detected_pair_weight(self._last_result, self.n_nodes, rater, ratee)
-
-    @property
-    def closeness_computer(self) -> ClosenessComputer | SparseClosenessComputer:
-        return self._closeness
-
-    @property
-    def similarity_computer(self) -> SimilarityComputer | SparseSimilarityComputer:
-        return self._similarity
 
     def manager_of(self, node: int) -> ResourceManager:
         return self._managers[int(self._assignment[node])]
@@ -351,18 +308,13 @@ class DistributedSocialTrust(ReputationSystem):
         interval_index = self._detector.last_interval_index
         if interval_index is None:
             return
-        behaviors = tuple(
-            name
-            for name in ("B1", "B2", "B3", "B4")
-            if getattr(type(finding.reasons), name) in finding.reasons
-        )
         self._obs.audit.record(
             AuditEvent(
                 interval=interval_index,
                 rater=finding.rater,
                 ratee=finding.ratee,
                 decision=decision,
-                behaviors=behaviors,
+                behaviors=_BEHAVIORS[finding.reasons.value],
                 fired=(),
                 closeness=float(finding.closeness),
                 similarity=float(finding.similarity),
@@ -453,12 +405,12 @@ class DistributedSocialTrust(ReputationSystem):
         lie (see :meth:`_corrupt_byzantine_rows`).
         """
         serving = self._serving_managers()
-        weights = np.ones_like(result.weights)
         injector = self._injector
         metrics = injector.metrics if injector is not None else None
         neutral = self._config.neutral_damping
         all_down = all(mid is None for mid in serving.values())
         if all_down:
+            weights = np.ones_like(result.weights)
             for finding in result.findings:
                 weights[finding.rater, finding.ratee] = neutral
                 assert metrics is not None
@@ -468,13 +420,13 @@ class DistributedSocialTrust(ReputationSystem):
                 )
             self._last_weights = weights.copy()
             return weights
-        for home, manager in self._managers.items():
-            if not manager.managed:
-                continue
-            rows = sorted(manager.managed)
-            weights[rows, :] = result.weights[rows, :]
-            if serving[home] != home and metrics is not None:
-                metrics.record_reassignment(len(rows))
+        # Every node has a home manager, so the row slices the managers
+        # apply compose exactly the detector's matrix.
+        weights = result.weights.copy()
+        if metrics is not None:
+            for home, manager in self._managers.items():
+                if manager.managed and serving[home] != home:
+                    metrics.record_reassignment(len(manager.managed))
         transport = injector.transport if injector is not None else None
         for finding in result.findings:
             rater_mgr = serving[int(self._assignment[finding.rater])]
@@ -528,25 +480,17 @@ class DistributedSocialTrust(ReputationSystem):
         self._last_weights = weights.copy()
         return weights
 
-    def update(self, interval: IntervalRatings) -> np.ndarray:
-        self._check_interval(interval)
-        with self._tracer.span("detector.analyze") as span:
-            result = self._detector.analyze(
-                interval, self._inner.reputations, self._rated_mask,
-                self._flag_counts,
-            )
-            span.set("findings", result.n_adjusted)
-        self._last_result = result
+    def _adjust(
+        self, interval: IntervalRatings, result: DetectionResult
+    ) -> IntervalRatings:
+        """The manager protocol: charge the rating reports, compose the
+        weights the managers actually apply (:meth:`_failover_weights`)
+        and scale the interval by them."""
         self._account_rating_reports(interval, self._serving_managers())
-        self._rated_mask |= interval.counts > 0
-        np.fill_diagonal(self._rated_mask, False)
-        self._flag_counts[result.pairs[:, 0], result.pairs[:, 1]] += 1
         with self._tracer.span("manager.failover_weights"):
             weights = self._failover_weights(result, interval)
         self._publish_manager_metrics()
-        adjusted = interval.scaled(weights)
-        with self._tracer.span("reputation.inner_update", system=self._inner.name):
-            return self._inner.update(adjusted)
+        return interval.scaled(weights)
 
     def _publish_manager_metrics(self) -> None:
         """Mirror cumulative manager/fault counters into the registry.
@@ -573,16 +517,8 @@ class DistributedSocialTrust(ReputationSystem):
                 faults.byzantine_corruptions
             )
 
-    @property
-    def reputations(self) -> np.ndarray:
-        return self._inner.reputations
-
     def reset(self) -> None:
-        self._inner.reset()
-        self._detector.reset()
-        self._rated_mask[:] = False
-        self._flag_counts[:] = 0
-        self._last_result = None
+        super().reset()
         self._last_weights = None
         for manager in self._managers.values():
             manager.messages_sent.clear()
@@ -590,52 +526,25 @@ class DistributedSocialTrust(ReputationSystem):
     # -- checkpointing -------------------------------------------------------
 
     def state_dict(self) -> dict:
-        """Mutable system state for cycle-boundary checkpoints.
-
-        Covers the inner reputation system, the detector's interval
-        counter and last result, the recidivism bookkeeping, the previous
-        interval's applied weights, the per-manager message counters, and
-        the Ωc/Ωs value caches (whose incremental updates are not bitwise
-        equal to a fresh rebuild, so a bit-identical resume must carry
-        them).
-        """
-        return {
-            "inner": self._inner.state_dict(),
-            "detector": self._detector.state_dict(),
-            "last_detection": (
-                None
-                if self._last_result is None
-                else self._last_result.state_dict()
-            ),
-            "rated_mask": self._rated_mask.copy(),
-            "flag_counts": self._flag_counts.copy(),
-            "last_weights": (
-                None if self._last_weights is None else self._last_weights.copy()
-            ),
-            "messages": [
-                [mid, dict(manager.messages_sent)]
-                for mid, manager in sorted(self._managers.items())
-            ],
-            "closeness": self._closeness.state_dict(),
-            "similarity": self._similarity.state_dict(),
-        }
+        """:class:`SocialTrust`'s state plus the previous interval's
+        applied weights and the per-manager message counters."""
+        state = super().state_dict()
+        state["last_weights"] = (
+            None if self._last_weights is None else self._last_weights.copy()
+        )
+        state["messages"] = [
+            [mid, dict(manager.messages_sent)]
+            for mid, manager in sorted(self._managers.items())
+        ]
+        return state
 
     def restore_state(self, state: dict) -> None:
-        self._inner.restore_state(state["inner"])
-        self._detector.restore_state(state["detector"])
-        self._rated_mask = np.asarray(state["rated_mask"], dtype=bool).copy()
-        self._flag_counts = np.asarray(state["flag_counts"], dtype=np.int64).copy()
+        super().restore_state(state)
         lw = state["last_weights"]
         self._last_weights = (
             None if lw is None else np.asarray(lw, dtype=np.float64).copy()
-        )
-        last = state.get("last_detection")  # absent from older checkpoints
-        self._last_result = (
-            None if last is None else DetectionResult.from_state(last, self.n_nodes)
         )
         for manager in self._managers.values():
             manager.messages_sent.clear()
         for mid, counts in state["messages"]:
             self._managers[int(mid)].messages_sent.update(counts)
-        self._closeness.restore_state(state["closeness"])
-        self._similarity.restore_state(state["similarity"])

@@ -128,11 +128,18 @@ class SocialTrust(ReputationSystem):
         self._rated_mask |= interval.counts > 0
         np.fill_diagonal(self._rated_mask, False)
         self._flag_counts[result.pairs[:, 0], result.pairs[:, 1]] += 1
-        adjusted = interval.scaled_pairs(
-            result.pairs[:, 0], result.pairs[:, 1], result.pair_weights
-        )
+        adjusted = self._adjust(interval, result)
         with self._tracer.span("reputation.inner_update", system=self._inner.name):
             return self._inner.update(adjusted)
+
+    def _adjust(
+        self, interval: IntervalRatings, result: DetectionResult
+    ) -> IntervalRatings:
+        """The interval the inner system ingests: the flagged pairs'
+        rating sums scaled by their damping weights."""
+        return interval.scaled_pairs(
+            result.pairs[:, 0], result.pairs[:, 1], result.pair_weights
+        )
 
     @property
     def reputations(self) -> np.ndarray:

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from repro.core import DistributedSocialTrust, SocialTrust
 from repro.core.manager import ResourceManager
 from repro.faults import FaultConfig, FaultInjector
+from repro.obs import Observability
 from repro.p2p import ChordRing
 from repro.reputation import EigenTrust
 from repro.reputation.base import IntervalRatings, Rating
@@ -19,7 +20,7 @@ N = 12
 COLLUDERS = (0, 1)
 
 
-def build_pair(n_managers=3):
+def build_pair(n_managers=3, observability=None):
     """A centralised and a distributed SocialTrust over identical state."""
     rng = spawn_rng(11, 0)
     network = paper_social_network(N, COLLUDERS, rng)
@@ -37,6 +38,7 @@ def build_pair(n_managers=3):
         interactions,
         profiles,
         n_managers=n_managers,
+        observability=observability,
     )
     return central, distributed, interactions
 
@@ -74,7 +76,76 @@ class TestEquivalence:
         assert c == d
 
 
+class TestOneSocialTrust:
+    """The distributed wrapper is a SocialTrust that overrides only the
+    adjustment step, so the inherited API answers as the central one."""
+
+    def test_is_a_socialtrust(self):
+        _, distributed, _ = build_pair()
+        assert isinstance(distributed, SocialTrust)
+
+    def test_flag_counts_and_last_detection_match_central(self):
+        central, distributed, interactions = build_pair()
+        for _ in range(3):
+            iv = collusion_interval(interactions)
+            central.update(iv.copy())
+            distributed.update(iv)
+        assert np.array_equal(distributed.flag_counts, central.flag_counts)
+        assert central.flag_counts.any()
+        c, d = central.last_detection, distributed.last_detection
+        assert d.findings == c.findings
+        assert c.findings
+        assert np.array_equal(d.pairs, c.pairs)
+        assert np.array_equal(d.pair_weights, c.pair_weights)
+        assert d.thresholds == c.thresholds
+
+    def test_traced_update_spans_in_order_under_one_parent(self):
+        obs = Observability()
+        _, distributed, interactions = build_pair(observability=obs)
+        with obs.tracer.span("interval") as outer:
+            distributed.update(collusion_interval(interactions))
+        names = ("detector.analyze", "manager.failover_weights",
+                 "reputation.inner_update")
+        spans = [e for e in obs.tracer.events() if e["name"] in names]
+        assert [e["name"] for e in spans] == list(names)
+        assert {e["parent_id"] for e in spans} == {outer.span_id}
+        starts = [e["start"] for e in spans]
+        assert starts == sorted(starts)
+
+    def test_state_dict_keys(self):
+        _, distributed, interactions = build_pair()
+        distributed.update(collusion_interval(interactions))
+        assert set(distributed.state_dict()) == {
+            "inner", "detector", "last_detection", "rated_mask",
+            "flag_counts", "last_weights", "messages", "closeness",
+            "similarity",
+        }
+
+
 class TestAssignment:
+    @pytest.mark.parametrize(
+        "mismatched",
+        [("view",), ("ledger",), ("profiles",), ("view", "ledger", "profiles")],
+        ids=["view", "ledger", "profiles", "all"],
+    )
+    def test_rejects_world_of_another_size(self, mismatched):
+        """The base system's node count must match every world part, as
+        for the central wrapper.  A world wholly of another size used to
+        be accepted and fail only at the first update, on the weight
+        matrix's shape."""
+        n = 20
+        sizes = {"view": n, "ledger": n, "profiles": n}
+        sizes.update(dict.fromkeys(mismatched, 30))
+        network = paper_social_network(sizes["view"], COLLUDERS, spawn_rng(11, 0))
+        with pytest.raises(ValueError, match="covers 30 nodes but the base system has 20"):
+            DistributedSocialTrust(
+                EigenTrust(n, [2]),
+                network,
+                InteractionLedger(sizes["ledger"]),
+                InterestProfiles(sizes["profiles"], 5),
+                n_managers=2,
+            )
+
     def test_round_robin_default(self):
         _, distributed, _ = build_pair(n_managers=4)
         assert len(distributed.managers) == 4

@@ -17,7 +17,7 @@ interaction frequency, a colluder cannot raise its closeness to a partner
 without draining closeness from everyone else it interacts with — the
 lightweight anti-gaming property Section 4.1 argues for.
 
-Two evaluation paths are provided and tested to agree:
+Three evaluation paths are provided and tested to agree:
 
 * :meth:`ClosenessComputer.closeness` — scalar, follows the piecewise
   definition literally (readable reference implementation);
@@ -27,6 +27,11 @@ Two evaluation paths are provided and tested to agree:
   to non-adjacent pairs with at least one common friend (``A`` is zero off
   the adjacency support, so the products only pick up common-friend terms).
   The rare no-common-friend pairs fall back to the scalar path walk.
+* :meth:`ClosenessComputer.pair_values` — the same element-wise assembly
+  of the same cached terms, applied only at the asked pairs: bitwise the
+  matrix's entries, at a cost proportional to the pairs.  This is what
+  the detector reads; the full matrix is assembled only when
+  :meth:`~ClosenessComputer.closeness_matrix` is called (QA, goldens).
 
 The relationship factor is a static per-edge quantity, so the social view
 builds it once for every pair: ``view.relationship_factors()`` returns a
@@ -37,17 +42,18 @@ read it, and this dense computer densifies it; the sparse computer
 (:mod:`repro.core.sparse`) uses it as is.  Call
 :meth:`ClosenessComputer.invalidate_cache` after mutating relationships.
 
-The all-pairs matrix itself is cached too, keyed on the interaction
-ledger's mutation version.  When only a few rows' outgoing shares changed
-since the last evaluation (rating bursts, churn decay), the update is
-incremental: with ``A`` the adjacent-closeness matrix and ``F`` the float
-adjacency, the Eq. (3) terms are ``T1 = A@F`` (rows of dirty raters are
-recomputed exactly) and ``T2 = F@A`` (updated with the low-rank correction
-``F[:, D] @ ΔA[D]``).  When more than half the rows are dirty — the normal
-case between reputation intervals — the cache falls back to a full exact
-rebuild, which is faster than the correction.  The rebuild has two
-kernels, chosen by a measured rule on the node count and ``A``'s nonzero
-count (``_sparse_kernel_fits``):
+The Eq. (3) terms are cached, keyed on the interaction ledger's
+mutation version (and so is the assembled matrix, once asked for).
+When only a few rows' outgoing shares changed since the last evaluation
+(rating bursts, churn decay), the update is incremental: with ``A`` the
+adjacent-closeness matrix and ``F`` the float adjacency, the Eq. (3)
+terms are ``T1 = A@F`` (rows of dirty raters are recomputed exactly) and
+``T2 = F@A`` (updated with the low-rank correction ``F[:, D] @ ΔA[D]``).
+When more than half the rows are dirty — the normal case between
+reputation intervals — the cache falls back to a full exact rebuild,
+which is faster than the correction.  The rebuild has two kernels,
+chosen by a measured rule on the node count and ``A``'s nonzero count
+(``_sparse_kernel_fits``):
 
 * **dense** (n <= 128, or ``A`` more than 1/20 full): ``A`` as the dense
   ``factors * shares * adjacency`` and two BLAS GEMMs — the seed path,
@@ -79,9 +85,12 @@ which pins the worst-case drift to what ``cache_rebuild_interval``
 applications can accumulate (the ``cache_audit`` regression test asserts
 that bound over thousands of updates).  The band summaries
 (:class:`~repro.core.gaussian.PairBands`) gather through
-:meth:`ClosenessComputer.pair_values`, i.e. from the cached matrix, so they
-can never diverge from :meth:`ClosenessComputer.closeness_matrix` after
-``decay_nodes`` the way the per-pair scalar walk silently could.
+:meth:`ClosenessComputer.pair_values`, i.e. from the same refreshed terms
+by the same formula as :meth:`ClosenessComputer.closeness_matrix`, so they
+can never diverge from it after ``decay_nodes`` the way the per-pair
+scalar walk silently could.  The path fallback reads live interaction
+shares, so both assemble right after refreshing the terms, never across
+a ledger change.
 """
 
 from __future__ import annotations
@@ -147,6 +156,29 @@ class ClosenessBase(PairBands):
         # Shortest path of each fallback pair walked so far (static, like
         # the factors, until invalidate_cache).
         self._paths: dict[tuple[int, int], list[int]] = {}
+        # Consecutive low-rank T2 corrections since the last exact rebuild.
+        # The correction is exact in exact arithmetic but accumulates float
+        # drift; after ``config.cache_rebuild_interval`` applications the
+        # next evaluation rebuilds T2 (and T1/A) from scratch so the drift
+        # stays bounded over arbitrarily long churn-heavy runs.
+        self._t2_updates = 0
+        # Optional instruments (see bind_metrics); None keeps the hot
+        # path free of registry lookups when observability is absent.
+        self._m_drift = None
+        self._m_rebuilds = None
+        self._m_patches = None
+
+    def bind_metrics(self, registry) -> None:
+        """Publish cache health into a :class:`repro.obs.MetricsRegistry`:
+        ``sparse.cache.drift`` (consecutive low-rank corrections since the
+        last exact rebuild — the quantity ``cache_rebuild_interval``
+        bounds), ``sparse.cache.rebuilds`` and ``sparse.cache.patches``.
+        Both Ωc computers publish under these names.
+        """
+        self._m_drift = registry.gauge("sparse.cache.drift")
+        self._m_rebuilds = registry.counter("sparse.cache.rebuilds")
+        self._m_patches = registry.counter("sparse.cache.patches")
+        self._m_drift.set(float(self._t2_updates))
 
     def invalidate_cache(self) -> None:
         """Drop the relationship factors and cached fallback paths after
@@ -224,18 +256,15 @@ class ClosenessComputer(ClosenessBase):
         self._adj_float: np.ndarray | None = None
         self._common_counts: np.ndarray | None = None
         self._fallback_pairs: np.ndarray | None = None
-        # Value cache keyed on the interaction ledger's mutation version.
+        # Boolean n x n mask of the fallback pairs; None when there are none.
+        self._fallback_mask: np.ndarray | None = None
+        # Eq. (3) terms keyed on the interaction ledger's mutation version,
+        # and the matrix assembled from them (None until asked for).
         self._cached_matrix: np.ndarray | None = None
         self._cached_adj_close: np.ndarray | None = None
         self._cached_t1: np.ndarray | None = None
         self._cached_t2: np.ndarray | None = None
         self._cached_version = -1
-        # Consecutive low-rank T2 corrections since the last exact rebuild.
-        # The correction is exact in exact arithmetic but accumulates float
-        # drift; after ``config.cache_rebuild_interval`` applications the
-        # next evaluation rebuilds T2 (and T1/A) from scratch so the drift
-        # stays bounded over arbitrarily long churn-heavy runs.
-        self._t2_updates = 0
 
     def invalidate_cache(self) -> None:
         """Drop cached relationship factors after mutating the social view."""
@@ -246,6 +275,7 @@ class ClosenessComputer(ClosenessBase):
         self._adj_float = None
         self._common_counts = None
         self._fallback_pairs = None
+        self._fallback_mask = None
         self._drop_value_cache()
 
     def _drop_value_cache(self) -> None:
@@ -259,21 +289,21 @@ class ClosenessComputer(ClosenessBase):
     # -- checkpointing -------------------------------------------------------
 
     def state_dict(self) -> dict:
-        """The incrementally-maintained value caches.
+        """The incrementally-maintained Eq. (3) terms.
 
         The structure caches (relationship factors, adjacency) rebuild
         deterministically from the static social view and are not
-        serialized.  The value caches MUST travel with a checkpoint: the
-        low-rank T2 update is exact but not bitwise equal to a fresh
-        rebuild, so resuming with a cold cache would diverge from the
-        uninterrupted run at the last-bit level.
+        serialized, nor is the assembled matrix, which is an element-wise
+        function of the terms and the live ledger.  The terms MUST travel
+        with a checkpoint: the low-rank T2 update is exact but not bitwise
+        equal to a fresh rebuild, so resuming with a cold cache would
+        diverge from the uninterrupted run at the last-bit level.
         """
 
         def _copy(a: np.ndarray | None) -> np.ndarray | None:
             return None if a is None else a.copy()
 
         return {
-            "matrix": _copy(self._cached_matrix),
             "adj_close": _copy(self._cached_adj_close),
             "t1": _copy(self._cached_t1),
             "t2": _copy(self._cached_t2),
@@ -296,10 +326,9 @@ class ClosenessComputer(ClosenessBase):
                 )
             return arr
 
-        matrix = _arr(state["matrix"], "matrix")
-        if matrix is not None:
-            matrix.flags.writeable = False  # the live cache is read-only
-        self._cached_matrix = matrix
+        # Older checkpoints also carry the assembled "matrix": it is rebuilt
+        # from the terms on demand, so it is not read.
+        self._cached_matrix = None
         self._cached_adj_close = _arr(state["adj_close"], "adj_close")
         self._cached_t1 = _arr(state["t1"], "t1")
         self._cached_t2 = _arr(state["t2"], "t2")
@@ -364,6 +393,7 @@ class ClosenessComputer(ClosenessBase):
             self._adj_float = adj_f
             self._common_counts = common_counts
             self._fallback_pairs = np.argwhere(need_fallback)
+            self._fallback_mask = need_fallback if self._fallback_pairs.size else None
         return self._adj_float, self._common_counts, self._fallback_pairs
 
     def _assemble(self) -> np.ndarray:
@@ -443,25 +473,20 @@ class ClosenessComputer(ClosenessBase):
         # costs less than what a transposed view adds there.
         self._cached_t2 = np.ascontiguousarray((a.T @ adj_f).T)
 
-    def closeness_matrix(self) -> np.ndarray:
-        """All-pairs ``Ωc`` matrix (diagonal zero), cached incrementally.
-
-        Agrees entry-wise with :meth:`closeness`; used by the detector so
-        each reputation-update interval costs O(n^2) NumPy work instead of
-        O(n^2) Python-level graph walks.  The result is keyed on the
-        interaction ledger's version: unchanged ledger → cache hit; a few
-        dirty rows → row-wise update of the matmul terms; mostly-dirty
-        ledger → full exact rebuild (see the module docstring).  The
-        returned array is read-only (it is the live cache).
-        """
+    def _refresh(self) -> None:
+        """Bring ``A``, ``T1`` and ``T2`` to the interaction ledger's
+        version: nothing when it has not moved; a row-wise update of the
+        terms for a few dirty rows; a full exact rebuild for a cold cache
+        or a mostly-dirty ledger (see the module docstring).  Moving the
+        terms drops the assembled matrix."""
         factors, adjacency = self._structure()
         version = self._interactions.version
-        if self._cached_matrix is not None and self._cached_version == version:
-            return self._cached_matrix
+        if self._cached_adj_close is not None and self._cached_version == version:
+            return
         adj_f, _, _ = self._structure_extras()
         dirty = (
             self._interactions.rows_changed_since(self._cached_version)
-            if self._cached_matrix is not None
+            if self._cached_adj_close is not None
             else None
         )
         if (
@@ -471,6 +496,8 @@ class ClosenessComputer(ClosenessBase):
         ):
             self._rebuild()
             self._t2_updates = 0
+            if self._m_rebuilds is not None:
+                self._m_rebuilds.inc()
         elif dirty.size:
             shares = self._interactions.share_matrix()
             new_rows = factors[dirty] * shares[dirty] * adjacency[dirty]
@@ -481,15 +508,58 @@ class ClosenessComputer(ClosenessBase):
             # T2 takes the low-rank correction F[:, D] @ ΔA[D].
             self._cached_t2 += adj_f[:, dirty] @ delta
             self._t2_updates += 1
-        out = self._assemble()
-        out.flags.writeable = False
-        self._cached_matrix = out
+            if self._m_patches is not None:
+                self._m_patches.inc()
+        if self._m_drift is not None:
+            self._m_drift.set(float(self._t2_updates))
+        self._cached_matrix = None
         self._cached_version = version
-        return out
+
+    def closeness_matrix(self) -> np.ndarray:
+        """All-pairs ``Ωc`` matrix (diagonal zero), cached incrementally.
+
+        Agrees entry-wise with :meth:`closeness` and bitwise with
+        :meth:`pair_values`.  The Eq. (3) terms are refreshed against the
+        interaction ledger's version (:meth:`_refresh`) and the matrix is
+        assembled from them once per version: an n^2 pass that only the
+        callers wanting every pair (QA, goldens) pay; the detector reads
+        :meth:`pair_values`.  The returned array is read-only (it is the
+        live cache).
+        """
+        self._refresh()
+        if self._cached_matrix is None:
+            out = self._assemble()
+            out.flags.writeable = False
+            self._cached_matrix = out
+        return self._cached_matrix
 
     def pair_values(self, raters, ratees) -> np.ndarray:
-        """``Ωc`` over pair arrays — same gather API as the sparse backend
-        (reads from the cached matrix)."""
+        """``Ωc`` over pair arrays — same gather API as the sparse backend.
+
+        Refreshes the Eq. (3) terms, then applies :meth:`_assemble`'s
+        element-wise formula at the asked pairs only, so each value is
+        bitwise ``closeness_matrix()[i, j]`` at a cost proportional to the
+        pairs.  The path fallback reads live interaction shares, so the
+        values are taken right after the refresh, at the same ledger
+        version as the terms.
+        """
         i, j = self._pair_ids(raters, ratees)
-        matrix = self.closeness_matrix()
-        return np.asarray(matrix[i, j], dtype=np.float64)
+        self._refresh()
+        _, adjacency = self._structure()
+        _, common_counts, _ = self._structure_extras()
+        common = common_counts[i, j]
+        common_sum = 0.5 * (self._cached_t1[i, j] + self._cached_t2[i, j])
+        if self._config.common_friend_aggregate is CommonFriendAggregate.MEAN:
+            common_sum = np.divide(
+                common_sum, common, out=np.zeros_like(common_sum), where=common > 0
+            )
+        out = np.where(
+            adjacency[i, j],
+            self._cached_adj_close[i, j],
+            np.where(common > 0, common_sum, 0.0),
+        )
+        out[i == j] = 0.0
+        if self._fallback_mask is not None:
+            for t in np.flatnonzero(self._fallback_mask[i, j]).tolist():
+                out[t] = self._path_min(int(i[t]), int(j[t]))
+        return out

@@ -24,15 +24,17 @@ Per reputation-update interval the detector:
    centring policy).
 
 One pair-indexed kernel does all four steps.  Its inputs are the nonzero
-entries of the interval's rating-count matrices, of the cumulative rated
-mask and of the recidivism history, as sorted row-major pair keys
-``i * n + j``.  Behaviours, leave-one-out bands and damping are evaluated
-only over the frequency-flagged pairs (plus, for the bands, the flagged
-raters' rated neighbourhoods), so the analysis scales with the flagged
-set, not with ``n^2``.  :meth:`CollusionDetector.analyze` (dense ``n x n``
-inputs, scanned once for their nonzero entries) and
-:meth:`CollusionDetector.analyze_sparse` (CSR inputs) only extract those
-keys.
+entries of the interval's rating-count matrices as sorted row-major pair
+keys ``i * n + j``, the flagged raters' rows of the cumulative rated mask
+as keys, and a gather of the recidivism history at the judged pairs.
+Behaviours, leave-one-out bands and damping are evaluated only over the
+frequency-flagged pairs (plus, for the bands, the flagged raters' rated
+neighbourhoods), so the analysis scales with the interval's pairs, not
+with ``n^2``.  :meth:`CollusionDetector.analyze` (dense ``n x n``
+arrays, read only at the interval's
+:meth:`~repro.reputation.base.IntervalRatings.pair_keys` and in the
+flagged raters' rows) and :meth:`CollusionDetector.analyze_sparse` (CSR
+inputs) only extract those inputs.
 """
 
 from __future__ import annotations
@@ -41,7 +43,7 @@ import enum
 from dataclasses import astuple, dataclass
 from functools import cached_property
 from itertools import repeat
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 import numpy as np
 from scipy import sparse
@@ -214,10 +216,11 @@ class _PairCounts(NamedTuple):
     values: np.ndarray
 
     @classmethod
-    def from_dense(cls, matrix: np.ndarray) -> "_PairCounts":
-        flat = np.asarray(matrix).ravel()
-        keys = np.flatnonzero(flat)
-        return cls(keys, flat[keys].astype(np.float64, copy=False))
+    def at(cls, matrix: np.ndarray, keys: np.ndarray) -> "_PairCounts":
+        """The nonzero entries of a dense matrix among sorted ``keys``."""
+        values = np.asarray(matrix).ravel()[keys].astype(np.float64, copy=False)
+        keep = values != 0
+        return cls(keys[keep], values[keep])
 
     @classmethod
     def from_sparse(cls, matrix: sparse.spmatrix) -> "_PairCounts":
@@ -408,6 +411,11 @@ class CollusionDetector:
     ) -> DetectionResult:
         """Analyse one interval given as dense ``n x n`` arrays.
 
+        The inputs are read pair-keyed: the count matrices only at the
+        interval's :meth:`~repro.reputation.base.IntervalRatings.pair_keys`,
+        the rated mask only in the flagged raters' rows, and the flag
+        counts only at the judged pairs.  No ``n x n`` array is scanned.
+
         Parameters
         ----------
         interval:
@@ -424,12 +432,21 @@ class CollusionDetector:
             Number of *earlier* intervals each pair was flagged in; drives
             the recidivism escalation.  ``None`` means no history.
         """
+        keys = interval.pair_keys()
+        n = np.int64(self.n_nodes)
+
+        def rated_in(is_rater: np.ndarray) -> np.ndarray:
+            raters = np.flatnonzero(is_rater)
+            rows, cols = np.nonzero(np.asarray(rated_mask)[raters])
+            return raters[rows] * n + cols
+
         return self._analyze_pairs(
-            _PairCounts.from_dense(interval.pos_counts),
-            _PairCounts.from_dense(interval.neg_counts),
+            _PairCounts.at(interval.pos_counts, keys),
+            _PairCounts.at(interval.neg_counts, keys),
             reputations,
-            np.flatnonzero(rated_mask),
-            None if flag_counts is None else _PairCounts.from_dense(flag_counts),
+            rated_in,
+            # ``take`` without an axis gathers flat keys.
+            None if flag_counts is None else np.asarray(flag_counts).take,
         )
 
     def analyze_sparse(
@@ -447,12 +464,14 @@ class CollusionDetector:
         matrices, ``rated`` the cumulative rated mask, ``flag_counts`` the
         recidivism history.
         """
+        rated_keys = _PairCounts.from_sparse(rated).keys
+        n = np.int64(self.n_nodes)
         return self._analyze_pairs(
             _PairCounts.from_sparse(pos_counts),
             _PairCounts.from_sparse(neg_counts),
             reputations,
-            _PairCounts.from_sparse(rated).keys,
-            None if flag_counts is None else _PairCounts.from_sparse(flag_counts),
+            lambda is_rater: rated_keys[is_rater[rated_keys // n]],
+            None if flag_counts is None else _PairCounts.from_sparse(flag_counts).gather,
         )
 
     def _analyze_pairs(
@@ -460,10 +479,15 @@ class CollusionDetector:
         pos: _PairCounts,
         neg: _PairCounts,
         reputations: np.ndarray,
-        rated_keys: np.ndarray,
-        history: _PairCounts | None,
+        rated_in: Callable[[np.ndarray], np.ndarray],
+        history: Callable[[np.ndarray], np.ndarray] | None,
     ) -> DetectionResult:
-        """The detector kernel over pair-keyed inputs (module docstring)."""
+        """The detector kernel over pair-keyed inputs (module docstring).
+
+        ``rated_in(is_rater)`` lists the sorted keys of the cumulative
+        rated pairs in the rows ``is_rater`` marks; ``history(keys)``
+        gathers the recidivism counts at ``keys``.
+        """
         n = self.n_nodes
         cfg = self._config
         obs = self._obs
@@ -527,7 +551,7 @@ class CollusionDetector:
             sel = np.flatnonzero(adjust)
             exponent = self._band_exponent(
                 fi[sel], omega_c[sel], omega_s[sel],
-                active, act_i, observed_c, observed_s, rated_keys,
+                active, act_i, observed_c, observed_s, rated_in,
             )
             # Clamp the exponent below the float64 underflow knee: a
             # degenerate band (spread at the floor) with a large deviation
@@ -544,7 +568,8 @@ class CollusionDetector:
                 damping = damping * np.where(flag_neg[sel], neg_cap, 1.0)
             if history is not None and cfg.recidivism_decay < 1.0:
                 damping = damping * np.power(
-                    cfg.recidivism_decay, history.gather(keys[sel])
+                    cfg.recidivism_decay,
+                    history(keys[sel]).astype(np.float64, copy=False),
                 )
             weights[sel] = damping
         if obs is not None:
@@ -573,13 +598,13 @@ class CollusionDetector:
         act_i: np.ndarray,
         observed_c: np.ndarray,
         observed_s: np.ndarray,
-        rated_keys: np.ndarray,
+        rated_in: Callable[[np.ndarray], np.ndarray],
     ) -> np.ndarray:
         """Eq. (9)'s Gaussian exponent for pairs of raters ``fi``.
 
-        Each rater's band covers the nodes it has rated: the cumulative
-        ``rated_keys`` plus this interval's ``active`` partners, which
-        always contain the judged ratee.  Active entries reuse their
+        Each rater's band covers the nodes it has rated: its cumulative
+        rated pairs (``rated_in``) plus this interval's ``active``
+        partners, which always contain the judged ratee.  Active entries reuse their
         observed coefficients; only the other rated pairs are looked up.
         """
         n = self.n_nodes
@@ -587,7 +612,7 @@ class CollusionDetector:
         is_rater = np.zeros(n, dtype=bool)
         is_rater[fi] = True
         in_band = is_rater[act_i]
-        past = rated_keys[is_rater[rated_keys // n]]
+        past = rated_in(is_rater)
         past_i, past_j = np.divmod(
             np.setdiff1d(past, active, assume_unique=True), n
         )

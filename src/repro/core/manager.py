@@ -155,7 +155,8 @@ class DistributedSocialTrust(SocialTrust):
                 # Failover needs a ring to agree on crash successors.
                 self._ring = ChordRing(manager_ids)
         #: Weights applied in the previous interval — what a Byzantine
-        #: manager in ``"stale"`` mode replays for its rows.
+        #: manager in ``"stale"`` mode replays for its rows.  Only kept
+        #: under a fault injector (None otherwise).
         self._last_weights: np.ndarray | None = None
 
     @property
@@ -233,7 +234,7 @@ class DistributedSocialTrust(SocialTrust):
         latency, never rating information (the emulation keeps the
         information flow eventually consistent).
         """
-        rater_idx, ratee_idx = np.nonzero(interval.counts)
+        rater_idx, ratee_idx = np.divmod(interval.pair_keys(), self.n_nodes)
         if not rater_idx.size:
             return
         assign = self._assignment
@@ -273,9 +274,8 @@ class DistributedSocialTrust(SocialTrust):
         """
         ring = self._ring
         injector = self._injector
-        if ring is None:
-            return None
-        down = injector.down_managers() if injector is not None else frozenset()
+        assert ring is not None and injector is not None  # fault path only
+        down = injector.down_managers()
         successor = int(manager_id)
         for _ in range(len(self._managers)):
             successor = ring.successor_of(successor)
@@ -283,7 +283,7 @@ class DistributedSocialTrust(SocialTrust):
                 return None
             if successor in down:
                 continue
-            if injector is not None and injector.partition_active:
+            if injector.partition_active:
                 if injector.manager_side(successor) != injector.manager_side(
                     rater_mgr
                 ):
@@ -344,8 +344,7 @@ class DistributedSocialTrust(SocialTrust):
         dampens every rated pair in its rows indiscriminately.
         """
         injector = self._injector
-        if injector is None:
-            return
+        assert injector is not None  # fault path only
         bad = injector.byzantine_managers() & set(self._managers)
         if not bad:
             return
@@ -375,12 +374,13 @@ class DistributedSocialTrust(SocialTrust):
     def _failover_weights(
         self, result: DetectionResult, interval: IntervalRatings
     ) -> np.ndarray:
-        """Compose the damping weights the managers actually apply.
+        """Compose the damping weights the managers actually apply under
+        a fault injector (fault-free, :meth:`_adjust` applies the
+        detector's weights directly).
 
-        Fault-free this reproduces the centralised weight matrix exactly:
-        each rater-side manager applies the detector's adjustment to its
+        Each rater-side manager applies the detector's adjustment to its
         own nodes' outgoing ratings, and the row slices compose the full
-        matrix.  Under faults, a down manager's rows are applied by its
+        matrix.  A down manager's rows are applied by its
         ring successor (same numbers — the judgement is deterministic
         given the social information), counted as reassignments, and each
         suspected cross-manager pair walks the explicit
@@ -406,14 +406,14 @@ class DistributedSocialTrust(SocialTrust):
         """
         serving = self._serving_managers()
         injector = self._injector
-        metrics = injector.metrics if injector is not None else None
+        assert injector is not None  # the fault-free path never gets here
+        metrics = injector.metrics
         neutral = self._config.neutral_damping
         all_down = all(mid is None for mid in serving.values())
         if all_down:
             weights = np.ones_like(result.weights)
             for finding in result.findings:
                 weights[finding.rater, finding.ratee] = neutral
-                assert metrics is not None
                 metrics.record_fallback()
                 self._audit_degradation(
                     finding, "degraded_neutral", neutral, interval, result
@@ -423,11 +423,10 @@ class DistributedSocialTrust(SocialTrust):
         # Every node has a home manager, so the row slices the managers
         # apply compose exactly the detector's matrix.
         weights = result.weights.copy()
-        if metrics is not None:
-            for home, manager in self._managers.items():
-                if manager.managed and serving[home] != home:
-                    metrics.record_reassignment(len(manager.managed))
-        transport = injector.transport if injector is not None else None
+        for home, manager in self._managers.items():
+            if manager.managed and serving[home] != home:
+                metrics.record_reassignment(len(manager.managed))
+        transport = injector.transport
         for finding in result.findings:
             rater_mgr = serving[int(self._assignment[finding.rater])]
             ratee_mgr = serving[int(self._assignment[finding.ratee])]
@@ -435,43 +434,35 @@ class DistributedSocialTrust(SocialTrust):
                 continue  # social information is local to the manager
             if rater_mgr is None or ratee_mgr is None:
                 weights[finding.rater, finding.ratee] = neutral
-                assert metrics is not None
                 metrics.record_fallback()
                 self._audit_degradation(
                     finding, "degraded_neutral", neutral, interval, result
                 )
                 continue
             if (
-                injector is not None
-                and injector.partition_active
+                injector.partition_active
                 and injector.manager_side(rater_mgr)
                 != injector.manager_side(ratee_mgr)
             ):
                 # Tier 4: provably unreachable until the partition heals —
                 # defer the judgement instead of damping on local evidence.
                 weights[finding.rater, finding.ratee] = 1.0
-                assert metrics is not None
                 metrics.record_partition_block()
                 self._audit_degradation(finding, "skipped", 1.0, interval, result)
                 continue
-            if transport is None or transport.send("info_request").delivered:
+            if transport.send("info_request").delivered:
                 # Tier 1: primary route (with transport-level retries).
                 self._managers[rater_mgr].record_message("info_request")
                 self._managers[ratee_mgr].record_message("info_response")
                 continue
             replica = self._successor_replica(ratee_mgr, rater_mgr)
-            if (
-                replica is not None
-                and transport is not None
-                and transport.send("info_request").delivered
-            ):
+            if replica is not None and transport.send("info_request").delivered:
                 # Tier 2: the ratee-side manager's replica answered.
                 self._managers[rater_mgr].record_message("info_request")
                 self._managers[replica].record_message("info_response")
                 continue
             # Tier 3: neutral damping.
             weights[finding.rater, finding.ratee] = neutral
-            assert metrics is not None
             metrics.record_fallback()
             self._audit_degradation(
                 finding, "degraded_neutral", neutral, interval, result
@@ -485,12 +476,33 @@ class DistributedSocialTrust(SocialTrust):
     ) -> IntervalRatings:
         """The manager protocol: charge the rating reports, compose the
         weights the managers actually apply (:meth:`_failover_weights`)
-        and scale the interval by them."""
+        and scale the interval by them.
+
+        With no fault injector every manager serves its own nodes and
+        every round trip is delivered, so the managers apply exactly the
+        detector's weights: the hook charges the messages and scales the
+        flagged pairs as the centralised wrapper does.
+        """
+        fault_free = self._injector is None
         self._account_rating_reports(interval, self._serving_managers())
         with self._tracer.span("manager.failover_weights"):
-            weights = self._failover_weights(result, interval)
+            if fault_free:
+                self._account_info_round_trips(result)
+            else:
+                weights = self._failover_weights(result, interval)
         self._publish_manager_metrics()
+        if fault_free:
+            return super()._adjust(interval, result)
         return interval.scaled(weights)
+
+    def _account_info_round_trips(self, result: DetectionResult) -> None:
+        """Fault-free tier 1: each suspected pair whose rater and ratee
+        have different managers costs the rater's manager one
+        ``info_request`` and the ratee's one ``info_response``."""
+        for rater_mgr, ratee_mgr in self._assignment[result.pairs].tolist():
+            if rater_mgr != ratee_mgr:
+                self._managers[rater_mgr].record_message("info_request")
+                self._managers[ratee_mgr].record_message("info_response")
 
     def _publish_manager_metrics(self) -> None:
         """Mirror cumulative manager/fault counters into the registry.

@@ -125,7 +125,7 @@ class SocialTrust(ReputationSystem):
             )
             span.set("findings", result.n_adjusted)
         self._last_result = result
-        self._rated_mask |= interval.counts > 0
+        np.put(self._rated_mask, interval.pair_keys(), True)
         np.fill_diagonal(self._rated_mask, False)
         self._flag_counts[result.pairs[:, 0], result.pairs[:, 1]] += 1
         adjusted = self._adjust(interval, result)

@@ -159,25 +159,6 @@ class SparseClosenessComputer(ClosenessBase):
         self._values: np.ndarray | None = None
         self._csr: sparse.csr_matrix | None = None
         self._cached_version = -1
-        # Consecutive low-rank T2 corrections since the last exact rebuild
-        # (same drift bound as the dense computer).
-        self._t2_updates = 0
-        # Optional instruments (see bind_metrics); None keeps the hot
-        # path free of registry lookups when observability is absent.
-        self._m_drift = None
-        self._m_rebuilds = None
-        self._m_patches = None
-
-    def bind_metrics(self, registry) -> None:
-        """Publish cache health into a :class:`repro.obs.MetricsRegistry`:
-        ``sparse.cache.drift`` (consecutive low-rank corrections since the
-        last exact rebuild — the quantity ``cache_rebuild_interval``
-        bounds), ``sparse.cache.rebuilds`` and ``sparse.cache.patches``.
-        """
-        self._m_drift = registry.gauge("sparse.cache.drift")
-        self._m_rebuilds = registry.counter("sparse.cache.rebuilds")
-        self._m_patches = registry.counter("sparse.cache.patches")
-        self._m_drift.set(float(self._t2_updates))
 
     def invalidate_cache(self) -> None:
         """Drop the static structure after mutating the social view."""
@@ -705,15 +686,15 @@ def coefficient_computers(
 ]:
     """The Ωc and Ωs computers ``config.coefficient_backend`` selects.
 
-    The sparse closeness cache publishes its health into
+    The closeness cache publishes its health into
     ``observability.metrics`` when a bundle is given.
     """
     if config.coefficient_backend is CoefficientBackend.SPARSE:
         closeness = SparseClosenessComputer(social_view, interactions, config)
-        if observability is not None:
-            closeness.bind_metrics(observability.metrics)
-        return closeness, SparseSimilarityComputer(profiles, config)
-    return (
-        ClosenessComputer(social_view, interactions, config),
-        SimilarityComputer(profiles, config),
-    )
+        similarity = SparseSimilarityComputer(profiles, config)
+    else:
+        closeness = ClosenessComputer(social_view, interactions, config)
+        similarity = SimilarityComputer(profiles, config)
+    if observability is not None:
+        closeness.bind_metrics(observability.metrics)
+    return closeness, similarity

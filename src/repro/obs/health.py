@@ -19,8 +19,9 @@ monitor carries a :class:`~repro.obs.export.TelemetrySink` — appended to
 the same JSONL stream as the snapshots it judged.
 
 A metric a rule names but the snapshot lacks is *no data*, not a breach:
-rules for optional subsystems (the distributed manager ladder, the
-sparse coefficient cache) sit dormant on runs without those layers.
+rules for optional subsystems (the distributed manager ladder, the Ωc
+cache when no observability is bound to it) sit dormant on runs without
+those layers.
 :func:`default_service_rules` bundles the streaming service's SLOs —
 query p99, sustained events/sec, queue depth, shed rate, rating-flood
 share, degradation-ladder rate and sparse-cache rebuild drift.
@@ -363,9 +364,10 @@ def default_service_rules(
     """The streaming service's SLO bundle.
 
     ``min_events_per_sec <= 0`` omits the throughput floor (a paused or
-    replay-paced stream is not an outage).  The degradation-ladder and
-    sparse-cache rules read metrics that only exist on distributed /
-    sparse-backend runs and stay dormant otherwise.
+    replay-paced stream is not an outage).  The degradation-ladder rule
+    reads metrics that only exist on distributed runs and stays dormant
+    otherwise; the cache-drift rule reads the Ωc cache's
+    ``sparse.cache.drift``, which both closeness computers publish.
     """
     rules = [
         SloRule(

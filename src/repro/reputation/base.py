@@ -52,15 +52,19 @@ class IntervalRatings:
     ``value_sum[i, j]`` is the summed rating value from rater ``i`` to ratee
     ``j`` during the interval; ``pos_counts`` / ``neg_counts`` are the
     rating-frequency observations (``t+`` / ``t-`` in Section 4.3) the
-    collusion detector thresholds on.
+    collusion detector thresholds on.  :meth:`pair_keys` names the pairs
+    with a nonzero count, so pair-wise consumers need not scan ``n x n``.
     """
 
-    __slots__ = ("value_sum", "pos_counts", "neg_counts")
+    __slots__ = ("value_sum", "pos_counts", "neg_counts", "_pair_keys")
 
     def __init__(self, n_nodes: int) -> None:
         self.value_sum = np.zeros((n_nodes, n_nodes), dtype=np.float64)
         self.pos_counts = np.zeros((n_nodes, n_nodes), dtype=np.float64)
         self.neg_counts = np.zeros((n_nodes, n_nodes), dtype=np.float64)
+        # Sorted keys of the rated pairs when the writer knows them (the
+        # ledger's batched path); None means "scan the counts".
+        self._pair_keys: np.ndarray | None = None
 
     @property
     def n_nodes(self) -> int:
@@ -71,47 +75,71 @@ class IntervalRatings:
         """Total rating counts per rater-ratee pair."""
         return self.pos_counts + self.neg_counts
 
+    def pair_keys(self) -> np.ndarray:
+        """Sorted row-major keys ``i * n + j`` of the pairs with a nonzero
+        count: ``np.flatnonzero(self.counts)``.
+
+        An interval drained from a :class:`~repro.reputation.ledger.RatingLedger`
+        that saw only batched writes carries the keys those writes touched;
+        any other interval scans its counts once per call.  Intervals are
+        immutable by convention once drained, so the carried keys stay
+        those of the counts.
+        """
+        if self._pair_keys is not None:
+            return self._pair_keys
+        return np.flatnonzero(self.counts)
+
     def add(self, rating: Rating) -> None:
         self.value_sum[rating.rater, rating.ratee] += rating.value
         if rating.value >= 0:
             self.pos_counts[rating.rater, rating.ratee] += 1
         else:
             self.neg_counts[rating.rater, rating.ratee] += 1
+        self._pair_keys = None
+
+    def _with_values(self, value_sum: np.ndarray) -> "IntervalRatings":
+        """An interval over ``value_sum`` that shares this one's count
+        arrays and pair keys (no reputation backend writes the counts)."""
+        out = IntervalRatings.__new__(IntervalRatings)
+        out.value_sum = value_sum
+        out.pos_counts = self.pos_counts
+        out.neg_counts = self.neg_counts
+        out._pair_keys = self._pair_keys
+        return out
 
     def scaled(self, weights: np.ndarray) -> "IntervalRatings":
-        """Return a copy with ``value_sum`` multiplied element-wise by ``weights``.
+        """Return an interval with ``value_sum`` multiplied element-wise by
+        ``weights``.
 
-        Counts are preserved: SocialTrust damps the *influence* of suspected
-        ratings, it does not pretend they never happened (the frequency
-        observations remain available to downstream consumers).
+        Counts are preserved (shared with this interval): SocialTrust damps
+        the *influence* of suspected ratings, it does not pretend they never
+        happened (the frequency observations remain available to downstream
+        consumers).
         """
         w = np.asarray(weights, dtype=np.float64)
         if w.shape != self.value_sum.shape:
             raise ValueError(
                 f"weight matrix shape {w.shape} != {self.value_sum.shape}"
             )
-        out = IntervalRatings(self.n_nodes)
-        np.multiply(self.value_sum, w, out=out.value_sum)
-        out.pos_counts[:] = self.pos_counts
-        out.neg_counts[:] = self.neg_counts
-        return out
+        return self._with_values(np.multiply(self.value_sum, w))
 
     def scaled_pairs(
         self, raters: np.ndarray, ratees: np.ndarray, weights: np.ndarray
     ) -> "IntervalRatings":
         """:meth:`scaled` by a weight matrix that is 1.0 except at the
-        given distinct pairs, without building that matrix: the copy's
-        ``value_sum`` is multiplied only at the pairs, which gives the same
-        bits (``x * 1.0 == x``)."""
-        out = self.copy()
-        out.value_sum[raters, ratees] *= weights
-        return out
+        given distinct pairs, without building that matrix: only
+        ``value_sum`` is copied, and multiplied only at the pairs, which
+        gives the same bits (``x * 1.0 == x``)."""
+        value_sum = self.value_sum.copy()
+        value_sum[raters, ratees] *= weights
+        return self._with_values(value_sum)
 
     def copy(self) -> "IntervalRatings":
         out = IntervalRatings(self.n_nodes)
         out.value_sum[:] = self.value_sum
         out.pos_counts[:] = self.pos_counts
         out.neg_counts[:] = self.neg_counts
+        out._pair_keys = self._pair_keys
         return out
 
 

@@ -6,6 +6,14 @@ convention :class:`~repro.reputation.base.IntervalRatings` bundle.  Keeping
 the hot-path ``record`` a pair of array increments (rather than appending
 Python objects) is what keeps the 200-node x 30-query-cycle x 50-cycle
 experiment grid fast.
+
+The batched :meth:`RatingLedger.record_many` also keeps the row-major keys
+``i * n + j`` it wrote, and :meth:`RatingLedger.drain` hands them to the
+interval as its sorted, unique :meth:`~repro.reputation.base.IntervalRatings.pair_keys`,
+so the detector reads the interval's pairs without scanning ``n x n``
+count matrices.  A scalar write (``record``, ``record_batch``) or a
+restored in-flight interval drops the keys for that interval; its
+``pair_keys`` then scans the counts.
 """
 
 from __future__ import annotations
@@ -24,8 +32,14 @@ class RatingLedger:
         if n_nodes <= 0:
             raise ValueError(f"n_nodes must be positive, got {n_nodes}")
         self._n = int(n_nodes)
-        self._interval = IntervalRatings(self._n)
+        self._start_interval()
         self._total_recorded = 0
+
+    def _start_interval(self) -> None:
+        self._interval = IntervalRatings(self._n)
+        # Keys written by record_many this interval; None once another
+        # write path has touched the interval.
+        self._keys: list[np.ndarray] | None = [np.empty(0, dtype=np.int64)]
 
     @property
     def n_nodes(self) -> int:
@@ -42,6 +56,7 @@ class RatingLedger:
                 f"rating ({rating.rater} -> {rating.ratee}) out of range"
             )
         self._interval.add(rating)
+        self._keys = None
         self._total_recorded += 1
 
     def record_many(
@@ -76,6 +91,8 @@ class RatingLedger:
         if np.any(c < 1):
             raise ValueError("counts must be >= 1")
         interval = self._interval
+        if self._keys is not None:
+            self._keys.append(i * self._n + j)
         np.add.at(interval.value_sum, (i, j), v * c)
         pos = v >= 0
         if np.any(pos):
@@ -98,6 +115,7 @@ class RatingLedger:
             self._interval.pos_counts[rater, ratee] += count
         else:
             self._interval.neg_counts[rater, ratee] += count
+        self._keys = None
         self._total_recorded += count
 
     def peek(self) -> IntervalRatings:
@@ -107,7 +125,11 @@ class RatingLedger:
     def drain(self) -> IntervalRatings:
         """Return the interval aggregates and start a fresh interval."""
         out = self._interval
-        self._interval = IntervalRatings(self._n)
+        if self._keys is not None:
+            keys = np.unique(np.concatenate(self._keys))
+            keys.flags.writeable = False
+            out._pair_keys = keys
+        self._start_interval()
         return out
 
     def state_dict(self) -> dict:
@@ -127,4 +149,5 @@ class RatingLedger:
         interval.pos_counts[:] = np.asarray(state["pos_counts"], dtype=np.float64)
         interval.neg_counts[:] = np.asarray(state["neg_counts"], dtype=np.float64)
         self._interval = interval
+        self._keys = None
         self._total_recorded = int(state["total_recorded"])

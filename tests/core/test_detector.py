@@ -278,3 +278,33 @@ class TestMismatch:
                 SimilarityComputer(profiles, cfg),
                 cfg,
             )
+
+
+class TestPairKeyedInputs:
+    def test_ledger_keys_and_count_scan_give_the_same_result(self):
+        """An interval keyed by the ledger's batched writes and the same
+        counts left to a scan are analysed bit for bit alike."""
+        from repro.reputation.ledger import RatingLedger
+
+        rows = background_ratings() + [(0, 1, 1.0, 40), (1, 0, 1.0, 40), (3, 5, -1.0, 30)]
+        ledger = RatingLedger(N)
+        i, j, v, c = np.array(rows, dtype=np.float64).T
+        ledger.record_many(i.astype(np.int64), j.astype(np.int64), v, c)
+        keyed = ledger.drain()
+        scanned = interval_with(rows)
+        assert keyed._pair_keys is not None and scanned._pair_keys is None
+        reputations = np.full(N, 1.0 / N)
+        rated = np.zeros((N, N), dtype=bool)
+        rated[2, 4] = rated[0, 6] = True
+        flags = np.zeros((N, N), dtype=np.int64)
+        flags[0, 1] = 2
+        results = []
+        for interval in (keyed, scanned):
+            det, _ = build_detector()
+            results.append(det.analyze(interval, reputations, rated, flags))
+        got, want = results
+        assert want.findings
+        assert got.findings == want.findings
+        assert np.array_equal(got.pairs, want.pairs)
+        assert np.array_equal(got.pair_weights, want.pair_weights)
+        assert got.thresholds == want.thresholds

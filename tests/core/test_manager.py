@@ -112,6 +112,20 @@ class TestOneSocialTrust:
         starts = [e["start"] for e in spans]
         assert starts == sorted(starts)
 
+    def test_fault_free_adjust_is_the_central_one(self):
+        """No injector: the managers apply the detector's weights at the
+        flagged pairs, bit for bit the central wrapper, and keep no dense
+        weight matrix for a Byzantine replay that cannot happen."""
+        central, distributed, interactions = build_pair()
+        for _ in range(3):
+            iv = collusion_interval(interactions)
+            central.update(iv.copy())
+            distributed.update(iv)
+            assert np.array_equal(distributed.reputations, central.reputations)
+        assert distributed.last_detection.n_adjusted
+        assert distributed.total_messages > 0
+        assert distributed.state_dict()["last_weights"] is None
+
     def test_state_dict_keys(self):
         _, distributed, interactions = build_pair()
         distributed.update(collusion_interval(interactions))

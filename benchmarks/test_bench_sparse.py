@@ -1,15 +1,18 @@
-"""Sparse vs dense coefficient core: the detector-interval scaling benchmark.
+"""Sparse vs dense coefficient kernels: the detector-interval scaling benchmark.
 
 Synthesizes a sparse social world (ring + random chords, average degree
 ~8, interactions and ratings concentrated on social edges plus a
 high-frequency collusive pair set) at each target size, runs one full
-detector interval per coefficient backend, and records wall-clock and
-peak-RSS.  The dense (seed) path materialises ``n x n`` matrices so it
-stops being practical past ``n ~ 10^4``; the sparse core runs the same
-interval at ``n = 10^5`` inside a documented memory budget.  At the
-smallest shared size the two backends' damping weights are asserted
-equal within float tolerance (the deeper sweep lives in the QA
-differential runner).
+detector interval per kernel set, and records wall-clock and peak-RSS.
+Each coefficient has one computer; the run forces its kernels through
+the private rules.  The dense run (the full Ωc layout and the Ωs product,
+what the seed worlds take) materialises ``n x n`` matrices so it stops
+being practical past ``n ~ 10^4``; the sparse run (the two-hop Ωc layout
+and Ωs row dot products, what such a world takes on its own) runs the
+same interval at ``n = 10^5`` inside a documented memory budget.  At the
+smallest shared size the two runs' damping weights are asserted equal
+within float tolerance (``tests/core/test_coefficient_kernels.py`` holds
+every kernel to the others over a churn history).
 
 Results land in ``BENCH_sparse.json`` at the repo root (override with
 ``BENCH_SPARSE_OUT``) using the shared ``{"name", "config", "results",
@@ -21,7 +24,7 @@ Profiles (``BENCH_SPARSE_PROFILE`` environment variable):
   {10^3, 10^4}, speedup floor 10x at n = 10^4, sparse 10^5 peak-RSS
   budget 8 GiB; takes a few minutes (the dense 10^4 interval alone is
   ~2 matmuls at 10^12 flops).
-* ``smoke``          — both backends at n = 2000, floor 2x (used by the
+* ``smoke``          — both runs at n = 2000, floor 2x (used by the
   CI smoke job; finishes in well under a minute).
 
 ``ru_maxrss`` is a process-lifetime high-water mark, so the sparse runs
@@ -38,13 +41,13 @@ import time
 import numpy as np
 from scipy import sparse
 
+import repro.core.closeness as closeness_module
+import repro.core.similarity as similarity_module
 from repro.core import (
     ClosenessComputer,
     CollusionDetector,
     SimilarityComputer,
     SocialTrustConfig,
-    SparseClosenessComputer,
-    SparseSimilarityComputer,
 )
 from repro.reputation.base import IntervalRatings
 from repro.social import (
@@ -184,18 +187,25 @@ def _coo(i: np.ndarray, j: np.ndarray, c: np.ndarray, n: int) -> sparse.csr_matr
     return sparse.coo_matrix((c, (i, j)), shape=(n, n)).tocsr()
 
 
+def _force(monkeypatch, dense: bool) -> None:
+    """Force the dense kernels (full Ωc layout, Ωs product) or the sparse
+    ones (two-hop Ωc layout, Ωs row dots) through the private rules."""
+    monkeypatch.setattr(
+        closeness_module, "_FULL_LAYOUT_MIN_PATHS", 0.0 if dense else float("inf")
+    )
+    monkeypatch.setattr(similarity_module, "_PRODUCT_MAX_NODES", (1 << 30) if dense else 0)
+
+
 def _run_sparse(world, graph, profiles):
     n = world["n"]
-    cfg = SocialTrustConfig(coefficient_backend="sparse")
+    cfg = SocialTrustConfig()
     ledger = SparseInteractionLedger(n)
     ledger.record_many(*world["interactions"])
     pos = _coo(*world["pos"], n)
     neg = _coo(*world["neg"], n)
     rated = ((pos + neg) > 0).tocsr()
     detector = CollusionDetector(
-        SparseClosenessComputer(graph, ledger, cfg),
-        SparseSimilarityComputer(profiles, cfg),
-        cfg,
+        ClosenessComputer(graph, ledger, cfg), SimilarityComputer(profiles, cfg), cfg
     )
     start = time.perf_counter()
     result = detector.analyze_sparse(pos, neg, world["reputations"], rated)
@@ -215,7 +225,7 @@ def _run_sparse(world, graph, profiles):
 
 def _run_dense(world, graph, profiles):
     n = world["n"]
-    cfg = SocialTrustConfig(coefficient_backend="dense")
+    cfg = SocialTrustConfig()
     ledger = InteractionLedger(n)
     ledger.record_many(*world["interactions"])
     interval = IntervalRatings(n)
@@ -246,7 +256,7 @@ def _run_dense(world, graph, profiles):
     return stats, result
 
 
-def test_sparse_detector_scaling(bench_artifact):
+def test_sparse_detector_scaling(bench_artifact, monkeypatch):
     name, profile = _profile()
     sparse_sizes = profile["sparse_sizes"]
     dense_sizes = profile["dense_sizes"]
@@ -255,6 +265,7 @@ def test_sparse_detector_scaling(bench_artifact):
 
     # Sparse first: ru_maxrss is a high-water mark, and the dense n x n
     # allocations would otherwise mask the sparse peaks.
+    _force(monkeypatch, dense=False)
     for n in sparse_sizes:
         world = _synthesize(n)
         graph, profiles = _build_shared(world)
@@ -265,6 +276,7 @@ def test_sparse_detector_scaling(bench_artifact):
 
     equiv_n = min(set(sparse_sizes) & set(dense_sizes))
     max_diff = None
+    _force(monkeypatch, dense=True)
     for n in dense_sizes:
         world = _synthesize(n)
         graph, profiles = _build_shared(world)
@@ -277,7 +289,7 @@ def test_sparse_detector_scaling(bench_artifact):
             max_diff = float(np.abs(dense_w - sparse_w).max())
             assert np.allclose(
                 dense_w, sparse_w, rtol=_EQUIV_RTOL, atol=_EQUIV_ATOL
-            ), f"backends diverge at n={n}: max |delta| = {max_diff:.3e}"
+            ), f"kernels diverge at n={n}: max |delta| = {max_diff:.3e}"
 
     target = profile["speedup_at"]
     dense_cold = results["dense"][str(target)]["cold_seconds"]

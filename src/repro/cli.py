@@ -411,12 +411,6 @@ def build_parser() -> argparse.ArgumentParser:
     diff.add_argument(
         "--collusion", default="pcm", choices=["none", "pcm", "mcm", "mmm"]
     )
-    diff.add_argument(
-        "--sparse",
-        action="store_true",
-        help="also compare the dense and sparse coefficient backends "
-        "(tolerance mode) across every cell",
-    )
 
     reconv = qa_sub.add_parser(
         "reconverge",
@@ -1155,16 +1149,7 @@ def _cmd_qa(args: argparse.Namespace) -> int:
             seed=args.seed, cycles=args.cycles, collusion=args.collusion
         )
         print(report.summary())
-        ok = report.ok
-        if args.sparse:
-            from repro.qa import run_coefficient_differential
-
-            coeff_report = run_coefficient_differential(
-                seed=args.seed, cycles=args.cycles, collusion=args.collusion
-            )
-            print(coeff_report.summary())
-            ok = ok and coeff_report.ok
-        return EXIT_OK if ok else EXIT_FAILURE
+        return EXIT_OK if report.ok else EXIT_FAILURE
 
     if args.qa_command == "reconverge":
         import json

@@ -12,13 +12,17 @@ and (9), evaluated on:
 * **interest similarity** ``Ωs`` (:mod:`repro.core.similarity` — Eq. (7)
   plain, Eq. (11) hardened).
 
+Each coefficient has one computer, whose layout and kernels follow the
+world it is built on: dense products on small or well-connected worlds,
+the two-hop table and pair-wise dot products on sparse ones at 10^4 nodes.
+
 :class:`~repro.core.socialtrust.SocialTrust` is the centralised execution
 path; :mod:`repro.core.manager` implements the distributed resource-manager
 protocol of Section 4.3 and is verified to produce identical adjustments.
 """
 
 from repro.core.closeness import ClosenessComputer
-from repro.core.config import CoefficientBackend, GaussianCenter, SocialTrustConfig
+from repro.core.config import GaussianCenter, SocialTrustConfig
 from repro.core.detector import (
     CollusionDetector,
     DetectionResult,
@@ -29,15 +33,15 @@ from repro.core.gaussian import RaterBand, combined_weight, gaussian_weight
 from repro.core.manager import DistributedSocialTrust, ResourceManager
 from repro.core.similarity import SimilarityComputer, overlap_similarity
 from repro.core.socialtrust import SocialTrust
-from repro.core.sparse import (
-    SparseClosenessComputer,
-    SparseSimilarityComputer,
-    coefficient_computers,
-)
+
+# The Ωc and Ωs computers under their old sparse-backend names:
+# perfbench/workloads.py is their last caller, and the next change to the
+# benchmark drops them.
+SparseClosenessComputer = ClosenessComputer
+SparseSimilarityComputer = SimilarityComputer
 
 __all__ = [
     "ClosenessComputer",
-    "CoefficientBackend",
     "GaussianCenter",
     "SocialTrustConfig",
     "CollusionDetector",
@@ -52,7 +56,6 @@ __all__ = [
     "SimilarityComputer",
     "SparseClosenessComputer",
     "SparseSimilarityComputer",
-    "coefficient_computers",
     "overlap_similarity",
     "SocialTrust",
 ]

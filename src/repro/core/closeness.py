@@ -17,80 +17,73 @@ interaction frequency, a colluder cannot raise its closeness to a partner
 without draining closeness from everyone else it interacts with — the
 lightweight anti-gaming property Section 4.1 argues for.
 
-Three evaluation paths are provided and tested to agree:
+One computer, :class:`ClosenessComputer`, with three read paths that
+agree: the scalar :meth:`~ClosenessComputer.closeness` follows the
+piecewise definition literally (the readable reference);
+:meth:`~ClosenessComputer.pair_values` is what the detector reads; and
+:meth:`~ClosenessComputer.closeness_matrix` is ``pair_values`` over every
+pair, assembled only when asked for (QA, goldens).
 
-* :meth:`ClosenessComputer.closeness` — scalar, follows the piecewise
-  definition literally (readable reference implementation);
-* :meth:`ClosenessComputer.closeness_matrix` — all-pairs, vectorised.
-  With ``A`` the adjacent-closeness matrix and ``M`` the boolean adjacency
-  matrix, Eq. (3) for every pair at once is ``(A@M + M@A) / 2`` restricted
-  to non-adjacent pairs with at least one common friend (``A`` is zero off
-  the adjacency support, so the products only pick up common-friend terms).
-  The rare no-common-friend pairs fall back to the scalar path walk.
-* :meth:`ClosenessComputer.pair_values` — the same element-wise assembly
-  of the same cached terms, applied only at the asked pairs: bitwise the
-  matrix's entries, at a cost proportional to the pairs.  This is what
-  the detector reads; the full matrix is assembled only when
-  :meth:`~ClosenessComputer.closeness_matrix` is called (QA, goldens).
+Cached terms.  With ``A`` the adjacent-closeness matrix (zero off the
+adjacency) and ``F`` the 0/1 adjacency, Eq. (3) for every pair at once is
+``(T1 + T2) / 2`` with ``T1 = A @ F`` and ``T2 = F @ A``, taken at the
+non-adjacent pairs with a common friend (and divided by their count under
+``MEAN``).  ``A``, ``T1`` and ``T2`` are cached as flat float64 arrays
+aligned to one static union pattern ``Pu``, with each slot's adjacency
+flag and common-friend count beside them; ``pair_values`` reads a pair's
+slot and applies that formula, and walks the path fallback for the rare
+connected pairs with no value on ``Pu``.  The relationship factors come
+from the view's ``relationship_factors()`` CSR (its pattern is the
+adjacency), built once; call :meth:`~ClosenessComputer.invalidate_cache`
+after mutating relationships.
 
-The relationship factor is a static per-edge quantity, so the social view
-builds it once for every pair: ``view.relationship_factors()`` returns a
-symmetric CSR whose explicit entries are the adjacency.
-:class:`ClosenessBase` caches that CSR and holds what both Ωc computers
-share — the scalar :meth:`~ClosenessBase.adjacent` and the path fallback
-read it, and this dense computer densifies it; the sparse computer
-(:mod:`repro.core.sparse`) uses it as is.  Call
-:meth:`ClosenessComputer.invalidate_cache` after mutating relationships.
+The layout of ``Pu`` follows the world (``_full_layout_fits``):
 
-The Eq. (3) terms are cached, keyed on the interaction ledger's
-mutation version (and so is the assembled matrix, once asked for).
-When only a few rows' outgoing shares changed since the last evaluation
-(rating bursts, churn decay), the update is incremental: with ``A`` the
-adjacent-closeness matrix and ``F`` the float adjacency, the Eq. (3)
-terms are ``T1 = A@F`` (rows of dirty raters are recomputed exactly) and
-``T2 = F@A`` (updated with the low-rank correction ``F[:, D] @ ΔA[D]``).
-When more than half the rows are dirty — the normal case between
-reputation intervals — the cache falls back to a full exact rebuild,
-which is faster than the correction.  The rebuild has two kernels,
-chosen by a measured rule on the node count and ``A``'s nonzero count
-(``_sparse_kernel_fits``):
-
-* **dense** (n <= 128, or ``A`` more than 1/20 full): ``A`` as the dense
-  ``factors * shares * adjacency`` and two BLAS GEMMs — the seed path,
-  bit for bit;
-* **sparse-A** (n > 128 and ``A`` at most 1/20 full, as ``A`` is on a
-  world whose nodes interact with few of their friends): ``A`` gathered
-  at the adjacent pairs with nonzero counts into a CSR, then
-  ``T1 = A @ F`` and ``T2 = (Aᵀ @ F)ᵀ`` (``F`` is symmetric) as CSR x
-  dense products.
+* **full**: ``Pu`` is the whole row-major ``n x n`` matrix, so a pair's
+  slot is ``i * n + j`` with no search.  A full rebuild takes one of two
+  kernels, chosen by a measured rule on the node count and ``A``'s nonzero
+  count (``_sparse_kernel_fits``): two BLAS GEMMs over the dense ``A``
+  (the seed path, bit for bit), or ``A`` gathered at the adjacent pairs
+  with nonzero counts into a CSR and ``T1 = A @ F``,
+  ``T2 = (Aᵀ @ F)ᵀ`` as CSR x dense products.  A patch recomputes the
+  dirty rows of ``A`` and ``T1`` exactly and adds the low-rank correction
+  ``F[:, D] @ ΔA[D]`` to ``T2``.
+* **two-hop**: ``Pu = pattern(F @ F) ∪ pattern(F)``, searched by sorted
+  row-major key.  The structure build lists every path ``i ~ d ~ j`` once,
+  with the ``Pu`` slot of ``(i, j)``, grouped by the ``F`` entry ``(i, d)``
+  in ``F``'s (sorted) order — row ``i``'s paths are one contiguous range —
+  plus ``F``'s entries grouped by centre ``d``.  Both orders list a slot's
+  paths in ascending ``d``, the order SciPy's products sum them in, and
+  ``np.bincount`` adds in input order from 0.0, so a rebuild summed over
+  the table is bitwise the matching SciPy product.  A patch writes in
+  place: the dirty rows' ``A`` slots become ``a + (new - a)``, every ``Pu``
+  slot of those rows in ``T1`` becomes ``t1 + (fresh - t1)``, and ``T2``
+  adds the low-rank correction as one bincount over the dirty centres'
+  paths.  It makes no SciPy product and no search of ``Pu``.
 
 ``F`` holds 0/1, so every product term is exact, and the sparse-A kernel
-sums each entry's terms in ascending common friend: exactly the order of
-:class:`~repro.core.sparse.SparseClosenessComputer`'s two-hop table, so
-the two computers agree bitwise wherever the dense one takes this kernel.
+sums each entry's terms in ascending common friend, the two-hop table's
+order: a full-layout world that takes it has the two-hop layout's bits.
 How BLAS orders the same sums depends on the size: at n=200 (the
-``paper`` world) it sums in ascending order too and the two kernels agree
-bitwise; at other sizes it may not (n=250 and n=1000 worlds differ in
-the last bits: on ``serve`` by up to 5e-15 in ``T1``/``T2`` and 2e-17 in
-Ωc).  The sparse-A gather reads ``share_pairs``, which divides each
-count by its row total as the dense ledger's ``share_matrix`` does; the
-sparse ledger's ``share_matrix`` scales by the reciprocal total instead,
-so over that ledger the two kernels' ``A`` can differ in the last bit.
+``paper`` world) it sums in ascending order too and all three kernels
+agree bitwise; at other sizes the GEMMs may differ in the last bits (on
+``serve`` by up to 5e-15 in ``T1``/``T2`` and 2e-17 in Ωc).  The full
+layout's GEMM kernel reads the ledger's ``share_matrix`` and the other two
+its ``share_pairs``; both divide each count by its row total, except over
+the sparse ledger, whose ``share_matrix`` scales by the reciprocal total.
 
-The low-rank correction is exact in exact arithmetic but not bitwise, so
-its float drift would grow without bound across long churn-heavy runs;
-an update counter forces an exact rebuild after every
-``SocialTrustConfig.cache_rebuild_interval`` consecutive corrections,
-which pins the worst-case drift to what ``cache_rebuild_interval``
-applications can accumulate (the ``cache_audit`` regression test asserts
-that bound over thousands of updates).  The band summaries
-(:class:`~repro.core.gaussian.PairBands`) gather through
-:meth:`ClosenessComputer.pair_values`, i.e. from the same refreshed terms
-by the same formula as :meth:`ClosenessComputer.closeness_matrix`, so they
-can never diverge from it after ``decay_nodes`` the way the per-pair
-scalar walk silently could.  The path fallback reads live interaction
-shares, so both assemble right after refreshing the terms, never across
-a ledger change.
+The terms are keyed on the interaction ledger's mutation version.  A cold
+cache, more than ``n / 2`` dirty rows (the normal case between reputation
+intervals, where a rebuild is faster than the correction), or
+``SocialTrustConfig.cache_rebuild_interval`` consecutive corrections
+rebuild in full.  The low-rank correction is exact in exact arithmetic but
+not bitwise, so that counter pins its float drift to what
+``cache_rebuild_interval`` applications can accumulate (the
+``cache_audit`` regression test asserts the bound).  The band summaries
+(:class:`~repro.core.gaussian.PairBands`) gather through ``pair_values``,
+so they can never diverge from the matrix after ``decay_nodes``.  The path
+fallback reads live interaction shares, so values are taken right after
+refreshing the terms, never across a ledger change.
 """
 
 from __future__ import annotations
@@ -101,15 +94,37 @@ from scipy import sparse
 from repro.core.config import CommonFriendAggregate, SocialTrustConfig
 from repro.core.gaussian import PairBands
 from repro.social.graph import SocialView
-from repro.social.interactions import InteractionLedger
 
-__all__ = ["ClosenessBase", "ClosenessComputer"]
+__all__ = ["ClosenessComputer"]
 
-#: The full rebuild's kernel rule.  Two dense GEMMs cost n^3 whatever the
-#: fill; CSR x dense costs about nnz(A) * n, plus the gather of ``A`` and
-#: a fixed ~0.1 ms of CSR set-up.  Measured per rebuild (gather included)
-#: with one BLAS thread on a 2-core VM, in ms, as "GEMMs | sparse-A at
-#: A's fill":
+#: The layout rule: the full layout while the two-hop table would hold at
+#: least this many paths per matrix entry (``sum_d deg(d)^2 >= n^2``).
+#: Measured with one BLAS thread on a 2-core VM on G(n, p) worlds, 5
+#: interactions per node and 20k asked pairs (friends and friends of
+#: friends), in ms, as "full | two-hop": a cold read (structure, rebuild,
+#: pairs), an interval's rebuild and a 5 %-dirty patch, each with the read:
+#:
+#:   n     paths/n^2   cold          rebuild      patch
+#:   1000  0.11        117 | 41      25 | 8.7     19 | 6.8
+#:   1000  0.30         93 | 86      22 | 15      17 | 9.0
+#:   1000  1.0         102 | 244     33 | 31      17 | 15
+#:   1000  2.9         126 | 568     26 | 68      18 | 26
+#:   3000  0.10       1871 | 262    408 | 36     234 | 21
+#:   3000  1.0        1882 | 2364   449 | 233    218 | 89
+#:
+#: So the two-hop layout wins rebuilds and patches below about one path
+#: per entry, by up to 11x, and holds no n^2 array; above it the full
+#: layout's products win, and its cold structure build costs less from
+#: about 0.3 up.  The three golden worlds sit at 3.2-4.2, ``paper`` at 24.5,
+#: ``serve`` at 112 (all full, their kernels and bits unchanged) and
+#: ``sparse_1e4`` at 0.006 (two-hop).
+_FULL_LAYOUT_MIN_PATHS = 1.0
+
+#: The full layout's rebuild kernel rule.  Two dense GEMMs cost n^3
+#: whatever the fill; CSR x dense costs about nnz(A) * n, plus the gather
+#: of ``A`` and a fixed ~0.1 ms of CSR set-up.  Measured per rebuild
+#: (gather included) with one BLAS thread on a 2-core VM, in ms, as
+#: "GEMMs | sparse-A at A's fill":
 #:
 #:   n=60    0.065     | 0.16 at 2 %, 0.18 at 7 %, 0.26 at 26 %
 #:   n=100   0.17      | 0.19 at 1 %, 0.25 at 4 %, 0.29 at 8 %
@@ -126,17 +141,46 @@ _SPARSE_MIN_NODES = 128
 _SPARSE_MAX_FILL = 1 / 20
 
 
+def _full_layout_fits(n_nodes: int, paths: int) -> bool:
+    """Whether a world over ``n_nodes`` nodes whose two-hop table holds
+    ``paths`` paths (``sum_d deg(d)^2``) takes the full layout."""
+    return paths >= _FULL_LAYOUT_MIN_PATHS * n_nodes * n_nodes
+
+
 def _sparse_kernel_fits(n_nodes: int, nnz: int) -> bool:
-    """Whether a full Ωc rebuild over ``n_nodes`` nodes, whose adjacent
+    """Whether a full-layout rebuild over ``n_nodes`` nodes, whose adjacent
     closeness matrix ``A`` has ``nnz`` possible nonzeros, takes the
     sparse-A kernel (see the constants above)."""
     return n_nodes > _SPARSE_MIN_NODES and nnz <= _SPARSE_MAX_FILL * n_nodes * n_nodes
 
 
-class ClosenessBase(PairBands):
-    """What both Ωc computers share: the view/ledger/config triple, the
-    relationship-factor CSR the view builds once, and the scalar Eq. (2) /
-    Eq. (10) helpers that read it."""
+def _row_major_keys(mat: sparse.csr_matrix, n: int) -> np.ndarray:
+    """Row-major ``row * n + col`` keys of a CSR's entries, in storage order."""
+    rows = np.repeat(np.arange(mat.shape[0], dtype=np.int64), np.diff(mat.indptr))
+    return rows * np.int64(n) + mat.indices.astype(np.int64)
+
+
+def _ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """Concatenated ``arange(starts[k], starts[k] + counts[k])`` over ``k``."""
+    offsets = np.cumsum(counts) - counts
+    return np.repeat(starts - offsets, counts) + np.arange(
+        int(counts.sum()), dtype=np.int64
+    )
+
+
+def _locate(haystack: np.ndarray, keys: np.ndarray) -> np.ndarray:
+    """Positions of ``keys`` in the sorted ``haystack``; every key must be
+    present (the two-hop table lies in ``Pu`` by construction)."""
+    pos = np.searchsorted(haystack, keys)
+    if keys.size and (pos.max() >= haystack.size or np.any(haystack[pos] != keys)):
+        raise AssertionError("two-hop path escaped the static union pattern")
+    return pos
+
+
+class ClosenessComputer(PairBands):
+    """Computes ``Ωc`` values against a social view + interaction ledger
+    (the dense :class:`~repro.social.interactions.InteractionLedger` or the
+    CSR-backed ``SparseInteractionLedger``)."""
 
     def __init__(
         self,
@@ -152,28 +196,18 @@ class ClosenessBase(PairBands):
         self._view = view
         self._interactions = interactions
         self._config = config or SocialTrustConfig()
-        self._factors_csr: sparse.csr_matrix | None = None
-        # Shortest path of each fallback pair walked so far (static, like
-        # the factors, until invalidate_cache).
-        self._paths: dict[tuple[int, int], list[int]] = {}
-        # Consecutive low-rank T2 corrections since the last exact rebuild.
-        # The correction is exact in exact arithmetic but accumulates float
-        # drift; after ``config.cache_rebuild_interval`` applications the
-        # next evaluation rebuilds T2 (and T1/A) from scratch so the drift
-        # stays bounded over arbitrarily long churn-heavy runs.
-        self._t2_updates = 0
         # Optional instruments (see bind_metrics); None keeps the hot
         # path free of registry lookups when observability is absent.
         self._m_drift = None
         self._m_rebuilds = None
         self._m_patches = None
+        self.invalidate_cache()
 
     def bind_metrics(self, registry) -> None:
         """Publish cache health into a :class:`repro.obs.MetricsRegistry`:
         ``sparse.cache.drift`` (consecutive low-rank corrections since the
         last exact rebuild — the quantity ``cache_rebuild_interval``
         bounds), ``sparse.cache.rebuilds`` and ``sparse.cache.patches``.
-        Both Ωc computers publish under these names.
         """
         self._m_drift = registry.gauge("sparse.cache.drift")
         self._m_rebuilds = registry.counter("sparse.cache.rebuilds")
@@ -181,10 +215,49 @@ class ClosenessBase(PairBands):
         self._m_drift.set(float(self._t2_updates))
 
     def invalidate_cache(self) -> None:
-        """Drop the relationship factors and cached fallback paths after
-        mutating the social view."""
-        self._factors_csr = None
-        self._paths.clear()
+        """Drop the static structure (relationship factors, ``Pu``, cached
+        fallback paths) and the cached terms after mutating the social
+        view."""
+        self._factors_csr: sparse.csr_matrix | None = None
+        # Shortest path of each fallback pair walked so far, and the
+        # connected component of each node (static, like the factors).
+        self._paths: dict[tuple[int, int], list[int]] = {}
+        self._labels: np.ndarray | None = None
+        # Per-slot structure of Pu: adjacency flag and common-friend count
+        # (two-hop paths), and Pu's sorted keys (None in the full layout,
+        # where the slot is the key).  The two-hop layout ends in a null
+        # slot, keyed n^2, whose terms stay zero: pairs off Pu read it.
+        self._slot_adj: np.ndarray | None = None
+        self._slot_common: np.ndarray | None = None
+        self._pu_keys: np.ndarray | None = None
+        # Full layout: dense factors, adjacency and float adjacency.
+        self._rel_factors: np.ndarray | None = None
+        self._adjacency: np.ndarray | None = None
+        self._adj_float: np.ndarray | None = None
+        self._adj_keys: np.ndarray | None = None
+        # Two-hop layout: Pu's rows, the Pu slot of each F entry, and the
+        # two-hop table -- the Pu slot of (i, j) for every path i ~ d ~ j,
+        # grouped by the F entry (i, d) in F's order, and F's entries
+        # grouped by centre d.
+        self._pu_indptr: np.ndarray | None = None
+        self._adj_pos: np.ndarray | None = None
+        self._hop_start: np.ndarray | None = None
+        self._hop_slot: np.ndarray | None = None
+        self._by_centre: np.ndarray | None = None
+        self._centre_indptr: np.ndarray | None = None
+        self._drop_value_cache()
+
+    def _drop_value_cache(self) -> None:
+        # A, T1 and T2 aligned to Pu, keyed on the interaction ledger's
+        # mutation version, and the matrix assembled from them (None until
+        # asked for).
+        self._a: np.ndarray | None = None
+        self._t1: np.ndarray | None = None
+        self._t2: np.ndarray | None = None
+        self._cached_matrix: np.ndarray | None = None
+        self._cached_version = -1
+        # Consecutive low-rank T2 corrections since the last exact rebuild.
+        self._t2_updates = 0
 
     @property
     def n_nodes(self) -> int:
@@ -203,6 +276,8 @@ class ClosenessBase(PairBands):
     @property
     def config(self) -> SocialTrustConfig:
         return self._config
+
+    # -- scalar reference path ------------------------------------------------
 
     def _relationship_factors(self) -> sparse.csr_matrix:
         """The view's relationship-factor CSR (pattern = adjacency), cached:
@@ -239,119 +314,11 @@ class ClosenessBase(PairBands):
             for step in range(len(path) - 1)
         )
 
-
-class ClosenessComputer(ClosenessBase):
-    """Computes ``Ωc`` values against a social view + interaction ledger."""
-
-    def __init__(
-        self,
-        view: SocialView,
-        interactions: InteractionLedger,
-        config: SocialTrustConfig | None = None,
-    ) -> None:
-        super().__init__(view, interactions, config)
-        self._rel_factors: np.ndarray | None = None
-        self._adjacency: np.ndarray | None = None
-        self._adj_keys: np.ndarray | None = None
-        self._adj_float: np.ndarray | None = None
-        self._common_counts: np.ndarray | None = None
-        self._fallback_pairs: np.ndarray | None = None
-        # Boolean n x n mask of the fallback pairs; None when there are none.
-        self._fallback_mask: np.ndarray | None = None
-        # Eq. (3) terms keyed on the interaction ledger's mutation version,
-        # and the matrix assembled from them (None until asked for).
-        self._cached_matrix: np.ndarray | None = None
-        self._cached_adj_close: np.ndarray | None = None
-        self._cached_t1: np.ndarray | None = None
-        self._cached_t2: np.ndarray | None = None
-        self._cached_version = -1
-
-    def invalidate_cache(self) -> None:
-        """Drop cached relationship factors after mutating the social view."""
-        super().invalidate_cache()
-        self._rel_factors = None
-        self._adjacency = None
-        self._adj_keys = None
-        self._adj_float = None
-        self._common_counts = None
-        self._fallback_pairs = None
-        self._fallback_mask = None
-        self._drop_value_cache()
-
-    def _drop_value_cache(self) -> None:
-        self._cached_matrix = None
-        self._cached_adj_close = None
-        self._cached_t1 = None
-        self._cached_t2 = None
-        self._cached_version = -1
-        self._t2_updates = 0
-
-    # -- checkpointing -------------------------------------------------------
-
-    def state_dict(self) -> dict:
-        """The incrementally-maintained Eq. (3) terms.
-
-        The structure caches (relationship factors, adjacency) rebuild
-        deterministically from the static social view and are not
-        serialized, nor is the assembled matrix, which is an element-wise
-        function of the terms and the live ledger.  The terms MUST travel
-        with a checkpoint: the low-rank T2 update is exact but not bitwise
-        equal to a fresh rebuild, so resuming with a cold cache would
-        diverge from the uninterrupted run at the last-bit level.
-        """
-
-        def _copy(a: np.ndarray | None) -> np.ndarray | None:
-            return None if a is None else a.copy()
-
-        return {
-            "adj_close": _copy(self._cached_adj_close),
-            "t1": _copy(self._cached_t1),
-            "t2": _copy(self._cached_t2),
-            "version": self._cached_version,
-            "t2_updates": self._t2_updates,
-        }
-
-    def restore_state(self, state: dict) -> None:
-        n = self.n_nodes
-
-        def _arr(value, name: str) -> np.ndarray | None:
-            if value is None:
-                return None
-            arr = np.asarray(value, dtype=np.float64).copy()
-            if arr.shape != (n, n):
-                raise ValueError(
-                    f"closeness cache {name!r} has shape {arr.shape}, but this "
-                    f"computer covers {n} nodes (expected {(n, n)}) — is the "
-                    f"checkpoint from a different network size?"
-                )
-            return arr
-
-        # Older checkpoints also carry the assembled "matrix": it is rebuilt
-        # from the terms on demand, so it is not read.
-        self._cached_matrix = None
-        self._cached_adj_close = _arr(state["adj_close"], "adj_close")
-        self._cached_t1 = _arr(state["t1"], "t1")
-        self._cached_t2 = _arr(state["t2"], "t2")
-        self._cached_version = int(state["version"])
-        # Absent in pre-drift-fix checkpoints; 0 re-arms the rebuild clock.
-        self._t2_updates = int(state.get("t2_updates", 0))
-
-    def _structure(self) -> tuple[np.ndarray, np.ndarray]:
-        """(relationship-factor matrix, boolean adjacency matrix), cached:
-        the dense form of the view's relationship-factor CSR and its
-        pattern."""
-        if self._rel_factors is None or self._adjacency is None:
-            factors = self._relationship_factors()
-            self._rel_factors = factors.toarray()
-            self._adjacency = factors.astype(bool).toarray()
-        return self._rel_factors, self._adjacency
-
-    # -- scalar reference path ------------------------------------------------
-
     def closeness(self, i: int, j: int) -> float:
         """Full piecewise ``Ωc(i,j)`` — Eq. (4) / Eq. (10)."""
         if i == j:
             raise ValueError("closeness of a node to itself is undefined")
+        self._pair_ids(i, j)
         view = self._view
         if view.are_adjacent(i, j):
             return self.adjacent(i, j)
@@ -365,128 +332,112 @@ class ClosenessComputer(ClosenessBase):
             return total
         return self._path_min(i, j)
 
-    # -- vectorised all-pairs path --------------------------------------------
+    # -- static structure -------------------------------------------------------
 
-    def _structure_extras(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(float adjacency, common-friend counts, fallback pairs) — all
-        static given the adjacency structure, so cached alongside it."""
-        if self._adj_float is None:
-            _, adjacency = self._structure()
-            adj_f = adjacency.astype(np.float64)
-            common_counts = adj_f @ adj_f
-            need_fallback = (~adjacency) & (common_counts == 0)
-            np.fill_diagonal(need_fallback, False)
-            if need_fallback.any():
-                # Pairs in different connected components have no path, so
-                # their fallback value is the 0 the matrix already holds —
-                # skip the per-pair BFS for them (pure speedup, the values
-                # are bit-identical).  On community-structured graphs this
-                # is the difference between O(n + m) and O(n^2) BFS walks.
-                # Imported here: csgraph pulls in scipy.sparse.linalg
-                # (~11 MiB resident), and most worlds never get here.
-                from scipy.sparse import csgraph
+    def _structure(self) -> None:
+        """Build ``Pu`` in the layout the world takes (see the module
+        docstring), once per social view."""
+        if self._slot_adj is not None:
+            return
+        factors = self._relationship_factors()
+        degree = np.diff(factors.indptr).astype(np.int64)
+        if _full_layout_fits(self.n_nodes, int(degree @ degree)):
+            self._structure_full(factors)
+        else:
+            self._structure_two_hop(factors, degree)
 
-                _, labels = csgraph.connected_components(
-                    self._relationship_factors(), directed=False
-                )
-                need_fallback &= labels[:, None] == labels[None, :]
-            self._adj_float = adj_f
-            self._common_counts = common_counts
-            self._fallback_pairs = np.argwhere(need_fallback)
-            self._fallback_mask = need_fallback if self._fallback_pairs.size else None
-        return self._adj_float, self._common_counts, self._fallback_pairs
+    def _structure_full(self, factors: sparse.csr_matrix) -> None:
+        adjacency = factors.astype(bool).toarray()
+        adj_f = adjacency.astype(np.float64)
+        self._rel_factors = factors.toarray()
+        self._adjacency = adjacency
+        self._adj_float = adj_f
+        self._adj_keys = np.flatnonzero(adjacency)
+        self._slot_adj = adjacency.ravel()
+        self._slot_common = (adj_f @ adj_f).ravel()
 
-    def _assemble(self) -> np.ndarray:
-        """Build the final matrix from the cached Eq. (3) terms."""
-        _, adjacency = self._structure()
-        adj_f, common_counts, fallback_pairs = self._structure_extras()
-        adj_close = self._cached_adj_close
-        # Eq. (3): combine, over common friends, the mean of the two legs.
-        common_sum = 0.5 * (self._cached_t1 + self._cached_t2)
-        if self._config.common_friend_aggregate is CommonFriendAggregate.MEAN:
-            common_sum = np.divide(
-                common_sum,
-                common_counts,
-                out=np.zeros_like(common_sum),
-                where=common_counts > 0,
+    def _structure_two_hop(self, factors: sparse.csr_matrix, degree: np.ndarray) -> None:
+        n = self.n_nodes
+        f = sparse.csr_matrix(
+            (
+                np.ones(factors.nnz, dtype=np.float64),
+                factors.indices.copy(),
+                factors.indptr.copy(),
+            ),
+            shape=(n, n),
+        )
+        # Every structural entry of F @ F sums 1*1 terms, so its data is
+        # >= 1 and the union F@F + F never loses entries to zero-pruning.
+        pu = ((f @ f) + f).tocsr()
+        pu.sort_indices()
+        self._pu_indptr = pu.indptr
+        self._pu_keys = np.append(_row_major_keys(pu, n), np.int64(n) * n)
+        self._adj_pos = _locate(self._pu_keys, _row_major_keys(f, n))
+        # F entry (i, d) carries the paths i ~ d ~ j over row d's entries,
+        # so row i's paths are one contiguous range and list each of its
+        # slots' paths in ascending d.
+        indptr = factors.indptr.astype(np.int64)
+        indices = factors.indices.astype(np.int64)
+        hops = degree[indices]
+        self._hop_start = np.concatenate([[0], np.cumsum(hops)])
+        row_paths = np.diff(self._hop_start[indptr])
+        keys = np.repeat(np.arange(n, dtype=np.int64) * np.int64(n), row_paths)
+        keys += indices[_ranges(indptr[indices], hops)]
+        self._hop_slot = _locate(self._pu_keys, keys)
+        # F's entries by centre d (ascending i within one d): the paths
+        # through a set of centres, centre-major.
+        self._by_centre = np.argsort(indices, kind="stable")
+        self._centre_indptr = np.concatenate(
+            [[0], np.cumsum(np.bincount(indices, minlength=n))]
+        )
+        # A slot's path count is its number of common friends.
+        self._slot_common = np.bincount(
+            self._hop_slot, minlength=self._pu_keys.size
+        ).astype(np.float64)
+        self._slot_adj = np.zeros(self._pu_keys.size, dtype=bool)
+        self._slot_adj[self._adj_pos] = True
+
+    def _slots(self, i: np.ndarray, j: np.ndarray) -> np.ndarray:
+        """Each pair's ``Pu`` slot: its key in the full layout; its sorted
+        position in the two-hop layout, or the null slot off ``Pu``."""
+        keys = i * np.int64(self.n_nodes) + j
+        pu_keys = self._pu_keys
+        if pu_keys is None:
+            return keys
+        pos = np.searchsorted(pu_keys, keys)
+        return np.where(pu_keys[pos] == keys, pos, pu_keys.size - 1)
+
+    def _connected(self, i: np.ndarray, j: np.ndarray) -> np.ndarray:
+        """Whether each pair lies in one connected component: a pair in
+        two has no path, so its fallback value is 0 without a walk.  The
+        full layout filters its fallback pairs by this; the two-hop layout
+        walks them, since a walk from ``i`` stops at its component, and
+        the labelling's import costs more on a world that sparse."""
+        if self._labels is None:
+            # Imported here: csgraph pulls in scipy.sparse.linalg (~11 MiB
+            # resident, ~0.1 s), and most worlds never get here.
+            from scipy.sparse import csgraph
+
+            _, self._labels = csgraph.connected_components(
+                self._relationship_factors(), directed=False
             )
-        out = np.where(adjacency, adj_close, np.where(common_counts > 0, common_sum, 0.0))
-        np.fill_diagonal(out, 0.0)
-        # Fallback: non-adjacent pairs with zero common friends but a path.
-        # Interaction shares are directed, so each direction is walked
-        # separately; these pairs are rare in practice.
-        for i, j in fallback_pairs:
-            out[i, j] = self._path_min(int(i), int(j))
-        return out
+        return self._labels[i] == self._labels[j]
 
-    def _adjacent_interaction_keys(self) -> np.ndarray:
-        """Row-major keys ``i * n + j`` of ``A``'s possible nonzeros: the
-        adjacent pairs with a nonzero interaction count, ascending."""
-        if self._adj_keys is None:
-            _, adjacency = self._structure()
-            self._adj_keys = np.flatnonzero(adjacency)
-        counts = self._interactions.counts_matrix().ravel()
-        return self._adj_keys[counts[self._adj_keys] != 0]
-
-    def _rebuild(self) -> None:
-        """Exact ``A``, ``T1`` and ``T2`` by the kernel the rule picks;
-        worlds too small for the sparse-A kernel skip its gather."""
-        n = self.n_nodes
-        if n > _SPARSE_MIN_NODES:
-            keys = self._adjacent_interaction_keys()
-            if _sparse_kernel_fits(n, keys.size):
-                self._rebuild_sparse(keys)
-                return
-        self._rebuild_dense()
-
-    def _rebuild_dense(self) -> None:
-        """Exact ``A``, ``T1 = A @ F`` and ``T2 = F @ A`` as dense products."""
-        factors, adjacency = self._structure()
-        adj_f, _, _ = self._structure_extras()
-        shares = self._interactions.share_matrix()
-        adj_close = factors * shares * adjacency
-        self._cached_adj_close = adj_close
-        self._cached_t1 = adj_close @ adj_f
-        self._cached_t2 = adj_f @ adj_close
-
-    def _rebuild_sparse(self, keys: np.ndarray) -> None:
-        """Exact ``A``, ``T1`` and ``T2`` with ``A`` as a CSR over ``keys``.
-
-        ``A``'s entries are the sparse computer's ``factor * share``; on
-        the dense ledger that is also the dense kernel's bits (the same
-        division by the row total, and its extra factor is the exact 1.0
-        of the adjacency).
-        """
-        n = self.n_nodes
-        factors, _ = self._structure()
-        adj_f, _, _ = self._structure_extras()
-        rows, cols = np.divmod(keys, n)
-        data = factors.ravel()[keys] * self._interactions.share_pairs(rows, cols)
-        adj_close = np.zeros((n, n), dtype=np.float64)
-        adj_close.ravel()[keys] = data
-        indptr = np.searchsorted(keys, np.arange(0, n * n + 1, n, dtype=np.int64))
-        a = sparse.csr_matrix((data, cols, indptr), shape=(n, n))
-        self._cached_adj_close = adj_close
-        self._cached_t1 = a @ adj_f
-        # F is symmetric, so F @ A = (A^T @ F)^T, and ``a.T`` is A's CSC
-        # with no copy.  _assemble reads T2 row-major: a contiguous copy
-        # costs less than what a transposed view adds there.
-        self._cached_t2 = np.ascontiguousarray((a.T @ adj_f).T)
+    # -- cached terms -------------------------------------------------------------
 
     def _refresh(self) -> None:
         """Bring ``A``, ``T1`` and ``T2`` to the interaction ledger's
-        version: nothing when it has not moved; a row-wise update of the
-        terms for a few dirty rows; a full exact rebuild for a cold cache
-        or a mostly-dirty ledger (see the module docstring).  Moving the
-        terms drops the assembled matrix."""
-        factors, adjacency = self._structure()
+        version: nothing when it has not moved; a patch of the dirty rows;
+        a full exact rebuild for a cold cache, a mostly-dirty ledger or a
+        full drift budget (see the module docstring).  Moving the terms
+        drops the assembled matrix."""
+        self._structure()
         version = self._interactions.version
-        if self._cached_adj_close is not None and self._cached_version == version:
+        if self._a is not None and self._cached_version == version:
             return
-        adj_f, _, _ = self._structure_extras()
         dirty = (
             self._interactions.rows_changed_since(self._cached_version)
-            if self._cached_adj_close is not None
+            if self._a is not None
             else None
         )
         if (
@@ -499,14 +450,10 @@ class ClosenessComputer(ClosenessBase):
             if self._m_rebuilds is not None:
                 self._m_rebuilds.inc()
         elif dirty.size:
-            shares = self._interactions.share_matrix()
-            new_rows = factors[dirty] * shares[dirty] * adjacency[dirty]
-            delta = new_rows - self._cached_adj_close[dirty]
-            self._cached_adj_close[dirty] = new_rows
-            # T1 rows only depend on the matching A rows: exact recompute.
-            self._cached_t1[dirty] = new_rows @ adj_f
-            # T2 takes the low-rank correction F[:, D] @ ΔA[D].
-            self._cached_t2 += adj_f[:, dirty] @ delta
+            if self._pu_keys is None:
+                self._patch_full(dirty)
+            else:
+                self._patch_two_hop(dirty)
             self._t2_updates += 1
             if self._m_patches is not None:
                 self._m_patches.inc()
@@ -515,51 +462,264 @@ class ClosenessComputer(ClosenessBase):
         self._cached_matrix = None
         self._cached_version = version
 
-    def closeness_matrix(self) -> np.ndarray:
-        """All-pairs ``Ωc`` matrix (diagonal zero), cached incrementally.
+    def _rebuild(self) -> None:
+        """Exact ``A``, ``T1`` and ``T2`` by the kernel the layout and the
+        rule pick; worlds too small for the sparse-A kernel skip its
+        gather."""
+        if self._pu_keys is not None:
+            self._rebuild_two_hop()
+            return
+        n = self.n_nodes
+        if n > _SPARSE_MIN_NODES:
+            keys = self._adjacent_interaction_keys()
+            if _sparse_kernel_fits(n, keys.size):
+                self._rebuild_sparse(keys)
+                return
+        self._rebuild_dense()
 
-        Agrees entry-wise with :meth:`closeness` and bitwise with
-        :meth:`pair_values`.  The Eq. (3) terms are refreshed against the
-        interaction ledger's version (:meth:`_refresh`) and the matrix is
-        assembled from them once per version: an n^2 pass that only the
-        callers wanting every pair (QA, goldens) pay; the detector reads
-        :meth:`pair_values`.  The returned array is read-only (it is the
-        live cache).
+    def _adjacent_interaction_keys(self) -> np.ndarray:
+        """Row-major keys ``i * n + j`` of ``A``'s possible nonzeros: the
+        adjacent pairs with a nonzero interaction count, ascending."""
+        counts = self._interactions.counts_matrix().ravel()
+        return self._adj_keys[counts[self._adj_keys] != 0]
+
+    def _rebuild_dense(self) -> None:
+        """Full layout: ``A``, ``T1 = A @ F`` and ``T2 = F @ A`` as dense
+        GEMMs."""
+        adj_close = (
+            self._rel_factors * self._interactions.share_matrix() * self._adjacency
+        )
+        self._a = adj_close.ravel()
+        self._t1 = (adj_close @ self._adj_float).ravel()
+        self._t2 = (self._adj_float @ adj_close).ravel()
+
+    def _rebuild_sparse(self, keys: np.ndarray) -> None:
+        """Full layout: ``A`` as a CSR over ``keys``; ``T1`` and ``T2`` as
+        CSR x dense products.
+
+        ``A``'s entries are ``factor * share``; on the dense ledger that
+        is also the GEMM kernel's bits (the same division by the row
+        total, and its extra factor is the exact 1.0 of the adjacency).
         """
+        n = self.n_nodes
+        rows, cols = np.divmod(keys, n)
+        data = self._rel_factors.ravel()[keys] * self._interactions.share_pairs(rows, cols)
+        self._a = np.zeros(n * n, dtype=np.float64)
+        self._a[keys] = data
+        indptr = np.searchsorted(keys, np.arange(0, n * n + 1, n, dtype=np.int64))
+        a = sparse.csr_matrix((data, cols, indptr), shape=(n, n))
+        self._t1 = np.ravel(a @ self._adj_float)
+        # F is symmetric, so F @ A = (A^T @ F)^T, and ``a.T`` is A's CSC
+        # with no copy; the flat layout wants it row-major.
+        self._t2 = np.ascontiguousarray((a.T @ self._adj_float).T).ravel()
+
+    def _rebuild_two_hop(self) -> None:
+        """Two-hop layout: ``A`` at the adjacency slots, ``T1`` and ``T2``
+        summed over the whole two-hop table."""
+        n = self.n_nodes
+        factors = self._relationship_factors()
+        indptr = factors.indptr.astype(np.int64)
+        indices = factors.indices
+        rows = np.repeat(np.arange(n, dtype=np.int64), np.diff(indptr))
+        a_data = factors.data * self._interactions.share_pairs(rows, indices)
+        size = self._pu_keys.size
+        self._a = np.zeros(size, dtype=np.float64)
+        self._a[self._adj_pos] = a_data
+        # T1[i, j] sums A[i, d] and T2[i, j] sums A[d, j] over the paths
+        # i ~ d ~ j, in ascending d: bitwise ``A @ F`` and ``F @ A``.
+        hops = np.diff(self._hop_start)
+        self._t1 = np.bincount(self._hop_slot, np.repeat(a_data, hops), minlength=size)
+        self._t2 = np.bincount(
+            self._hop_slot, a_data[_ranges(indptr[indices], hops)], minlength=size
+        )
+
+    def _patch_full(self, dirty: np.ndarray) -> None:
+        """Full layout: the dirty rows of ``A`` and ``T1`` recomputed
+        exactly, and ``T2`` corrected by ``F[:, D] @ ΔA[D]``."""
+        n = self.n_nodes
+        a, t1, t2 = (x.reshape(n, n) for x in (self._a, self._t1, self._t2))
+        shares = self._interactions.share_matrix()
+        new_rows = self._rel_factors[dirty] * shares[dirty] * self._adjacency[dirty]
+        delta = new_rows - a[dirty]
+        a[dirty] = new_rows
+        t1[dirty] = new_rows @ self._adj_float
+        t2 += self._adj_float[:, dirty] @ delta
+
+    def _patch_two_hop(self, dirty: np.ndarray) -> None:
+        """Two-hop layout: rewrite the dirty rows' slots of ``A`` and
+        ``T1`` and add the low-rank correction ``F[:, D] @ ΔA[D]`` to
+        ``T2``, in place, each summed over the two-hop table."""
+        factors = self._relationship_factors()
+        hop_start = self._hop_start
+        # A: the dirty rows' adjacency entries, in F's (sorted) order.
+        counts = factors.indptr[dirty + 1] - factors.indptr[dirty]
+        entries = _ranges(factors.indptr[dirty], counts)
+        new = factors.data[entries] * self._interactions.share_pairs(
+            np.repeat(dirty, counts), factors.indices[entries]
+        )
+        slots = self._adj_pos[entries]
+        old = self._a[slots]
+        delta = new - old
+        self._a[slots] = old + delta
+        # T1 rows only depend on the matching A rows: exact recompute over
+        # every Pu slot of the dirty rows (a slot no path reaches goes to
+        # zero).  Row i's paths are contiguous; shifting their slots by
+        # row makes them positions in ``row_slots``.
+        starts = self._pu_indptr[dirty]
+        widths = self._pu_indptr[dirty + 1] - starts
+        row_slots = _ranges(starts, widths)
+        first = hop_start[factors.indptr[dirty]]
+        paths = hop_start[factors.indptr[dirty + 1]] - first
+        fresh = np.bincount(
+            self._hop_slot[_ranges(first, paths)]
+            - np.repeat(starts - (np.cumsum(widths) - widths), paths),
+            np.repeat(new, hop_start[entries + 1] - hop_start[entries]),
+            minlength=row_slots.size,
+        )
+        old = self._t1[row_slots]
+        self._t1[row_slots] = old + (fresh - old)
+        # T2 takes the low-rank correction F[:, D] @ ΔA[D]: each dirty
+        # centre d, ascending, adds ΔA[d, j] at (i, j) for every F entry
+        # (i, d) -- row d's deltas once per entry.
+        fan_in = self._centre_indptr[dirty + 1] - self._centre_indptr[dirty]
+        inbound = self._by_centre[_ranges(self._centre_indptr[dirty], fan_in)]
+        block = np.repeat(counts, fan_in)
+        t2_slots = self._hop_slot[_ranges(hop_start[inbound], block)]
+        correction = np.bincount(
+            t2_slots,
+            delta[_ranges(np.repeat(np.cumsum(counts) - counts, fan_in), block)],
+            minlength=self._pu_keys.size,
+        )
+        self._t2[t2_slots] += correction[t2_slots]
+
+    # -- reads ----------------------------------------------------------------------
+
+    def pair_values(self, raters, ratees) -> np.ndarray:
+        """``Ωc`` over pair arrays — the detector's gather primitive.
+
+        Refreshes the terms, then applies the piecewise formula at the
+        asked pairs' ``Pu`` slots only: ``A`` at adjacent pairs, Eq. (3)
+        from ``T1`` and ``T2`` at pairs with common friends, 0 on the
+        diagonal, and the path fallback for the connected pairs left,
+        read right after the refresh at the terms' ledger version.
+        """
+        i, j = self._pair_ids(raters, ratees)
+        self._refresh()
+        slot = self._slots(i, j)
+        adj = self._slot_adj[slot]
+        common = self._slot_common[slot]
+        eq3 = 0.5 * (self._t1[slot] + self._t2[slot])
+        if self._config.common_friend_aggregate is CommonFriendAggregate.MEAN:
+            eq3 = np.divide(eq3, common, out=np.zeros_like(eq3), where=common > 0)
+        out = np.where(adj, self._a[slot], np.where(common > 0, eq3, 0.0))
+        out[i == j] = 0.0
+        # No Eq. (2)/(3) value: non-adjacent without a common friend.
+        walk = np.flatnonzero(~adj & (common == 0) & (i != j))
+        if walk.size and self._pu_keys is None:
+            walk = walk[self._connected(i[walk], j[walk])]
+        for t in walk.tolist():
+            out[t] = self._path_min(int(i[t]), int(j[t]))
+        return out
+
+    def closeness_matrix(self) -> np.ndarray:
+        """All-pairs ``Ωc`` matrix (diagonal zero): :meth:`pair_values`
+        over every pair, assembled once per ledger version.
+
+        An n^2 pass only the callers wanting every pair pay (QA, goldens);
+        the returned array is read-only (it is the live cache).  Refuses
+        above ``_DENSIFY_LIMIT`` nodes.
+        """
+        self._check_densify()
+        n = self.n_nodes
         self._refresh()
         if self._cached_matrix is None:
-            out = self._assemble()
+            out = self.pair_values(*np.divmod(np.arange(n * n), n)).reshape(n, n)
             out.flags.writeable = False
             self._cached_matrix = out
         return self._cached_matrix
 
-    def pair_values(self, raters, ratees) -> np.ndarray:
-        """``Ωc`` over pair arrays — same gather API as the sparse backend.
+    # -- checkpointing ----------------------------------------------------------------
 
-        Refreshes the Eq. (3) terms, then applies :meth:`_assemble`'s
-        element-wise formula at the asked pairs only, so each value is
-        bitwise ``closeness_matrix()[i, j]`` at a cost proportional to the
-        pairs.  The path fallback reads live interaction shares, so the
-        values are taken right after the refresh, at the same ledger
-        version as the terms.
+    def state_dict(self) -> dict:
+        """The cached terms, when a restore could not rebuild them.
+
+        The low-rank ``T2`` correction is exact but not bitwise a fresh
+        rebuild, so after a patch (``t2_updates > 0``), or once the ledger
+        has moved past the terms' version, ``A``/``T1``/``T2`` travel with
+        the checkpoint, aligned to ``Pu``.  Otherwise they are a rebuild
+        of the saved ledger, and :meth:`restore_state` rebuilds them.  The
+        structure and the assembled matrix are never written.
         """
-        i, j = self._pair_ids(raters, ratees)
-        self._refresh()
-        _, adjacency = self._structure()
-        _, common_counts, _ = self._structure_extras()
-        common = common_counts[i, j]
-        common_sum = 0.5 * (self._cached_t1[i, j] + self._cached_t2[i, j])
-        if self._config.common_friend_aggregate is CommonFriendAggregate.MEAN:
-            common_sum = np.divide(
-                common_sum, common, out=np.zeros_like(common_sum), where=common > 0
-            )
-        out = np.where(
-            adjacency[i, j],
-            self._cached_adj_close[i, j],
-            np.where(common > 0, common_sum, 0.0),
+        rebuildable = (
+            self._t2_updates == 0 and self._cached_version == self._interactions.version
         )
-        out[i == j] = 0.0
-        if self._fallback_mask is not None:
-            for t in np.flatnonzero(self._fallback_mask[i, j]).tolist():
-                out[t] = self._path_min(int(i[t]), int(j[t]))
+
+        def _copy(a: np.ndarray | None) -> np.ndarray | None:
+            return None if a is None or rebuildable else a.copy()
+
+        return {
+            "adj_close": _copy(self._a),
+            "t1": _copy(self._t1),
+            "t2": _copy(self._t2),
+            "version": self._cached_version,
+            "t2_updates": self._t2_updates,
+        }
+
+    def restore_state(self, state: dict) -> None:
+        """Load :meth:`state_dict` output.  Without terms, rebuild them from
+        the interaction ledger when it is at the checkpoint's version (the
+        stores restore first, as ``Simulation.resume`` does), and leave the
+        cache cold otherwise.  Older checkpoints load too: dense ``(n, n)``
+        terms, CSR terms (keys ``a``/``t1``/``t2``), and an assembled
+        ``matrix``, which is not read."""
+        version = int(state["version"])
+        a = state["adj_close"] if "adj_close" in state else state.get("a")
+        terms = [a, state.get("t1"), state.get("t2")]
+        self._drop_value_cache()
+        if version < 0 and all(term is None for term in terms):
+            return
+        self._structure()
+        self._a, self._t1, self._t2 = (
+            None if term is None else self._align(term, name)
+            for term, name in zip(terms, ("adj_close", "t1", "t2"))
+        )
+        self._cached_version = version
+        # Absent in pre-drift-fix checkpoints; 0 re-arms the rebuild clock.
+        self._t2_updates = int(state.get("t2_updates", 0))
+        if self._a is None and version == self._interactions.version:
+            self._rebuild()
+
+    def _align(self, value, name: str) -> np.ndarray:
+        """One checkpointed term as a flat array aligned to ``Pu``: this
+        format's flat array, or an older checkpoint's dense ``(n, n)``
+        array or CSR matrix."""
+        n = self.n_nodes
+        size = self._slot_adj.size
+        if sparse.issparse(value):
+            mat = value.tocsr()
+            shape = mat.shape
+        else:
+            arr = np.asarray(value, dtype=np.float64)
+            shape = arr.shape
+        if shape != (n, n) and shape != (size,):
+            raise ValueError(
+                f"closeness cache {name!r} has shape {shape}, but this "
+                f"computer covers {n} nodes (expected {(n, n)} or {(size,)}) — "
+                f"is the checkpoint from a different network size?"
+            )
+        if sparse.issparse(value):
+            keys, data = _row_major_keys(mat, n), mat.data
+        elif arr.ndim == 1 or self._pu_keys is None:
+            return arr.ravel().copy()
+        else:
+            keys = np.flatnonzero(arr)
+            data = arr.ravel()[keys]
+        out = np.zeros(size, dtype=np.float64)
+        slot = self._slots(*np.divmod(keys, n))
+        if self._pu_keys is not None and np.any(slot == size - 1):
+            raise ValueError(
+                f"closeness cache {name!r} has entries off this world's "
+                f"two-hop pattern — is the checkpoint from another social network?"
+            )
+        out[slot] = data
         return out

@@ -20,7 +20,7 @@ choice the paper mentions is an explicit, ablatable knob:
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass
 
 from repro.utils.validation import (
     check_fraction,
@@ -29,27 +29,10 @@ from repro.utils.validation import (
 )
 
 __all__ = [
-    "CoefficientBackend",
     "CommonFriendAggregate",
     "GaussianCenter",
     "SocialTrustConfig",
 ]
-
-
-class CoefficientBackend(enum.Enum):
-    """Numerical backend for the Ωc/Ωs coefficient computations.
-
-    DENSE is the seed path: all-pairs ``n x n`` NumPy matrices, bit-stable
-    against the checked-in goldens, practical up to a few thousand nodes.
-    SPARSE rebuilds the same quantities on SciPy CSR structures and
-    evaluates the detector only over the frequency-flagged pair set, which
-    is what pushes the detector interval from ``n ~ 10^3`` to ``10^5``;
-    it agrees with DENSE within floating-point tolerance (summation order
-    differs).
-    """
-
-    DENSE = "dense"
-    SPARSE = "sparse"
 
 
 class CommonFriendAggregate(enum.Enum):
@@ -154,9 +137,10 @@ class SocialTrustConfig:
     #: Lower bound on the Gaussian spread ``c`` to avoid division by zero
     #: when a band has max == min.
     spread_floor: float = 1e-3
-    #: Numerical backend for the coefficient computations (see
-    #: :class:`CoefficientBackend`); accepts the enum or its string value.
-    coefficient_backend: CoefficientBackend = CoefficientBackend.DENSE
+    #: Accepted for older specs, stream and checkpoint headers ("dense" or
+    #: "sparse"); it selects nothing, since the Ωc and Ωs computers pick
+    #: their kernels from the world, and :meth:`to_dict` does not write it.
+    coefficient_backend: InitVar[str | None] = None
     #: Force an exact from-scratch rebuild of the incrementally-maintained
     #: Ωc ``T2`` term after this many consecutive low-rank corrections.
     #: The correction is mathematically exact but accumulates float drift
@@ -165,13 +149,17 @@ class SocialTrustConfig:
     #: the drift grow without bound.
     cache_rebuild_interval: int = 64
 
-    def __post_init__(self) -> None:
+    def __post_init__(self, coefficient_backend: str | None) -> None:
+        if coefficient_backend not in (None, "dense", "sparse"):
+            raise ValueError(
+                "coefficient_backend must be 'dense' or 'sparse', got "
+                f"{coefficient_backend!r}"
+            )
         # String spellings keep the config JSON-round-trippable (golden /
         # checkpoint headers store configs as plain dicts).
         for name, enum_type in (
             ("common_friend_aggregate", CommonFriendAggregate),
             ("center", GaussianCenter),
-            ("coefficient_backend", CoefficientBackend),
         ):
             value = getattr(self, name)
             if not isinstance(value, enum_type):

@@ -51,7 +51,6 @@ from scipy import sparse
 from repro.core.closeness import ClosenessComputer
 from repro.core.config import GaussianCenter, SocialTrustConfig
 from repro.core.similarity import SimilarityComputer
-from repro.core.sparse import SparseClosenessComputer, SparseSimilarityComputer
 from repro.obs import Observability
 from repro.reputation.base import IntervalRatings
 
@@ -316,8 +315,8 @@ class CollusionDetector:
 
     def __init__(
         self,
-        closeness: ClosenessComputer | SparseClosenessComputer,
-        similarity: SimilarityComputer | SparseSimilarityComputer,
+        closeness: ClosenessComputer,
+        similarity: SimilarityComputer,
         config: SocialTrustConfig | None = None,
         *,
         observability: Observability | None = None,

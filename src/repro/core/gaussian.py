@@ -60,16 +60,30 @@ class RaterBand:
         )
 
 
+#: The all-pairs matrices refuse above this many nodes: a float64
+#: ``n x n`` matrix at the next power of two would already cost several GiB.
+_DENSIFY_LIMIT = 8192
+
+
 class PairBands:
     """Band summaries over a coefficient computer's ``pair_values`` gather.
 
-    One implementation for Ωc and Ωs on both backends: a band reads the
+    One implementation for Ωc and Ωs on every kernel: a band reads the
     same cached values the detector kernel reads, so it can never diverge
     from them.
     """
 
     def pair_values(self, raters, ratees) -> np.ndarray:
         raise NotImplementedError
+
+    def _check_densify(self) -> None:
+        """Refuse an all-pairs matrix above ``_DENSIFY_LIMIT`` nodes."""
+        n = self.n_nodes
+        if n > _DENSIFY_LIMIT:
+            raise ValueError(
+                f"refusing to densify a {n}x{n} coefficient matrix; use "
+                "pair_values() at this scale"
+            )
 
     def _pair_ids(self, raters, ratees) -> tuple[np.ndarray, np.ndarray]:
         """The pair arrays as int64, refusing ids off ``[0, n)``: a sparse

@@ -22,11 +22,6 @@ from repro.core.detector import (
     detected_pair_weight,
 )
 from repro.core.similarity import SimilarityComputer
-from repro.core.sparse import (
-    SparseClosenessComputer,
-    SparseSimilarityComputer,
-    coefficient_computers,
-)
 from repro.obs import NULL_TRACER, Observability
 from repro.reputation.base import IntervalRatings, ReputationSystem
 from repro.social.graph import SocialView
@@ -79,10 +74,10 @@ class SocialTrust(ReputationSystem):
         self._config = config or SocialTrustConfig()
         self._obs = observability
         self._tracer = observability.tracer if observability is not None else NULL_TRACER
-        self._closeness, self._similarity = coefficient_computers(
-            social_view, interactions, profiles, self._config,
-            observability=observability,
-        )
+        self._closeness = ClosenessComputer(social_view, interactions, self._config)
+        self._similarity = SimilarityComputer(profiles, self._config)
+        if observability is not None:
+            self._closeness.bind_metrics(observability.metrics)
         self._detector = CollusionDetector(
             self._closeness, self._similarity, self._config,
             observability=observability,
@@ -104,11 +99,11 @@ class SocialTrust(ReputationSystem):
         return self._config
 
     @property
-    def closeness_computer(self) -> ClosenessComputer | SparseClosenessComputer:
+    def closeness_computer(self) -> ClosenessComputer:
         return self._closeness
 
     @property
-    def similarity_computer(self) -> SimilarityComputer | SparseSimilarityComputer:
+    def similarity_computer(self) -> SimilarityComputer:
         return self._similarity
 
     @property

@@ -280,10 +280,12 @@ class Simulation:
             )
         self._cycles_run = int(state["cycles_run"])
         self._rng.bit_generator.state = state["rng"]
-        self._system.restore_state(state["system"])
+        # The stores first: the system's coefficient caches rebuild from
+        # them what the checkpoint leaves out.
         self._ledger.restore_state(state["ledger"])
         self._interactions.restore_state(state["interactions"])
         self._profiles.restore_state(state["profiles"])
+        self._system.restore_state(state["system"])
         self._metrics.restore_state(state["metrics"])
         if self._injector is not None and injector_state is not None:
             self._injector.restore_state(injector_state)

@@ -40,11 +40,8 @@ from repro.qa.cache_audit import (
 )
 from repro.qa.differential import (
     BACKENDS,
-    BackendComparison,
     CellResult,
-    CoefficientDifferentialReport,
     DifferentialReport,
-    run_coefficient_differential,
     run_differential,
 )
 from repro.qa.fuzz import (
@@ -81,10 +78,8 @@ from repro.qa.scenarios import (
 
 __all__ = [
     "BACKENDS",
-    "BackendComparison",
     "CacheAuditReport",
     "CellResult",
-    "CoefficientDifferentialReport",
     "DEFAULT_GOLDEN_DIR",
     "DifferentialReport",
     "Divergence",
@@ -108,7 +103,6 @@ __all__ = [
     "load_trace",
     "record_all",
     "record_trace",
-    "run_coefficient_differential",
     "run_differential",
     "run_fuzz",
     "run_reconvergence",

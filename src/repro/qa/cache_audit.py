@@ -73,10 +73,10 @@ def audit_caches(
 ) -> CacheAuditReport:
     """Diff the live Ωc/Ωs caches against a from-scratch recomputation.
 
-    The fresh computers are of the *same backend class* as the audited
-    ones, so a sparse-backend system is audited sparse-vs-fresh-sparse —
-    the incremental CSR caches have the same drift mode as the dense
-    ones (the low-rank T2 correction) and deserve the same bound.
+    The fresh computers are built over the same stores, so they take the
+    audited ones' layout and kernels; the patches of either Ωc layout
+    drift the same way (the low-rank T2 correction) and get the same
+    bound.
     """
     closeness = system.closeness_computer
     similarity = system.similarity_computer

@@ -17,13 +17,6 @@ reputations, convergence under repeated aggregation) make exactly these
 properties checkable without knowing the right answer — which is the
 point: a differential run needs no golden file, so it can sweep
 configurations no golden covers.
-
-:func:`run_coefficient_differential` extends the same idea to the
-numerical Ωc/Ωs backends: the dense (seed) and sparse (CSR) coefficient
-cores implement the same mathematics with different summation orders, so
-every backend × engine cell must produce the same reputations within
-floating-point tolerance when run once per
-:class:`~repro.core.config.CoefficientBackend`.
 """
 
 from __future__ import annotations
@@ -41,9 +34,6 @@ __all__ = [
     "CellResult",
     "DifferentialReport",
     "run_differential",
-    "BackendComparison",
-    "CoefficientDifferentialReport",
-    "run_coefficient_differential",
 ]
 
 #: Base reputation stacks the runner sweeps.  The first three get their
@@ -66,11 +56,11 @@ _WRAPPABLE = frozenset({"eigentrust", "ebay", "powertrust"})
 
 _SUM_SLACK = 1e-9
 
-#: Tolerance for the dense-vs-sparse coefficient comparison.  The sparse
-#: core is the same mathematics with a different float summation order
-#: (CSR matmul vs dense matmul), so the reputations agree to within a
-#: few ulps; the bound below leaves generous headroom while still
-#: catching any genuine semantic divergence.
+#: Tolerance within which the coefficient kernels agree (Ωc: GEMMs,
+#: sparse-A and two-hop; Ωs: product and row dots).  They are the same
+#: mathematics with different float summation orders, so they agree to a
+#: few ulps; the bound leaves headroom while still catching any genuine
+#: semantic divergence.
 COEFFICIENT_RTOL = 1e-9
 COEFFICIENT_ATOL = 1e-12
 
@@ -254,169 +244,4 @@ def run_differential(
                 report.cross_violations.append(
                     f"{backend}: batched and scalar routing totals differ"
                 )
-    return report
-
-
-@dataclass(frozen=True)
-class BackendComparison:
-    """Dense vs sparse coefficient backends for one (backend, engine) cell."""
-
-    backend: str
-    engine: str
-    system_name: str
-    wrapped: bool
-    max_abs_diff: float
-    violations: tuple[str, ...]
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations
-
-
-@dataclass
-class CoefficientDifferentialReport:
-    """Outcome of one dense-vs-sparse coefficient sweep."""
-
-    seed: int
-    cycles: int
-    rtol: float
-    atol: float
-    comparisons: list[BackendComparison] = field(default_factory=list)
-
-    @property
-    def violations(self) -> list[str]:
-        return [
-            f"{cmp.backend}/{cmp.engine}: {violation}"
-            for cmp in self.comparisons
-            for violation in cmp.violations
-        ]
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations
-
-    def summary(self) -> str:
-        lines = [
-            f"coefficient differential: seed={self.seed} cycles={self.cycles} "
-            f"rtol={self.rtol:g} atol={self.atol:g} "
-            f"({len(self.comparisons)} cells, dense vs sparse)"
-        ]
-        for cmp in self.comparisons:
-            status = "ok" if cmp.ok else f"VIOLATED ({len(cmp.violations)})"
-            note = "socialtrust" if cmp.wrapped else "bare"
-            lines.append(
-                f"  {cmp.backend:<11} {cmp.engine:<7} {note:<11} "
-                f"max |dense - sparse| = {cmp.max_abs_diff:.3e} {status}"
-            )
-        lines.append(
-            "result: " + ("BACKENDS AGREE" if self.ok else "VIOLATIONS FOUND")
-        )
-        return "\n".join(lines)
-
-
-def run_coefficient_differential(
-    *,
-    seed: int = 0,
-    cycles: int = 4,
-    collusion: str = "pcm",
-    use_socialtrust: bool = True,
-    backends: Sequence[str] = BACKENDS,
-    engines: Sequence[str] = ENGINE_MODES,
-    rtol: float = COEFFICIENT_RTOL,
-    atol: float = COEFFICIENT_ATOL,
-    **overrides: Any,
-) -> CoefficientDifferentialReport:
-    """Run every backend × engine cell once per coefficient backend.
-
-    Each cell is built twice from the same seed — once with
-    ``coefficient_backend="dense"`` and once with ``"sparse"`` (exact
-    mode, no top-k truncation) — and the final reputations, history and
-    request-routing totals are compared.  SocialTrust-wrapped cells must
-    agree within float tolerance (the two cores sum in different
-    orders); TrustGuard and GossipTrust never consult the coefficient
-    core, so their cells are required to stay **bit-identical** — any
-    drift there means the backend switch leaked into unrelated state.
-    """
-    from repro.api import build_scenario
-
-    unknown = sorted(set(backends) - set(BACKENDS))
-    if unknown:
-        raise ValueError(f"unknown backend(s) {unknown}; choose from {BACKENDS}")
-    build: dict[str, Any] = dict(
-        n_nodes=24,
-        n_pretrusted=2,
-        n_colluders=5,
-        n_interests=6,
-        interests_per_node=(1, 3),
-        capacity=10,
-        query_cycles=4,
-        simulation_cycles=cycles,
-        collusion=collusion,
-    )
-    build.update(overrides)
-    socialtrust_overrides = dict(build.pop("socialtrust", None) or {})
-    socialtrust_overrides.pop("coefficient_backend", None)
-    report = CoefficientDifferentialReport(
-        seed=seed, cycles=cycles, rtol=rtol, atol=atol
-    )
-    for backend in backends:
-        wrap = use_socialtrust and backend in _WRAPPABLE
-        for engine in engines:
-            results = {}
-            for coeff in ("dense", "sparse"):
-                scenario = build_scenario(
-                    seed=seed,
-                    system=backend,
-                    use_socialtrust=True if wrap else None,
-                    socialtrust={
-                        **socialtrust_overrides,
-                        "coefficient_backend": coeff,
-                    },
-                    **build,
-                )
-                results[coeff] = (scenario, _run(scenario, engine, cycles))
-            (scenario_d, dense), (_, sparse_r) = results["dense"], results["sparse"]
-            violations: list[str] = []
-            delta = float(
-                np.abs(dense.reputations - sparse_r.reputations).max()
-            ) if dense.reputations.size else 0.0
-            if wrap:
-                if not np.allclose(
-                    dense.reputations, sparse_r.reputations, rtol=rtol, atol=atol
-                ):
-                    violations.append(
-                        f"reputations diverge (max |delta| = {delta:.3e})"
-                    )
-                if dense.history.shape != sparse_r.history.shape or not np.allclose(
-                    dense.history, sparse_r.history, rtol=rtol, atol=atol
-                ):
-                    violations.append("histories diverge beyond tolerance")
-            else:
-                if not np.array_equal(dense.reputations, sparse_r.reputations):
-                    violations.append(
-                        "bare backend not bit-identical across coefficient "
-                        f"backends (max |delta| = {delta:.3e})"
-                    )
-                if not np.array_equal(dense.history, sparse_r.history):
-                    violations.append("bare backend histories differ")
-            if (
-                dense.metrics.total_requests,
-                dense.metrics.total_served,
-                dense.metrics.unserved,
-            ) != (
-                sparse_r.metrics.total_requests,
-                sparse_r.metrics.total_served,
-                sparse_r.metrics.unserved,
-            ):
-                violations.append("request-routing totals differ")
-            report.comparisons.append(
-                BackendComparison(
-                    backend=backend,
-                    engine=engine,
-                    system_name=scenario_d.world.system.name,
-                    wrapped=wrap,
-                    max_abs_diff=delta,
-                    violations=tuple(violations),
-                )
-            )
     return report

@@ -133,21 +133,24 @@ class RatingLedger:
         return out
 
     def state_dict(self) -> dict:
-        """In-flight interval aggregates plus the lifetime count.  At a
-        cycle boundary the interval is freshly drained (all zeros), but
+        """The lifetime count, plus the in-flight interval's aggregates
+        when it holds a rating: at a cycle boundary or a watermark the
+        interval is freshly drained and none are written, but
         mid-interval checkpoints are supported too."""
-        return {
-            "value_sum": self._interval.value_sum.copy(),
-            "pos_counts": self._interval.pos_counts.copy(),
-            "neg_counts": self._interval.neg_counts.copy(),
-            "total_recorded": self._total_recorded,
-        }
+        interval = self._interval
+        state: dict = {"total_recorded": self._total_recorded}
+        if interval.pos_counts.any() or interval.neg_counts.any():
+            state["value_sum"] = interval.value_sum.copy()
+            state["pos_counts"] = interval.pos_counts.copy()
+            state["neg_counts"] = interval.neg_counts.copy()
+        return state
 
     def restore_state(self, state: dict) -> None:
-        interval = IntervalRatings(self._n)
-        interval.value_sum[:] = np.asarray(state["value_sum"], dtype=np.float64)
-        interval.pos_counts[:] = np.asarray(state["pos_counts"], dtype=np.float64)
-        interval.neg_counts[:] = np.asarray(state["neg_counts"], dtype=np.float64)
-        self._interval = interval
-        self._keys = None
+        self._start_interval()
+        if "value_sum" in state:
+            interval = self._interval
+            interval.value_sum[:] = np.asarray(state["value_sum"], dtype=np.float64)
+            interval.pos_counts[:] = np.asarray(state["pos_counts"], dtype=np.float64)
+            interval.neg_counts[:] = np.asarray(state["neg_counts"], dtype=np.float64)
+            self._keys = None
         self._total_recorded = int(state["total_recorded"])

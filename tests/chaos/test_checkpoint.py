@@ -15,6 +15,7 @@ from repro.chaos import (
     save_checkpoint,
 )
 from repro.qa.golden import diff_traces, record_cycles
+from tests.core.kernels import force
 
 CHAOS = {
     "partitions": [{"start_cycle": 1, "heal_cycle": 3}],
@@ -201,9 +202,13 @@ class TestKillAndResume:
         diff = diff_traces(reference, resumed, mode="strict")
         assert diff.ok, diff.report()
 
-    def test_sparse_coefficient_backend_bit_identical(self, tmp_path):
-        # The sparse Ωc caches are CSR matrices; the checkpoint codec must
-        # carry them exactly or the resumed incremental path diverges.
+    def test_sparse_coefficient_backend_bit_identical(self, monkeypatch, tmp_path):
+        # The sparse kernels forced: the two-hop Ωc terms are arrays on the
+        # union pattern, which the checkpoint codec must carry exactly or
+        # the resumed incremental path diverges.  The spec still carries
+        # the old backend switch, which selects nothing.
+        force(monkeypatch, "two-hop")
+        force(monkeypatch, "row-dots")
         build = dict(BUILD, socialtrust={"coefficient_backend": "sparse"})
         reference_sim = build_scenario(seed=7, **build).world.simulation
         reference = record_cycles(reference_sim, 6)

@@ -1,11 +1,13 @@
-"""The CSR-cache Ωc algorithm the aligned sparse cache replaced — a test oracle.
+"""The CSR-cache Ωc algorithm the two-hop layout replaced — a test oracle.
 
 :class:`CsrCacheClosenessComputer` keeps ``A``, ``T1 = A @ F`` and
 ``T2 = F @ A`` as CSR matrices, patches dirty rows with ``embed_rows`` and
 sparse adds, and re-aligns all three onto the union pattern on every
-evaluation.  :class:`repro.core.sparse.SparseClosenessComputer` must
-reproduce its values bitwise; ``test_sparse_parity.py`` drives both
-through the same ledger history.
+evaluation.  :class:`repro.core.closeness.ClosenessComputer` in its
+two-hop layout must reproduce its values bitwise;
+``test_sparse_parity.py`` drives both through the same ledger history.
+It borrows only the computer's scalar helpers (relationship factors,
+``adjacent``, the path fallback) and overrides every read.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ from __future__ import annotations
 import numpy as np
 from scipy import sparse
 
-from repro.core.closeness import ClosenessBase
+from repro.core.closeness import ClosenessComputer
 from repro.core.config import CommonFriendAggregate
 
 
@@ -48,7 +50,7 @@ def _row_major_keys(mat: sparse.csr_matrix, n: int) -> np.ndarray:
     return rows * np.int64(n) + mat.indices.astype(np.int64)
 
 
-class CsrCacheClosenessComputer(ClosenessBase):
+class CsrCacheClosenessComputer(ClosenessComputer):
     """Ωc over CSR value caches re-aligned to ``Pu`` on every evaluation."""
 
     def __init__(self, view, interactions, config=None) -> None:

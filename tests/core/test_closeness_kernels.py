@@ -1,34 +1,42 @@
-"""The two full-rebuild kernels of the dense Ωc computer.
+"""The full rebuild kernels of the Ωc computer.
 
-:meth:`ClosenessComputer.closeness_matrix` rebuilds ``A``, ``T1 = A @ F``
-and ``T2 = F @ A`` either as two dense GEMMs or with ``A`` as a CSR
-(CSR x dense), chosen by ``_sparse_kernel_fits`` on the node count and
-``A``'s nonzero count.  The contracts:
+In the full layout, :class:`ClosenessComputer` rebuilds ``A``,
+``T1 = A @ F`` and ``T2 = F @ A`` either as two dense GEMMs or with ``A``
+as a CSR (CSR x dense), chosen by ``_sparse_kernel_fits`` on the node
+count and ``A``'s nonzero count; in the two-hop layout it sums them over
+the two-hop table.  The contracts:
 
-* at n=200, the ``paper`` world's size, both kernels give the same bits;
-* the sparse kernel sums each entry in ascending common friend, the
-  sparse computer's order, so the dense and sparse computers agree
-  bitwise wherever the dense one takes it;
-* the rule takes the sparse kernel at ``serve``-like size and fill and
-  at ``paper``-like size while ``A`` is at most 1/20 full, and the dense
-  one on small worlds and above that fill;
-* a checkpoint taken between sparse rebuilds resumes bitwise, and dirty-row
-  patches on top of a sparse rebuild stay within the cache audit's bound.
+* at n=200, the ``paper`` world's size, all three kernels give the same
+  bits;
+* the sparse-A kernel sums each entry in ascending common friend, the
+  two-hop table's order, so the two layouts agree bitwise wherever the
+  full one takes it;
+* the rule takes the sparse-A kernel at ``serve``-like size and fill and
+  at ``paper``-like size while ``A`` is at most 1/20 full, and the GEMMs
+  on small worlds and above that fill; the layout rule takes the two-hop
+  layout on a world with fewer two-hop paths than matrix entries;
+* a checkpoint taken between rebuilds resumes bitwise, a resumed service
+  matches the uninterrupted one bitwise on every kernel, and dirty-row
+  patches on top of a sparse-A rebuild stay within the cache audit's
+  bound.
 """
 
 import numpy as np
 import pytest
 
-import repro.core.closeness as closeness_module
-from repro.core.closeness import ClosenessComputer, _sparse_kernel_fits
+from repro.core.closeness import (
+    ClosenessComputer,
+    _full_layout_fits,
+    _sparse_kernel_fits,
+)
 from repro.core.config import SocialTrustConfig
-from repro.core.sparse import SparseClosenessComputer
 from repro.qa.cache_audit import DEFAULT_ATOL, DEFAULT_RTOL
-from repro.serve import ReputationService, record_scenario_events
+from repro.serve import ReputationService, WatermarkEvent, record_scenario_events
 from repro.social.generators import paper_social_network
 from repro.social.graph import Relationship, SocialGraph
 from repro.social.interactions import InteractionLedger
 from repro.utils.rng import spawn_rng
+from tests.core.kernels import CLOSENESS_KERNELS, closeness_with, force
 from tests.serve.test_service_checkpoint import small_spec
 
 CONFIGS = [
@@ -78,30 +86,33 @@ def friend_traffic(graph: SocialGraph, rng, per_rater: int, ledger, raters=None)
 
 @pytest.fixture
 def kernels(monkeypatch):
-    """Records which kernel each full rebuild ran."""
+    """Records which kernel each full rebuild ran: "dense" (the GEMMs),
+    "sparse" (sparse-A) or "two-hop"."""
     ran = []
-    dense, sparse = ClosenessComputer._rebuild_dense, ClosenessComputer._rebuild_sparse
+    for name, label in (
+        ("_rebuild_dense", "dense"),
+        ("_rebuild_sparse", "sparse"),
+        ("_rebuild_two_hop", "two-hop"),
+    ):
+        original = getattr(ClosenessComputer, name)
 
-    def spy_dense(self):
-        ran.append("dense")
-        dense(self)
+        def spy(self, *args, _original=original, _label=label):
+            ran.append(_label)
+            _original(self, *args)
 
-    def spy_sparse(self, keys):
-        ran.append("sparse")
-        sparse(self, keys)
-
-    monkeypatch.setattr(ClosenessComputer, "_rebuild_dense", spy_dense)
-    monkeypatch.setattr(ClosenessComputer, "_rebuild_sparse", spy_sparse)
+        monkeypatch.setattr(ClosenessComputer, name, spy)
     return ran
 
 
-def force(monkeypatch, kernel: str) -> None:
-    """Make the rule pick ``kernel`` at every size and fill."""
-    if kernel == "sparse":
-        monkeypatch.setattr(closeness_module, "_SPARSE_MIN_NODES", 0)
-        monkeypatch.setattr(closeness_module, "_SPARSE_MAX_FILL", 1.0)
-    else:
-        monkeypatch.setattr(closeness_module, "_SPARSE_MIN_NODES", 1 << 30)
+def fallback_pairs(cc: ClosenessComputer) -> np.ndarray:
+    """The ``(i, j)`` pairs of a full-layout computer that walk the path
+    fallback: connected, non-adjacent, and without a common friend."""
+    cc._structure()
+    i, j = np.divmod(np.flatnonzero(~cc._slot_adj & (cc._slot_common == 0)), cc.n_nodes)
+    keep = i != j
+    i, j = i[keep], j[keep]
+    keep = cc._connected(i, j)
+    return np.stack([i[keep], j[keep]], axis=1)
 
 
 @pytest.fixture(scope="module")
@@ -120,29 +131,30 @@ def test_both_kernels_give_the_same_bits_at_n200(cfg, monkeypatch, kernels):
     ledger = InteractionLedger(200)
     friend_traffic(graph, np.random.default_rng(5), 4, ledger)
     results = {}
-    for kernel in ("dense", "sparse"):
+    for kernel in ("gemm", "sparse-a"):
         force(monkeypatch, kernel)
         cc = ClosenessComputer(graph, ledger, cfg)
-        results[kernel] = (
-            cc.closeness_matrix(), cc._cached_adj_close, cc._cached_t1, cc._cached_t2,
-        )
-    assert kernels == ["dense", "sparse"]
-    for got, want in zip(results["sparse"], results["dense"]):
+        results[kernel] = (cc.closeness_matrix(), cc._a, cc._t1, cc._t2)
+    force(monkeypatch, "two-hop")
+    two_hop = ClosenessComputer(graph, ledger, cfg).closeness_matrix()
+    assert kernels == ["dense", "sparse", "two-hop"]
+    for got, want in zip(results["sparse-a"], results["gemm"]):
         assert np.array_equal(got, want)
-    assert results["sparse"][3].flags.c_contiguous
+    assert np.array_equal(two_hop, results["gemm"][0])
 
 
 @pytest.mark.parametrize("cfg", CONFIGS, ids=IDS)
 def test_sparse_kernel_matches_sparse_computer_bitwise(cfg, wide_world, kernels):
+    """The full layout's sparse-A kernel against the two-hop layout."""
     graph, ledger = wide_world
-    dense = ClosenessComputer(graph, ledger, cfg)
-    got = dense.closeness_matrix()
-    want = SparseClosenessComputer(graph, ledger, cfg).closeness_matrix()
-    assert kernels == ["sparse"]
+    full = ClosenessComputer(graph, ledger, cfg)
+    got = full.closeness_matrix()
+    want = closeness_with("two-hop", graph, ledger, cfg).closeness_matrix()
+    assert kernels == ["sparse", "two-hop"]
     assert np.array_equal(got, want)
     # Not vacuous: Eq. (3) covers most pairs and the path fallback some.
     assert np.count_nonzero(got) > 0.5 * got.size
-    assert dense._structure_extras()[2].size > 100
+    assert len(fallback_pairs(full)) > 100
 
 
 class TestRule:
@@ -183,7 +195,20 @@ class TestRule:
         busy = InteractionLedger(400)
         friend_traffic(dense_graph, np.random.default_rng(4), 45, busy)
         ClosenessComputer(dense_graph, busy).closeness_matrix()
-        assert kernels == ["sparse", "sparse", "dense", "dense"]
+        # Average degree 8: 0.16 two-hop paths per matrix entry.
+        thin = random_graph(400, 8.0, seed=7)
+        thin_ledger = InteractionLedger(400)
+        friend_traffic(thin, np.random.default_rng(7), 2, thin_ledger)
+        ClosenessComputer(thin, thin_ledger).closeness_matrix()
+        assert kernels == ["sparse", "sparse", "dense", "dense", "two-hop"]
+
+    def test_layout_follows_the_two_hop_paths(self):
+        # golden worlds 3.2-4.2 paths per entry, paper 25, serve 111.
+        for ratio in (3.2, 25.0, 111.0, 1.0):
+            assert _full_layout_fits(1000, int(ratio * 1000**2))
+        # sparse_1e4: 0.006 paths per entry.
+        assert not _full_layout_fits(10_000, int(0.006 * 10_000**2))
+        assert not _full_layout_fits(1000, 1000**2 - 1)
 
 
 def test_resume_between_sparse_rebuilds_is_bitwise(wide_world, kernels):
@@ -222,7 +247,7 @@ def test_resume_between_sparse_rebuilds_is_bitwise(wide_world, kernels):
 
 
 def test_service_resume_with_sparse_kernel_is_bitwise(monkeypatch, kernels, tmp_path):
-    force(monkeypatch, "sparse")
+    force(monkeypatch, "sparse-a")
     recorded = record_scenario_events(small_spec())
     uninterrupted = ReputationService(recorded.spec)
     uninterrupted.serve_events(recorded.events)
@@ -254,3 +279,38 @@ def test_patches_after_sparse_rebuild_stay_within_audit_bound(wide_world, kernel
     assert cc._t2_updates > 30
     fresh = ClosenessComputer(graph, ledger).closeness_matrix()
     assert np.allclose(cc.closeness_matrix(), fresh, rtol=DEFAULT_RTOL, atol=DEFAULT_ATOL)
+
+
+@pytest.mark.parametrize("kernel", CLOSENESS_KERNELS)
+def test_service_resume_is_bitwise_on_every_kernel(kernel, monkeypatch, tmp_path):
+    """A mid-stream snapshot resumes to the uninterrupted history, and one
+    taken right after a watermark carries no Ωc terms, Ωs numerator or
+    drained-interval arrays: the restore rebuilds them from its stores."""
+    from repro.chaos.checkpoint import load_checkpoint
+
+    force(monkeypatch, kernel)
+    recorded = record_scenario_events(small_spec())
+    uninterrupted = ReputationService(recorded.spec)
+    uninterrupted.serve_events(recorded.events)
+    for split in (recorded.n_events // 3, recorded.n_events * 2 // 3):
+        first = ReputationService(recorded.spec)
+        first.serve_events(recorded.events[:split])
+        path = first.save_snapshot(tmp_path / f"s{split}.ck")
+        resumed = ReputationService.from_checkpoint(path)
+        resumed.serve_events(recorded.events[split:])
+        assert np.array_equal(resumed.history, uninterrupted.history)
+        assert np.array_equal(resumed.reputations, uninterrupted.reputations)
+    watermark = next(
+        k + 1 for k, event in enumerate(recorded.events) if isinstance(event, WatermarkEvent)
+    )
+    first = ReputationService(recorded.spec)
+    first.serve_events(recorded.events[:watermark])
+    _, state = load_checkpoint(first.save_snapshot(tmp_path / "w.ck"))
+    system = state["simulation"]["system"]
+    assert {system["closeness"][k] is None for k in ("adj_close", "t1", "t2")} == {True}
+    assert system["closeness"]["t2_updates"] == 0
+    assert system["similarity"]["numer"] is None
+    assert set(state["simulation"]["ledger"]) == {"total_recorded"}
+    resumed = ReputationService.from_checkpoint(tmp_path / "w.ck")
+    resumed.serve_events(recorded.events[watermark:])
+    assert np.array_equal(resumed.history, uninterrupted.history)

@@ -1,5 +1,6 @@
 """Tests for SocialTrustConfig validation."""
 
+import numpy as np
 import pytest
 
 from repro.core.config import (
@@ -81,3 +82,47 @@ class TestValidation:
             low_reputation_threshold=0.01,
         )
         assert cfg.pos_frequency_threshold == 5.0
+
+
+class TestRetiredBackendSwitch:
+    """``coefficient_backend`` selected the dense or sparse Ωc/Ωs classes;
+    one computer per coefficient now picks its kernels from the world, so
+    the value is accepted, selects nothing, and is not written back."""
+
+    @pytest.mark.parametrize("value", ["dense", "sparse"])
+    def test_accepted_and_not_written(self, value):
+        cfg = SocialTrustConfig(coefficient_backend=value, alpha=0.5)
+        assert cfg == SocialTrustConfig(alpha=0.5)
+        assert "coefficient_backend" not in cfg.to_dict()
+        old = {**cfg.to_dict(), "coefficient_backend": value}
+        assert SocialTrustConfig(**old) == cfg
+
+    def test_unknown_value_rejected(self):
+        with pytest.raises(ValueError, match="coefficient_backend"):
+            SocialTrustConfig(coefficient_backend="gpu")
+
+    def test_spec_carrying_it_runs_the_same_history(self):
+        from repro.api import ScenarioSpec, build_scenario
+
+        def history(socialtrust):
+            spec = ScenarioSpec(
+                system="EigenTrust+SocialTrust",
+                collusion="pcm",
+                seed=3,
+                world=dict(
+                    n_nodes=24,
+                    n_pretrusted=2,
+                    n_colluders=5,
+                    n_interests=6,
+                    interests_per_node=[1, 3],
+                    query_cycles=3,
+                    simulation_cycles=4,
+                    socialtrust=socialtrust,
+                ),
+            )
+            return build_scenario(spec).run().history
+
+        want = history({"cache_rebuild_interval": 8})
+        for value in ("sparse", "dense"):
+            got = history({"cache_rebuild_interval": 8, "coefficient_backend": value})
+            assert np.array_equal(got, want)

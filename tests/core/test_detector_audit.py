@@ -3,23 +3,22 @@
 Every event must tell the operator the same story the detection result
 does — which pairs were examined, which thresholds fired, which
 behaviour classes matched, and what weight was applied — whichever
-coefficient computer (dense or sparse) feeds the kernel.
+coefficient kernels feed it: "dense" (the full Ωc layout and the Ωs
+product) or "sparse" (the two-hop layout and row dot products).
 """
 
 import numpy as np
 import pytest
 
-from repro.core.closeness import ClosenessComputer
 from repro.core.config import SocialTrustConfig
 from repro.core.detector import CollusionDetector
-from repro.core.similarity import SimilarityComputer
-from repro.core.sparse import SparseClosenessComputer, SparseSimilarityComputer
 from repro.obs import AuditEvent, Observability
 from repro.reputation.base import IntervalRatings
 from repro.social.generators import paper_social_network
 from repro.social.interactions import InteractionLedger
 from repro.social.interests import InterestProfiles
 from repro.utils.rng import spawn_rng
+from tests.core.kernels import closeness_with, similarity_with
 
 N = 16
 N_INTERESTS = 6
@@ -70,13 +69,10 @@ def run_detector(backend, intervals=1, max_audit_events=100_000):
     rated = interval.counts > 0
     flag_counts = np.zeros((N, N))
     flag_counts[0, 1] = 2.0
-    cfg = SocialTrustConfig(coefficient_backend=backend)
-    if backend == "dense":
-        closeness = ClosenessComputer(network, ledger, cfg)
-        similarity = SimilarityComputer(profiles, cfg)
-    else:
-        closeness = SparseClosenessComputer(network, ledger, cfg)
-        similarity = SparseSimilarityComputer(profiles, cfg)
+    cfg = SocialTrustConfig()
+    dense = backend == "dense"
+    closeness = closeness_with("full" if dense else "two-hop", network, ledger, cfg)
+    similarity = similarity_with("product" if dense else "row-dots", profiles, cfg)
     obs = Observability(tracing=False, max_audit_events=max_audit_events)
     detector = CollusionDetector(closeness, similarity, cfg, observability=obs)
     for _ in range(intervals):

@@ -10,10 +10,10 @@ every pair.  The contracts:
   under ``MEAN`` and ``SUM``, after dirty-row patches and ``decay_nodes``,
   and at the no-common-friend fallback pairs;
 * the detector's reads never assemble the full matrix;
-* a checkpoint no longer carries the assembled matrix, and one that still
-  does (the older format) resumes bitwise;
-* the dense computer publishes its rebuilds and patches as the sparse one
-  does.
+* a checkpoint never carries the assembled matrix, and carries the terms
+  only when a restore could not rebuild them; both resume bitwise, and so
+  does the older format that still holds the matrix;
+* the computer publishes its rebuilds and patches.
 """
 
 import numpy as np
@@ -27,7 +27,8 @@ from repro.reputation import EigenTrust
 from repro.reputation.ledger import RatingLedger
 from repro.social.interactions import InteractionLedger
 from repro.social.interests import InterestProfiles
-from tests.core.test_closeness_kernels import friend_traffic, random_graph
+from tests.core.kernels import closeness_with, force
+from tests.core.test_closeness_kernels import fallback_pairs, friend_traffic, random_graph
 
 CONFIGS = [
     SocialTrustConfig(),
@@ -46,7 +47,7 @@ def world(n: int, degree: float, seed: int):
 def asked_pairs(cc: ClosenessComputer, rng, size: int):
     """Random pairs plus every fallback pair and a few diagonal ones."""
     n = cc.n_nodes
-    fallback = cc._structure_extras()[2]
+    fallback = fallback_pairs(closeness_with("full", cc.view, cc.interactions))
     diag = np.arange(0, n, max(1, n // 7))
     i = np.concatenate([rng.integers(0, n, size), fallback[:, 0], diag])
     j = np.concatenate([rng.integers(0, n, size), fallback[:, 1], diag])
@@ -70,12 +71,14 @@ def mutate(ledger: InteractionLedger, graph, rng, step: int) -> None:
 @pytest.mark.parametrize("cfg", CONFIGS, ids=IDS)
 @pytest.mark.parametrize(
     "n, degree, kernel",
-    [(90, 24.0, "dense"), (300, 42.0, "sparse")],
-    ids=["gemm-n90", "sparse-a-n300"],
+    [(90, 24.0, "dense"), (300, 42.0, "sparse"), (300, 42.0, "two_hop")],
+    ids=["gemm-n90", "sparse-a-n300", "two-hop-n300"],
 )
 def test_pair_values_are_the_matrix_bits(cfg, n, degree, kernel, monkeypatch):
+    if kernel == "two_hop":
+        force(monkeypatch, "two-hop")
     ran = []
-    for name in ("_rebuild_dense", "_rebuild_sparse"):
+    for name in ("_rebuild_dense", "_rebuild_sparse", "_rebuild_two_hop"):
         original = getattr(ClosenessComputer, name)
 
         def spy(self, *args, _original=original, _name=name):
@@ -87,7 +90,7 @@ def test_pair_values_are_the_matrix_bits(cfg, n, degree, kernel, monkeypatch):
     cc = ClosenessComputer(graph, ledger, cfg)
     rng = np.random.default_rng(1)
     # Not vacuous: the world has fallback pairs.
-    assert cc._structure_extras()[2].size > 0
+    assert len(asked_pairs(cc, rng, 0)[0]) > n // 7 + 1
     patched = False
     for step in range(7):
         i, j = asked_pairs(cc, rng, 4 * n)
@@ -136,6 +139,42 @@ def test_detector_reads_do_not_assemble_the_matrix():
 
 
 class TestCheckpoint:
+    @pytest.mark.parametrize("layout", ["full", "two-hop"])
+    def test_rebuilt_terms_are_not_written_and_resume_bitwise(self, layout):
+        graph, seeded = world(200, 35.0, seed=8)
+        cfg = SocialTrustConfig(cache_rebuild_interval=4)
+
+        def start(ledger_state):
+            ledger = InteractionLedger(200)
+            ledger.restore_state(ledger_state)
+            return ledger, closeness_with(layout, graph, ledger, cfg)
+
+        def run(ledger, cc, steps):
+            out = []
+            for step in steps:
+                mutate(ledger, graph, np.random.default_rng(70 + step), step)
+                out.append(cc.closeness_matrix().copy())
+            return out
+
+        ledger, cc = start(seeded.state_dict())
+        cc.closeness_matrix()
+        uninterrupted = run(ledger, cc, range(6))
+
+        ledger, cc = start(seeded.state_dict())
+        cc.closeness_matrix()
+        resumed = run(ledger, cc, range(3))  # step 2 is a bulk rebuild
+        saved = cc.state_dict()
+        assert cc._t2_updates == 0 and saved["version"] == ledger.version
+        assert saved["adj_close"] is saved["t1"] is saved["t2"] is None
+        ledger, cc = start(ledger.state_dict())
+        cc.restore_state(saved)
+        resumed += run(ledger, cc, range(3, 6))  # patches on rebuilt terms
+        for got, want in zip(resumed, uninterrupted):
+            assert np.array_equal(got, want)
+        # Once the ledger moves past the terms, they are written.
+        ledger.record(0, min(graph.friends(0)), 2.0)
+        assert cc.state_dict()["adj_close"] is not None
+
     def test_state_has_no_assembled_matrix(self):
         graph, ledger = world(60, 20.0, seed=5)
         cc = ClosenessComputer(graph, ledger)

@@ -1,7 +1,7 @@
-"""The sparse Ωs pair cache against a fresh computer.
+"""The Ωs pair cache against a fresh computer.
 
-:class:`SparseSimilarityComputer` keeps the pair values it computed,
-keyed on the profile store's versions.  Whatever pairs are asked (unsorted,
+On its row-dots kernel :class:`SimilarityComputer` keeps the pair values
+it computed, keyed on the profile store's versions.  Whatever pairs are asked (unsorted,
 repeated, on the diagonal, pairs no closeness pattern covers) and however
 requests and declared sets move in between, a cached answer must equal a
 fresh computer's bitwise -- ``np.array_equal``, not a tolerance.
@@ -13,16 +13,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.config import SocialTrustConfig
-from repro.core.sparse import SparseSimilarityComputer
+from repro.core.similarity import SimilarityComputer
 from repro.social.interests import InterestProfiles
+from tests.core.kernels import similarity_with
 
 N = 30
 K = 7
 
-CONFIGS = [
-    SocialTrustConfig(coefficient_backend="sparse"),
-    SocialTrustConfig(coefficient_backend="sparse", hardened=False),
-]
+CONFIGS = [SocialTrustConfig(), SocialTrustConfig(hardened=False)]
 IDS = ["hardened", "plain"]
 
 
@@ -41,7 +39,11 @@ def make_profiles(seed: int = 0) -> InterestProfiles:
     return profiles
 
 
-def cached_keys(sc: SparseSimilarityComputer) -> set[int]:
+def row_dots(profiles, cfg) -> SimilarityComputer:
+    return similarity_with("row-dots", profiles, cfg)
+
+
+def cached_keys(sc: SimilarityComputer) -> set[int]:
     return set(sc._pair_keys.tolist())
 
 
@@ -86,14 +88,14 @@ class TestPairCache:
     @given(history=steps)
     def test_cached_values_match_fresh_bitwise(self, cfg, history):
         profiles = make_profiles()
-        sc = SparseSimilarityComputer(profiles, cfg)
+        sc = row_dots(profiles, cfg)
         before: set[int] = set()
         moved = False
         for kind, arg in history:
             if kind == "query":
                 i, j = (np.array(side, dtype=np.int64) for side in arg)
                 got = sc.pair_values(i, j)
-                want = SparseSimilarityComputer(profiles, cfg).pair_values(i, j)
+                want = row_dots(profiles, cfg).pair_values(i, j)
                 assert np.array_equal(got, want)
                 assert np.all(got[i == j] == 0.0)
                 # A move of the versions Ωs reads drops every older pair.
@@ -113,7 +115,7 @@ class TestPairCache:
     @pytest.mark.parametrize("cfg", CONFIGS, ids=IDS)
     def test_version_moves_drop_the_cache(self, cfg):
         profiles = make_profiles(1)
-        sc = SparseSimilarityComputer(profiles, cfg)
+        sc = row_dots(profiles, cfg)
         i, j = np.array([3, 0, 5, 3]), np.array([4, 9, 5, 4])
         sc.pair_values(i, j)
         assert cached_keys(sc) == keys_of(i, j)
@@ -130,7 +132,7 @@ class TestPairCache:
     @pytest.mark.parametrize("cfg", CONFIGS, ids=IDS)
     def test_restore_starts_empty(self, cfg):
         profiles = make_profiles(2)
-        sc = SparseSimilarityComputer(profiles, cfg)
+        sc = row_dots(profiles, cfg)
         i, j = np.arange(N - 1), np.arange(1, N)
         want = sc.pair_values(i, j)
         assert sc._pair_keys.size == N - 1
@@ -139,7 +141,7 @@ class TestPairCache:
         assert np.array_equal(sc.pair_values(i, j), want)
 
     def test_ids_off_range_refused(self):
-        sc = SparseSimilarityComputer(make_profiles(), CONFIGS[0])
+        sc = row_dots(make_profiles(), CONFIGS[0])
         # (0, N) and (1, 0) would share the key N.
         for i, j in (([0], [N]), ([-1], [2]), ([N], [0])):
             with pytest.raises(IndexError):

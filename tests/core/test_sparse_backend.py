@@ -1,9 +1,12 @@
-"""Sparse coefficient core vs the dense seed path.
+"""The sparse coefficient kernels vs the dense seed kernels.
 
-The sparse backend (:mod:`repro.core.sparse`) must agree with the dense
-computers everywhere both are defined: full-matrix values, sampled pair
+Each coefficient has one computer whose kernels follow the world; forced
+through the private rules, the sparse ones (the two-hop Ωc layout and the
+Ωs row dot products, what a 10^4-node world takes) must agree with the
+dense ones (the full Ωc layout and the Ωs product, what the seed worlds
+take) everywhere both are defined: full-matrix values, sampled pair
 values, band summaries, and the detector's end-to-end damping weights.
-The sparse path has no approximation — only float summation order
+The sparse kernels have no approximation — only float summation order
 differs — so the tolerance here is tight.
 """
 
@@ -12,17 +15,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.closeness import ClosenessComputer
 from repro.core.config import SocialTrustConfig
 from repro.core.detector import CollusionDetector, DetectionResult
 from repro.core.similarity import SimilarityComputer
-from repro.core.sparse import SparseClosenessComputer, SparseSimilarityComputer
 from repro.reputation.base import IntervalRatings
 from repro.social.generators import paper_social_network
 from repro.social.interactions import InteractionLedger, SparseInteractionLedger
 from repro.social.interests import InterestProfiles
 from repro.utils.rng import spawn_rng
 from tests.core.csr_reference import embed_rows
+from tests.core.kernels import closeness_with, similarity_with
 
 from scipy import sparse
 
@@ -30,12 +32,26 @@ N = 16
 N_INTERESTS = 6
 
 CONFIG_VARIANTS = [
-    SocialTrustConfig(coefficient_backend="sparse"),
-    SocialTrustConfig(
-        coefficient_backend="sparse", hardened=False, common_friend_aggregate="sum"
-    ),
-    SocialTrustConfig(coefficient_backend="sparse", center="global"),
+    SocialTrustConfig(),
+    SocialTrustConfig(hardened=False, common_friend_aggregate="sum"),
+    SocialTrustConfig(center="global"),
 ]
+
+
+def dense_closeness(network, ledger, cfg=None):
+    return closeness_with("full", network, ledger, cfg)
+
+
+def sparse_closeness(network, ledger, cfg=None):
+    return closeness_with("two-hop", network, ledger, cfg)
+
+
+def dense_similarity(profiles, cfg=None):
+    return similarity_with("product", profiles, cfg)
+
+
+def sparse_similarity(profiles, cfg=None):
+    return similarity_with("row-dots", profiles, cfg)
 
 
 def make_world(seed=0, *, sparse_ledger=False):
@@ -59,25 +75,19 @@ def seed_traffic(ledger, profiles, rng, rounds=3):
             profiles.record_request(i, int(rng.integers(0, N_INTERESTS)))
 
 
-def dense_config(cfg: SocialTrustConfig) -> SocialTrustConfig:
-    d = cfg.to_dict()
-    d["coefficient_backend"] = "dense"
-    return SocialTrustConfig(**d)
-
-
 class TestClosenessEquivalence:
     @pytest.mark.parametrize("cfg", CONFIG_VARIANTS)
     def test_matrix_matches_dense(self, cfg):
         network, ledger, profiles, rng = make_world(3)
         seed_traffic(ledger, profiles, rng)
-        got = SparseClosenessComputer(network, ledger, cfg).closeness_matrix()
-        want = ClosenessComputer(network, ledger, dense_config(cfg)).closeness_matrix()
+        got = sparse_closeness(network, ledger, cfg).closeness_matrix()
+        want = dense_closeness(network, ledger, cfg).closeness_matrix()
         np.testing.assert_allclose(got, want, atol=1e-12, rtol=0.0)
 
     def test_pair_values_match_matrix(self):
         network, ledger, profiles, rng = make_world(4)
         seed_traffic(ledger, profiles, rng)
-        sc = SparseClosenessComputer(network, ledger, CONFIG_VARIANTS[0])
+        sc = sparse_closeness(network, ledger, CONFIG_VARIANTS[0])
         matrix = sc.closeness_matrix()
         raters = np.repeat(np.arange(N), N)
         ratees = np.tile(np.arange(N), N)
@@ -88,8 +98,8 @@ class TestClosenessEquivalence:
         network, ledger, profiles, rng = make_world(5)
         seed_traffic(ledger, profiles, rng)
         cfg = CONFIG_VARIANTS[0]
-        sc = SparseClosenessComputer(network, ledger, cfg)
-        dc = ClosenessComputer(network, ledger, dense_config(cfg))
+        sc = sparse_closeness(network, ledger, cfg)
+        dc = dense_closeness(network, ledger, cfg)
         for i in range(0, N, 3):
             for j in range(N):
                 if i != j:
@@ -101,8 +111,8 @@ class TestClosenessEquivalence:
         network, ledger, profiles, rng = make_world(6)
         seed_traffic(ledger, profiles, rng)
         cfg = CONFIG_VARIANTS[0]
-        sc = SparseClosenessComputer(network, ledger, cfg)
-        dc = ClosenessComputer(network, ledger, dense_config(cfg))
+        sc = sparse_closeness(network, ledger, cfg)
+        dc = dense_closeness(network, ledger, cfg)
         rated = frozenset(range(1, 9))
         sb, db = sc.rater_band(0, rated), dc.rater_band(0, rated)
         assert sb.center == pytest.approx(db.center, abs=1e-12)
@@ -118,16 +128,19 @@ class TestSimilarityEquivalence:
     def test_matrix_matches_dense(self, hardened):
         network, ledger, profiles, rng = make_world(7)
         seed_traffic(ledger, profiles, rng)
-        cfg = SocialTrustConfig(coefficient_backend="sparse", hardened=hardened)
-        got = SparseSimilarityComputer(profiles, cfg).similarity_matrix()
-        want = SimilarityComputer(profiles, dense_config(cfg)).similarity_matrix()
+        cfg = SocialTrustConfig(hardened=hardened)
+        sc = sparse_similarity(profiles, cfg)
+        raters = np.repeat(np.arange(N), N)
+        ratees = np.tile(np.arange(N), N)
+        got = sc.pair_values(raters, ratees).reshape(N, N)
+        want = dense_similarity(profiles, cfg).similarity_matrix()
         np.testing.assert_allclose(got, want, atol=1e-12, rtol=0.0)
 
     def test_pair_values_match_matrix(self):
         network, ledger, profiles, rng = make_world(8)
         seed_traffic(ledger, profiles, rng)
-        cfg = SocialTrustConfig(coefficient_backend="sparse")
-        sc = SparseSimilarityComputer(profiles, cfg)
+        cfg = SocialTrustConfig()
+        sc = sparse_similarity(profiles, cfg)
         matrix = sc.similarity_matrix()
         raters = np.repeat(np.arange(N), N)
         ratees = np.tile(np.arange(N), N)
@@ -141,10 +154,10 @@ def four_computers():
     seed_traffic(ledger, profiles, rng)
     cfg = CONFIG_VARIANTS[0]
     return {
-        "dense_closeness": ClosenessComputer(network, ledger, dense_config(cfg)),
-        "dense_similarity": SimilarityComputer(profiles, dense_config(cfg)),
-        "sparse_closeness": SparseClosenessComputer(network, ledger, cfg),
-        "sparse_similarity": SparseSimilarityComputer(profiles, cfg),
+        "dense_closeness": dense_closeness(network, ledger, cfg),
+        "dense_similarity": dense_similarity(profiles, cfg),
+        "sparse_closeness": sparse_closeness(network, ledger, cfg),
+        "sparse_similarity": sparse_similarity(profiles, cfg),
     }
 
 
@@ -200,10 +213,8 @@ class TestIncrementalSparseCache:
     def test_churn_matches_fresh_and_dense(self, seed, steps):
         network, ledger, profiles, rng = make_world(seed, sparse_ledger=True)
         dense_ledger = InteractionLedger(N)
-        cfg = SocialTrustConfig(
-            coefficient_backend="sparse", cache_rebuild_interval=3
-        )
-        cached = SparseClosenessComputer(network, ledger, cfg)
+        cfg = SocialTrustConfig(cache_rebuild_interval=3)
+        cached = sparse_closeness(network, ledger, cfg)
         cached.closeness_matrix()  # prime the incremental path
         for step in range(steps):
             kind = int(rng.integers(0, 3))
@@ -225,20 +236,18 @@ class TestIncrementalSparseCache:
                 dense_ledger.record_many(raters[keep], ratees[keep])
             got = np.asarray(cached.closeness_matrix())
             fresh = np.asarray(
-                SparseClosenessComputer(network, ledger, cfg).closeness_matrix()
+                sparse_closeness(network, ledger, cfg).closeness_matrix()
             )
             np.testing.assert_allclose(got, fresh, atol=1e-9, rtol=1e-9)
-            want = ClosenessComputer(
-                network, dense_ledger, dense_config(cfg)
+            want = dense_closeness(
+                network, dense_ledger, cfg
             ).closeness_matrix()
             np.testing.assert_allclose(got, want, atol=1e-9, rtol=1e-9)
 
     def test_periodic_exact_rebuild_resets_drift_counter(self):
         network, ledger, profiles, rng = make_world(9, sparse_ledger=True)
-        cfg = SocialTrustConfig(
-            coefficient_backend="sparse", cache_rebuild_interval=2
-        )
-        sc = SparseClosenessComputer(network, ledger, cfg)
+        cfg = SocialTrustConfig(cache_rebuild_interval=2)
+        sc = sparse_closeness(network, ledger, cfg)
         seed_traffic(ledger, profiles, rng, rounds=1)
         sc.closeness_matrix()
         assert sc._t2_updates == 0  # full build
@@ -270,16 +279,16 @@ class TestSparseDetector:
     def _detectors(self, seed=11):
         network, ledger, profiles, rng = make_world(seed)
         seed_traffic(ledger, profiles, rng)
-        sparse_cfg = SocialTrustConfig(coefficient_backend="sparse")
-        dense_cfg = dense_config(sparse_cfg)
+        sparse_cfg = SocialTrustConfig()
+        dense_cfg = sparse_cfg
         dense_det = CollusionDetector(
-            ClosenessComputer(network, ledger, dense_cfg),
-            SimilarityComputer(profiles, dense_cfg),
+            dense_closeness(network, ledger, dense_cfg),
+            dense_similarity(profiles, dense_cfg),
             dense_cfg,
         )
         sparse_det = CollusionDetector(
-            SparseClosenessComputer(network, ledger, sparse_cfg),
-            SparseSimilarityComputer(profiles, sparse_cfg),
+            sparse_closeness(network, ledger, sparse_cfg),
+            sparse_similarity(profiles, sparse_cfg),
             sparse_cfg,
         )
         return dense_det, sparse_det, rng
@@ -355,7 +364,6 @@ class TestSparseDetector:
         seed_traffic(ledger, profiles, rng)
         for backend in ("dense", "sparse"):
             cfg = SocialTrustConfig(
-                coefficient_backend=backend,
                 pos_frequency_threshold=50.0,
                 neg_frequency_threshold=50.0,
                 closeness_low=0.2,
@@ -365,14 +373,14 @@ class TestSparseDetector:
             )
             if backend == "dense":
                 det = CollusionDetector(
-                    ClosenessComputer(network, ledger, cfg),
-                    SimilarityComputer(profiles, cfg),
+                    dense_closeness(network, ledger, cfg),
+                    dense_similarity(profiles, cfg),
                     cfg,
                 )
             else:
                 det = CollusionDetector(
-                    SparseClosenessComputer(network, ledger, cfg),
-                    SparseSimilarityComputer(profiles, cfg),
+                    sparse_closeness(network, ledger, cfg),
+                    sparse_similarity(profiles, cfg),
                     cfg,
                 )
             interval = IntervalRatings(N)
@@ -401,42 +409,58 @@ class TestRestoreStateValidation:
     def test_sparse_closeness_rejects_wrong_shape(self):
         network, ledger, profiles, rng = make_world(15)
         seed_traffic(ledger, profiles, rng)
-        cfg = SocialTrustConfig(coefficient_backend="sparse")
-        sc = SparseClosenessComputer(network, ledger, cfg)
+        cfg = SocialTrustConfig()
+        sc = sparse_closeness(network, ledger, cfg)
         sc.closeness_matrix()
         state = sc.state_dict()
         bad = dict(state)
-        bad["a"] = sparse.csr_matrix((N + 1, N + 1))
+        bad["adj_close"] = sparse.csr_matrix((N + 1, N + 1))
         with pytest.raises(ValueError, match="different network size"):
             sc.restore_state(bad)
 
     def test_sparse_closeness_rejects_dense_payload(self):
+        """Dense terms from an older checkpoint load into the two-hop
+        layout only when they lie on its pattern."""
         network, ledger, profiles, rng = make_world(15)
-        cfg = SocialTrustConfig(coefficient_backend="sparse")
-        sc = SparseClosenessComputer(network, ledger, cfg)
-        sc.closeness_matrix()
-        state = sc.state_dict()
+        seed_traffic(ledger, profiles, rng)
+        cfg = SocialTrustConfig()
+        sc = sparse_closeness(network, ledger, cfg)
+        want = sc.closeness_matrix().copy()
+        old = dense_closeness(network, ledger, cfg)
+        old.closeness_matrix()
+        state = {
+            "adj_close": old._a.reshape(N, N),
+            "t1": old._t1.reshape(N, N),
+            "t2": old._t2.reshape(N, N),
+            "version": ledger.version,
+            "t2_updates": 1,
+        }
+        sc.restore_state(state)
+        np.testing.assert_allclose(sc.closeness_matrix(), want, atol=1e-12, rtol=0.0)
+        off = np.setdiff1d(np.arange(N * N), sc._pu_keys)
+        assert off.size
         bad = dict(state)
-        bad["t1"] = np.zeros((N, N))
-        with pytest.raises(ValueError):
+        bad["t1"] = state["t1"].copy()
+        bad["t1"].flat[off[0]] = 1.0
+        with pytest.raises(ValueError, match="off this world's two-hop pattern"):
             sc.restore_state(bad)
 
     def test_sparse_similarity_rejects_wrong_size(self):
         network, ledger, profiles, rng = make_world(16)
-        cfg = SocialTrustConfig(coefficient_backend="sparse")
-        sc = SparseSimilarityComputer(profiles, cfg)
+        cfg = SocialTrustConfig()
+        sc = sparse_similarity(profiles, cfg)
         with pytest.raises(ValueError):
             sc.restore_state({"n_nodes": N + 3})
 
     def test_roundtrip_restores_bit_identical_matrix(self):
         network, ledger, profiles, rng = make_world(17, sparse_ledger=True)
         seed_traffic(ledger, profiles, rng)
-        cfg = SocialTrustConfig(coefficient_backend="sparse")
-        sc = SparseClosenessComputer(network, ledger, cfg)
+        cfg = SocialTrustConfig()
+        sc = sparse_closeness(network, ledger, cfg)
         ledger.record(0, 1, 2.0)
         before = np.asarray(sc.closeness_matrix()).copy()
         state = sc.state_dict()
-        other = SparseClosenessComputer(network, ledger, cfg)
+        other = sparse_closeness(network, ledger, cfg)
         other.restore_state(state)
         np.testing.assert_array_equal(
             np.asarray(other.closeness_matrix()), before

@@ -1,8 +1,8 @@
-"""The aligned sparse Ωc cache against the CSR-cache algorithm it replaced.
+"""The two-hop Ωc layout against the CSR-cache algorithm it replaced.
 
-:class:`SparseClosenessComputer` keeps ``A``/``T1``/``T2`` as arrays
-aligned to the static union pattern and patches dirty rows in place;
-:class:`tests.core.csr_reference.CsrCacheClosenessComputer` is the
+In its two-hop layout :class:`ClosenessComputer` keeps ``A``/``T1``/``T2``
+as arrays aligned to the static union pattern and patches dirty rows in
+place; :class:`tests.core.csr_reference.CsrCacheClosenessComputer` is the
 CSR-matrix layout it replaced.  Both read one ledger through the same
 history (cold build, small and large patches, churn decay, the periodic
 rebuild, a restore from a CSR-layout checkpoint), and every step must
@@ -15,14 +15,14 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import sparse
 
-import repro.core.sparse as sparse_module
+import repro.core.closeness as closeness_module
 from repro.core.closeness import ClosenessComputer
 from repro.core.config import SocialTrustConfig
 from repro.core.detector import _merge_sorted
-from repro.core.sparse import SparseClosenessComputer
 from repro.social.graph import Relationship, SocialGraph
 from repro.social.interactions import InteractionLedger, SparseInteractionLedger
 from tests.core.csr_reference import CsrCacheClosenessComputer
+from tests.core.kernels import closeness_with, force
 
 N = 240
 COMMUNITY = 12
@@ -30,14 +30,15 @@ ISOLATED = 20
 CLUSTER = 24
 
 CONFIGS = [
-    SocialTrustConfig(coefficient_backend="sparse", cache_rebuild_interval=3),
+    SocialTrustConfig(cache_rebuild_interval=3),
     SocialTrustConfig(
-        coefficient_backend="sparse",
-        cache_rebuild_interval=3,
-        hardened=False,
-        common_friend_aggregate="sum",
+        cache_rebuild_interval=3, hardened=False, common_friend_aggregate="sum"
     ),
 ]
+
+
+def two_hop(graph, ledger, cfg) -> ClosenessComputer:
+    return closeness_with("two-hop", graph, ledger, cfg)
 
 
 def make_graph(seed: int = 0) -> SocialGraph:
@@ -110,10 +111,13 @@ def probe_pairs(rng) -> tuple[np.ndarray, np.ndarray]:
 
 
 def assert_bitwise(new, ref, pairs) -> None:
+    """The probe pairs, and every pair of the union pattern."""
     i, j = pairs
     got, want = new.pair_values(i, j), ref.pair_values(i, j)
     assert np.array_equal(got, want)
-    assert np.array_equal(new.matrix_csr().toarray(), ref.matrix_csr().toarray())
+    pi, pj = np.divmod(new._pu_keys[:-1], N)
+    want = np.asarray(ref.matrix_csr()[pi, pj]).ravel()
+    assert np.array_equal(new.pair_values(pi, pj), want)
 
 
 def check_history(graph: SocialGraph, cfg) -> None:
@@ -123,7 +127,7 @@ def check_history(graph: SocialGraph, cfg) -> None:
     rng = np.random.default_rng(5)
     ledger = SparseInteractionLedger(N)
     ledger.record_many(*edge_traffic(graph, rng))
-    new = SparseClosenessComputer(graph, ledger, cfg)
+    new = two_hop(graph, ledger, cfg)
     ref = CsrCacheClosenessComputer(graph, ledger, cfg)
     pairs = probe_pairs(rng)
     assert np.any(pairs[0] == pairs[1])
@@ -195,14 +199,14 @@ def check_restore(graph: SocialGraph, cfg) -> None:
     ledger = SparseInteractionLedger(N)
     ledger.record_many(*edge_traffic(graph, rng))
     ref = CsrCacheClosenessComputer(graph, ledger, cfg)
-    new = SparseClosenessComputer(graph, ledger, cfg)
+    new = two_hop(graph, ledger, cfg)
     pairs = probe_pairs(rng)
     for rows in ([5], [7, 8, 9], [60, 61]):
         ledger.record_many(*edge_traffic(graph, rng, rows))
         assert_bitwise(new, ref, pairs)
-    from_ref = SparseClosenessComputer(graph, ledger, cfg)
+    from_ref = two_hop(graph, ledger, cfg)
     from_ref.restore_state(ref.state_dict())
-    from_new = SparseClosenessComputer(graph, ledger, cfg)
+    from_new = two_hop(graph, ledger, cfg)
     from_new.restore_state(new.state_dict())
     for restored in (from_ref, from_new):
         assert restored._t2_updates == new._t2_updates
@@ -216,73 +220,75 @@ def check_restore(graph: SocialGraph, cfg) -> None:
 class TestPatchCost:
     def test_patch_never_aligns_over_all_of_pu(self, monkeypatch):
         """A warm patch sums over the two-hop table: no SciPy sparse
-        product, no search of ``Pu``, and it writes and reassembles fewer
-        slots than a share of ``Pu`` that shrinks with the dirty rows."""
+        product, no rebuild, no search of ``Pu`` beyond the asked pairs,
+        and it moves fewer term slots than a share of ``Pu`` that shrinks
+        with the dirty rows."""
         rng = np.random.default_rng(3)
         graph = make_graph(3)
         ledger = SparseInteractionLedger(N)
         ledger.record_many(*edge_traffic(graph, rng))
-        cc = SparseClosenessComputer(graph, ledger, CONFIGS[0])
-        cc.matrix_csr()  # cold rebuild
+        cc = two_hop(graph, ledger, CONFIGS[0])
+        asked = (np.array([0, 1]), np.array([1, 2]))
+        cc.pair_values(*asked)  # cold rebuild
         pu = cc._pu_keys.size
 
-        products, located, aligned, written, assembled = [], [], [], [], []
+        products, located, searched, rebuilt, moved = [], [], [], [], []
         real_matmul = sparse.csr_matrix.__matmul__
-        real_locate, real_align, real_patch, real_assemble = (
-            sparse_module._locate, cc._align, cc._patch, cc._assemble
-        )
+        real_locate, real_slots = closeness_module._locate, cc._slots
+        real_patch = cc._patch_two_hop
         monkeypatch.setattr(
             sparse.csr_matrix,
             "__matmul__",
             lambda a, b: products.append(b) or real_matmul(a, b),
         )
         monkeypatch.setattr(
-            sparse_module,
+            closeness_module,
             "_locate",
             lambda hay, keys: located.append(keys.size) or real_locate(hay, keys),
         )
         monkeypatch.setattr(
-            cc, "_align", lambda mat: aligned.append(mat) or real_align(mat)
+            cc, "_slots", lambda i, j: searched.append(i.size) or real_slots(i, j)
         )
+        monkeypatch.setattr(cc, "_rebuild", lambda: rebuilt.append(True))
 
         def patch(dirty):
-            a_slots, t_slots = real_patch(dirty)
-            written.append(np.union1d(a_slots, t_slots).size)
-            return a_slots, t_slots
+            before = [term.copy() for term in (cc._a, cc._t1, cc._t2)]
+            real_patch(dirty)
+            after = (cc._a, cc._t1, cc._t2)
+            moved.append(
+                sum(np.count_nonzero(b != a) for b, a in zip(before, after))
+            )
 
-        monkeypatch.setattr(cc, "_patch", patch)
-        monkeypatch.setattr(
-            cc,
-            "_assemble",
-            lambda adj, common: assembled.append(adj.size + common.size)
-            or real_assemble(adj, common),
-        )
-        for rows, share in (([17], 0.05), (rng.choice(N, N // 10, replace=False), 0.5)):
-            written.clear()
-            assembled.clear()
+        monkeypatch.setattr(cc, "_patch_two_hop", patch)
+        # A member with a few friends, so its shares move.
+        member = next(v for v in range(1, N) if v % COMMUNITY and len(graph.friends(v)) >= 3)
+        for rows, share in (([member], 0.05), (rng.choice(N, N // 10, replace=False), 0.5)):
+            moved.clear()
             ledger.record_many(*edge_traffic(graph, rng, rows))
-            cc.pair_values(np.array([0, 1]), np.array([1, 2]))
+            cc.pair_values(*asked)
             assert cc._t2_updates >= 1  # took the patch path
-            assert products == [] and located == [] and aligned == []
-            assert len(written) == 1 and 0 < written[0] < share * pu
-            assert 0 < sum(assembled) < share * pu
+            assert products == [] and located == [] and rebuilt == []
+            assert searched[-1] == asked[0].size
+            assert len(moved) == 1 and 0 < moved[0] < share * pu
 
 
 class TestPathCache:
     @pytest.mark.parametrize(
-        "computer", [ClosenessComputer, SparseClosenessComputer]
+        "layout",
+        ["full", "two-hop"],
+        ids=["ClosenessComputer", "SparseClosenessComputer"],
     )
-    def test_paths_walked_once_until_invalidate(self, computer, monkeypatch):
+    def test_paths_walked_once_until_invalidate(self, layout, monkeypatch):
+        """Both layouts, the full one over the dense ledger and the
+        two-hop one over the sparse ledger (the ids name the classes each
+        case tested before the two were one)."""
+        force(monkeypatch, "gemm" if layout == "full" else "two-hop")
         graph = make_graph(4)
-        ledger = (
-            InteractionLedger(N)
-            if computer is ClosenessComputer
-            else SparseInteractionLedger(N)
-        )
+        ledger = InteractionLedger(N) if layout == "full" else SparseInteractionLedger(N)
         rng = np.random.default_rng(4)
         ledger.record_many(*edge_traffic(graph, rng))
         cfg = SocialTrustConfig()
-        cc = computer(graph, ledger, cfg)
+        cc = ClosenessComputer(graph, ledger, cfg)
         # 2 and 14 sit in bridged communities (1 -- 13), share no friend.
         i, j = 2, COMMUNITY + 2
         assert not graph.are_adjacent(i, j) and not graph.friends(i) & graph.friends(j)
@@ -301,7 +307,7 @@ class TestPathCache:
         second = cc.pair_values(np.array([i]), np.array([j]))[0]
         assert walks.count((i, j)) == 1
         assert second != first
-        assert second == computer(graph, ledger, cfg).pair_values(
+        assert second == ClosenessComputer(graph, ledger, cfg).pair_values(
             np.array([i]), np.array([j])
         )[0]
         walks.clear()

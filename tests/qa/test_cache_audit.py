@@ -5,6 +5,7 @@ import pytest
 
 from repro.api import build_scenario
 from repro.qa import assert_caches_consistent, audit_caches
+from tests.core.kernels import force
 
 
 @pytest.fixture(scope="module")
@@ -83,7 +84,12 @@ class TestChurnHeavyDrift:
     failure mode the T2 drift bug produced before the rebuild counter."""
 
     @pytest.mark.parametrize("backend", ["dense", "sparse"])
-    def test_drift_bounded_over_200_churn_steps(self, backend):
+    def test_drift_bounded_over_200_churn_steps(self, backend, monkeypatch):
+        # "sparse": the two-hop Ωc layout and the Ωs row dot products,
+        # forced (the spec's old backend switch selects nothing).
+        if backend == "sparse":
+            force(monkeypatch, "two-hop")
+            force(monkeypatch, "row-dots")
         scenario = build_scenario(
             seed=29,
             system="EigenTrust+SocialTrust",

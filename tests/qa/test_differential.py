@@ -5,11 +5,8 @@ import pytest
 
 from repro.qa import (
     BACKENDS,
-    BackendComparison,
     CellResult,
-    CoefficientDifferentialReport,
     DifferentialReport,
-    run_coefficient_differential,
     run_differential,
 )
 
@@ -71,54 +68,6 @@ class TestSubsetsAndErrors:
         )
         assert report.ok
         assert report.cells[0].reputations.shape == (16,)
-
-
-class TestCoefficientSweep:
-    """Dense vs sparse Ωc/Ωs backends across the full grid (tolerance mode)."""
-
-    @pytest.fixture(scope="class")
-    def report(self):
-        return run_coefficient_differential(seed=4, cycles=2)
-
-    def test_all_backends_agree(self, report):
-        assert report.ok, "\n".join(report.violations)
-
-    def test_covers_every_backend_and_engine(self, report):
-        cells = {(c.backend, c.engine) for c in report.comparisons}
-        assert cells == {(b, e) for b in BACKENDS for e in ("batched", "scalar")}
-
-    def test_bare_backends_bit_identical(self, report):
-        for cmp in report.comparisons:
-            if not cmp.wrapped:
-                assert cmp.max_abs_diff == 0.0, cmp.backend
-
-    def test_summary_reports_agreement(self, report):
-        text = report.summary()
-        assert "BACKENDS AGREE" in text
-        for backend in BACKENDS:
-            assert backend in text
-
-    def test_unknown_backend_rejected(self):
-        with pytest.raises(ValueError, match="unknown backend"):
-            run_coefficient_differential(backends=("eigentrust", "bitcoin"))
-
-    def test_violation_plumbing(self):
-        report = CoefficientDifferentialReport(
-            seed=0, cycles=2, rtol=1e-9, atol=1e-12
-        )
-        report.comparisons.append(
-            BackendComparison(
-                backend="eigentrust",
-                engine="batched",
-                system_name="x",
-                wrapped=True,
-                max_abs_diff=0.5,
-                violations=("reputations diverge",),
-            )
-        )
-        assert not report.ok
-        assert "eigentrust/batched" in report.violations[0]
-        assert "VIOLATIONS FOUND" in report.summary()
 
 
 class TestViolationPlumbing:

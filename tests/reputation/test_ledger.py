@@ -1,5 +1,6 @@
 """Tests for the per-interval rating ledger."""
 
+import numpy as np
 import pytest
 
 from repro.reputation.base import Rating
@@ -142,3 +143,35 @@ class TestRecordMany:
             ledger.record_many(
                 np.array([0]), np.array([1]), np.array([1.0]), np.array([1, 2])
             )
+
+
+class TestState:
+    def test_drained_interval_writes_no_arrays(self):
+        ledger = RatingLedger(4)
+        assert ledger.state_dict() == {"total_recorded": 0}
+        ledger.record_many(np.array([0, 1]), np.array([1, 2]), np.array([1.0, -1.0]))
+        ledger.drain()
+        assert ledger.state_dict() == {"total_recorded": 2}
+
+    def test_in_flight_interval_round_trips(self):
+        ledger = RatingLedger(4)
+        ledger.record_many(np.array([0, 3]), np.array([1, 2]), np.array([1.0, -1.0]), 2.0)
+        state = ledger.state_dict()
+        assert {"value_sum", "pos_counts", "neg_counts"} <= set(state)
+        resumed = RatingLedger(4)
+        resumed.restore_state(state)
+        want, got = ledger.drain(), resumed.drain()
+        for name in ("value_sum", "pos_counts", "neg_counts"):
+            assert np.array_equal(getattr(got, name), getattr(want, name))
+        assert np.array_equal(got.pair_keys(), want.pair_keys())
+        assert resumed.total_recorded == 4
+
+    def test_older_state_with_zero_arrays_loads(self):
+        zeros = np.zeros((4, 4))
+        resumed = RatingLedger(4)
+        resumed.restore_state(
+            {"value_sum": zeros, "pos_counts": zeros, "neg_counts": zeros, "total_recorded": 7}
+        )
+        assert resumed.state_dict() == {"total_recorded": 7}
+        resumed.record_many(np.array([2]), np.array([0]), np.array([1.0]))
+        assert resumed.drain().pos_counts[2, 0] == 1.0

@@ -127,9 +127,9 @@ class InteractionLedger:
         return out
 
     def share_pairs(self, raters: np.ndarray, ratees: np.ndarray) -> np.ndarray:
-        """Vectorised :meth:`share` over pair arrays — the lookup the sparse
-        coefficient backend uses so it never materialises the full share
-        matrix.  Memory is O(n + pairs): the row totals are gathered once,
+        """Vectorised :meth:`share` over pair arrays — the lookup the Ωc
+        computer's sparse-A and two-hop kernels use so they never
+        materialise the full share matrix.  Memory is O(n + pairs): the row totals are gathered once,
         never a count row per pair."""
         i = np.asarray(raters, dtype=np.int64)
         j = np.asarray(ratees, dtype=np.int64)
@@ -210,8 +210,8 @@ class SparseInteractionLedger:
 
     The public surface mirrors :class:`InteractionLedger` (including the
     version / dirty-row protocol the incremental Ωc caches key on), with
-    two additions the sparse coefficient backend uses directly:
-    :meth:`counts_csr` and :meth:`share_pairs`.  ``share_matrix`` /
+    two additions: :meth:`counts_csr`, and :meth:`share_pairs`, which the
+    Ωc computer's sparse kernels read.  ``share_matrix`` /
     ``counts_matrix`` densify and exist for small-n interop and tests —
     don't call them at 10^5 nodes.
     """

@@ -77,7 +77,7 @@ class TestKernels:
         closeness, similarity, config = social_stack
         detector = CollusionDetector(closeness, similarity, config)
         reputations = np.full(N, 1.0 / N)
-        rated = dense_interval.counts > 0
+        rated = np.flatnonzero(dense_interval.counts)
 
         def analyze():
             return detector.analyze(dense_interval, reputations, rated)

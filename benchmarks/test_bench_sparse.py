@@ -235,7 +235,7 @@ def _run_dense(world, graph, profiles):
     ni, nj, nc = world["neg"]
     np.add.at(interval.neg_counts, (ni, nj), nc)
     np.add.at(interval.value_sum, (ni, nj), -nc)
-    rated = interval.counts > 0
+    rated = np.flatnonzero(interval.counts)
     detector = CollusionDetector(
         ClosenessComputer(graph, ledger, cfg),
         SimilarityComputer(profiles, cfg),

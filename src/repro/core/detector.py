@@ -23,18 +23,18 @@ Per reputation-update interval the detector:
    the system-wide band for raters with too few rated peers — the AUTO
    centring policy).
 
-One pair-indexed kernel does all four steps.  Its inputs are the nonzero
-entries of the interval's rating-count matrices as sorted row-major pair
-keys ``i * n + j``, the flagged raters' rows of the cumulative rated mask
-as keys, and a gather of the recidivism history at the judged pairs.
-Behaviours, leave-one-out bands and damping are evaluated only over the
+One pair-indexed kernel does all four steps.  Every per-pair input is
+sorted row-major pair keys ``i * n + j``: the nonzero entries of the
+interval's rating-count matrices, the cumulative rated pairs (the
+flagged raters' rows are selected from them), and the recidivism history
+(keys plus counts, gathered at the judged pairs).  Behaviours,
+leave-one-out bands and damping are evaluated only over the
 frequency-flagged pairs (plus, for the bands, the flagged raters' rated
 neighbourhoods), so the analysis scales with the interval's pairs, not
-with ``n^2``.  :meth:`CollusionDetector.analyze` (dense ``n x n``
-arrays, read only at the interval's
-:meth:`~repro.reputation.base.IntervalRatings.pair_keys` and in the
-flagged raters' rows) and :meth:`CollusionDetector.analyze_sparse` (CSR
-inputs) only extract those inputs.
+with ``n^2``.  :meth:`CollusionDetector.analyze` gathers the counts at
+the interval's :meth:`~repro.reputation.base.IntervalRatings.pair_keys`
+and takes the history as keys; :meth:`CollusionDetector.analyze_sparse`
+converts CSR inputs to keys.
 """
 
 from __future__ import annotations
@@ -43,7 +43,7 @@ import enum
 from dataclasses import astuple, dataclass
 from functools import cached_property
 from itertools import repeat
-from typing import Callable, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 from scipy import sparse
@@ -158,9 +158,13 @@ class DetectionResult:
         return out
 
     @cached_property
+    def keys(self) -> np.ndarray:
+        """Sorted row-major keys ``i * n + j`` of the adjusted pairs."""
+        return self.pairs[:, 0] * np.int64(self.n_nodes) + self.pairs[:, 1]
+
+    @cached_property
     def _weight_by_key(self) -> dict[int, float]:
-        keys = self.pairs[:, 0] * np.int64(self.n_nodes) + self.pairs[:, 1]
-        return dict(zip(keys.tolist(), self.pair_weights.tolist()))
+        return dict(zip(self.keys.tolist(), self.pair_weights.tolist()))
 
     def weight(self, rater: int, ratee: int) -> float:
         """Weight of one rater→ratee pair without the dense view: a lookup
@@ -405,15 +409,14 @@ class CollusionDetector:
         self,
         interval: IntervalRatings,
         reputations: np.ndarray,
-        rated_mask: np.ndarray,
-        flag_counts: np.ndarray | None = None,
+        rated: np.ndarray,
+        flags: tuple[np.ndarray, np.ndarray] | None = None,
     ) -> DetectionResult:
-        """Analyse one interval given as dense ``n x n`` arrays.
+        """Analyse one interval against its pair-keyed history.
 
-        The inputs are read pair-keyed: the count matrices only at the
-        interval's :meth:`~repro.reputation.base.IntervalRatings.pair_keys`,
-        the rated mask only in the flagged raters' rows, and the flag
-        counts only at the judged pairs.  No ``n x n`` array is scanned.
+        The count matrices are read only at the interval's
+        :meth:`~repro.reputation.base.IntervalRatings.pair_keys`; no
+        ``n x n`` array is scanned.  Keys are row-major, ``i * n + j``.
 
         Parameters
         ----------
@@ -422,30 +425,28 @@ class CollusionDetector:
         reputations:
             Global reputation vector *before* this interval is ingested
             (behaviour B2 tests the ratee's current standing).
-        rated_mask:
-            Cumulative boolean matrix, ``rated_mask[i, j]`` true when ``i``
-            has rated ``j`` in any past interval.  The current interval is
-            unioned in before band computation ("the nodes that n_i has
-            rated").
-        flag_counts:
-            Number of *earlier* intervals each pair was flagged in; drives
-            the recidivism escalation.  ``None`` means no history.
+        rated:
+            Sorted keys of the pairs rated in any past interval.  The
+            current interval is unioned in before band computation ("the
+            nodes that n_i has rated").
+        flags:
+            ``(keys, counts)``: the sorted keys of the pairs flagged in
+            *earlier* intervals and how many intervals each was flagged
+            in; drives the recidivism escalation.  ``None`` means no
+            history.
         """
+        rated = np.asarray(rated, dtype=np.int64)
+        if rated.ndim != 1:
+            raise ValueError(
+                f"rated must be a 1-D array of pair keys, got shape {rated.shape}"
+            )
         keys = interval.pair_keys()
-        n = np.int64(self.n_nodes)
-
-        def rated_in(is_rater: np.ndarray) -> np.ndarray:
-            raters = np.flatnonzero(is_rater)
-            rows, cols = np.nonzero(np.asarray(rated_mask)[raters])
-            return raters[rows] * n + cols
-
         return self._analyze_pairs(
             _PairCounts.at(interval.pos_counts, keys),
             _PairCounts.at(interval.neg_counts, keys),
             reputations,
-            rated_in,
-            # ``take`` without an axis gathers flat keys.
-            None if flag_counts is None else np.asarray(flag_counts).take,
+            rated,
+            None if flags is None else _PairCounts(*map(np.asarray, flags)),
         )
 
     def analyze_sparse(
@@ -456,21 +457,19 @@ class CollusionDetector:
         rated: sparse.spmatrix,
         flag_counts: sparse.spmatrix | None = None,
     ) -> DetectionResult:
-        """Analyse one interval given as sparse matrices — :meth:`analyze`
-        over CSR inputs, without materialising any ``n x n`` array.
+        """:meth:`analyze` over CSR inputs: converts each to sorted pair
+        keys, without materialising any ``n x n`` array.
 
         ``pos_counts`` / ``neg_counts`` are the interval's rating-count
         matrices, ``rated`` the cumulative rated mask, ``flag_counts`` the
         recidivism history.
         """
-        rated_keys = _PairCounts.from_sparse(rated).keys
-        n = np.int64(self.n_nodes)
         return self._analyze_pairs(
             _PairCounts.from_sparse(pos_counts),
             _PairCounts.from_sparse(neg_counts),
             reputations,
-            lambda is_rater: rated_keys[is_rater[rated_keys // n]],
-            None if flag_counts is None else _PairCounts.from_sparse(flag_counts).gather,
+            _PairCounts.from_sparse(rated).keys,
+            None if flag_counts is None else _PairCounts.from_sparse(flag_counts),
         )
 
     def _analyze_pairs(
@@ -478,14 +477,13 @@ class CollusionDetector:
         pos: _PairCounts,
         neg: _PairCounts,
         reputations: np.ndarray,
-        rated_in: Callable[[np.ndarray], np.ndarray],
-        history: Callable[[np.ndarray], np.ndarray] | None,
+        rated: np.ndarray,
+        history: _PairCounts | None,
     ) -> DetectionResult:
         """The detector kernel over pair-keyed inputs (module docstring).
 
-        ``rated_in(is_rater)`` lists the sorted keys of the cumulative
-        rated pairs in the rows ``is_rater`` marks; ``history(keys)``
-        gathers the recidivism counts at ``keys``.
+        ``rated`` holds the sorted keys of the cumulative rated pairs,
+        ``history`` the recidivism counts.
         """
         n = self.n_nodes
         cfg = self._config
@@ -550,7 +548,7 @@ class CollusionDetector:
             sel = np.flatnonzero(adjust)
             exponent = self._band_exponent(
                 fi[sel], omega_c[sel], omega_s[sel],
-                active, act_i, observed_c, observed_s, rated_in,
+                active, act_i, observed_c, observed_s, rated,
             )
             # Clamp the exponent below the float64 underflow knee: a
             # degenerate band (spread at the floor) with a large deviation
@@ -568,7 +566,7 @@ class CollusionDetector:
             if history is not None and cfg.recidivism_decay < 1.0:
                 damping = damping * np.power(
                     cfg.recidivism_decay,
-                    history(keys[sel]).astype(np.float64, copy=False),
+                    history.gather(keys[sel]),
                 )
             weights[sel] = damping
         if obs is not None:
@@ -597,21 +595,22 @@ class CollusionDetector:
         act_i: np.ndarray,
         observed_c: np.ndarray,
         observed_s: np.ndarray,
-        rated_in: Callable[[np.ndarray], np.ndarray],
+        rated: np.ndarray,
     ) -> np.ndarray:
         """Eq. (9)'s Gaussian exponent for pairs of raters ``fi``.
 
         Each rater's band covers the nodes it has rated: its cumulative
-        rated pairs (``rated_in``) plus this interval's ``active``
-        partners, which always contain the judged ratee.  Active entries reuse their
-        observed coefficients; only the other rated pairs are looked up.
+        rated pairs (the keys in ``rated`` in its row) plus this
+        interval's ``active`` partners, which always contain the judged
+        ratee.  Active entries reuse their observed coefficients; only
+        the other rated pairs are looked up.
         """
         n = self.n_nodes
         cfg = self._config
         is_rater = np.zeros(n, dtype=bool)
         is_rater[fi] = True
         in_band = is_rater[act_i]
-        past = rated_in(is_rater)
+        past = rated[is_rater[rated // n]]
         past_i, past_j = np.divmod(
             np.setdiff1d(past, active, assume_unique=True), n
         )

@@ -154,10 +154,11 @@ class DistributedSocialTrust(SocialTrust):
             if self._ring is None:
                 # Failover needs a ring to agree on crash successors.
                 self._ring = ChordRing(manager_ids)
-        #: Weights applied in the previous interval — what a Byzantine
-        #: manager in ``"stale"`` mode replays for its rows.  Only kept
-        #: under a fault injector (None otherwise).
-        self._last_weights: np.ndarray | None = None
+        #: Weights applied in the previous interval as sorted pair keys
+        #: and their weights (1.0 elsewhere) — what a Byzantine manager in
+        #: ``"stale"`` mode replays for its rows.  Only kept under a fault
+        #: injector (None otherwise).
+        self._last_weights: tuple[np.ndarray, np.ndarray] | None = None
 
     @property
     def name(self) -> str:
@@ -331,11 +332,13 @@ class DistributedSocialTrust(SocialTrust):
 
     def _corrupt_byzantine_rows(
         self,
+        keys: np.ndarray,
         weights: np.ndarray,
         interval: IntervalRatings,
         serving: dict[int, int | None],
-    ) -> None:
-        """Overwrite the rows served by Byzantine managers in place.
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """The applied weights with the rows served by Byzantine managers
+        overwritten.
 
         A Byzantine manager keeps answering the protocol but lies about
         the damping weights for its nodes' outgoing ratings:
@@ -345,42 +348,44 @@ class DistributedSocialTrust(SocialTrust):
         """
         injector = self._injector
         assert injector is not None  # fault path only
-        bad = injector.byzantine_managers() & set(self._managers)
-        if not bad:
-            return
-        mode = injector.config.byzantine_mode
-        neutral = self._config.neutral_damping
-        corrupted_rows = 0
-        for mid in sorted(bad):
+        lying = np.zeros(self.n_nodes, dtype=bool)
+        for mid in sorted(injector.byzantine_managers() & set(self._managers)):
             manager = self._managers[mid]
-            if not manager.managed or serving.get(mid) != mid:
-                continue
-            rows = sorted(manager.managed)
-            if mode == "suppress":
-                weights[rows, :] = 1.0
-            elif mode == "stale":
-                if self._last_weights is not None:
-                    weights[rows, :] = self._last_weights[rows, :]
-                else:
-                    weights[rows, :] = 1.0
-            else:  # "corrupt"
-                sub = weights[rows, :]
-                sub[interval.counts[rows, :] > 0] = neutral
-                weights[rows, :] = sub
-            corrupted_rows += len(rows)
-        if corrupted_rows:
-            injector.metrics.record_byzantine_corruption(corrupted_rows)
+            if manager.managed and serving.get(mid) == mid:
+                lying[list(manager.managed)] = True
+        corrupted_rows = int(np.count_nonzero(lying))
+        if not corrupted_rows:
+            return keys, weights
+        injector.metrics.record_byzantine_corruption(corrupted_rows)
+        honest = ~lying[keys // self.n_nodes]
+        keys, weights = keys[honest], weights[honest]
+        mode = injector.config.byzantine_mode
+        if mode == "stale" and self._last_weights is not None:
+            last_keys, last_weights = self._last_weights
+            replay = lying[last_keys // self.n_nodes]
+            lie_keys, lie_weights = last_keys[replay], last_weights[replay]
+        elif mode == "corrupt":
+            rated = interval.pair_keys()
+            lie_keys = rated[lying[rated // self.n_nodes]]
+            lie_weights = np.full(lie_keys.size, self._config.neutral_damping)
+        else:  # "suppress", or "stale" with nothing to replay
+            return keys, weights
+        # The lying rows' keys and the honest rows' keys are disjoint.
+        keys = np.concatenate([keys, lie_keys])
+        order = np.argsort(keys, kind="stable")
+        return keys[order], np.concatenate([weights, lie_weights])[order]
 
     def _failover_weights(
         self, result: DetectionResult, interval: IntervalRatings
-    ) -> np.ndarray:
+    ) -> tuple[np.ndarray, np.ndarray]:
         """Compose the damping weights the managers actually apply under
         a fault injector (fault-free, :meth:`_adjust` applies the
-        detector's weights directly).
+        detector's weights directly), as sorted pair keys and their
+        weights; every other pair keeps weight 1.0.
 
         Each rater-side manager applies the detector's adjustment to its
-        own nodes' outgoing ratings, and the row slices compose the full
-        matrix.  A down manager's rows are applied by its
+        own nodes' outgoing ratings, and the row slices compose the
+        detector's weights.  A down manager's rows are applied by its
         ring successor (same numbers — the judgement is deterministic
         given the social information), counted as reassignments, and each
         suspected cross-manager pair walks the explicit
@@ -409,31 +414,28 @@ class DistributedSocialTrust(SocialTrust):
         assert injector is not None  # the fault-free path never gets here
         metrics = injector.metrics
         neutral = self._config.neutral_damping
-        all_down = all(mid is None for mid in serving.values())
-        if all_down:
-            weights = np.ones_like(result.weights)
+        keys = result.keys
+        if all(mid is None for mid in serving.values()):
+            weights = np.full(keys.size, neutral)
             for finding in result.findings:
-                weights[finding.rater, finding.ratee] = neutral
                 metrics.record_fallback()
                 self._audit_degradation(
                     finding, "degraded_neutral", neutral, interval, result
                 )
-            self._last_weights = weights.copy()
-            return weights
-        # Every node has a home manager, so the row slices the managers
-        # apply compose exactly the detector's matrix.
-        weights = result.weights.copy()
+            self._last_weights = (keys, weights)
+            return keys, weights
+        weights = result.pair_weights.copy()
         for home, manager in self._managers.items():
             if manager.managed and serving[home] != home:
                 metrics.record_reassignment(len(manager.managed))
         transport = injector.transport
-        for finding in result.findings:
+        for t, finding in enumerate(result.findings):
             rater_mgr = serving[int(self._assignment[finding.rater])]
             ratee_mgr = serving[int(self._assignment[finding.ratee])]
             if rater_mgr == ratee_mgr and rater_mgr is not None:
                 continue  # social information is local to the manager
             if rater_mgr is None or ratee_mgr is None:
-                weights[finding.rater, finding.ratee] = neutral
+                weights[t] = neutral
                 metrics.record_fallback()
                 self._audit_degradation(
                     finding, "degraded_neutral", neutral, interval, result
@@ -446,7 +448,7 @@ class DistributedSocialTrust(SocialTrust):
             ):
                 # Tier 4: provably unreachable until the partition heals —
                 # defer the judgement instead of damping on local evidence.
-                weights[finding.rater, finding.ratee] = 1.0
+                weights[t] = 1.0
                 metrics.record_partition_block()
                 self._audit_degradation(finding, "skipped", 1.0, interval, result)
                 continue
@@ -462,38 +464,37 @@ class DistributedSocialTrust(SocialTrust):
                 self._managers[replica].record_message("info_response")
                 continue
             # Tier 3: neutral damping.
-            weights[finding.rater, finding.ratee] = neutral
+            weights[t] = neutral
             metrics.record_fallback()
             self._audit_degradation(
                 finding, "degraded_neutral", neutral, interval, result
             )
-        self._corrupt_byzantine_rows(weights, interval, serving)
-        self._last_weights = weights.copy()
-        return weights
+        keys, weights = self._corrupt_byzantine_rows(keys, weights, interval, serving)
+        self._last_weights = (keys, weights)
+        return keys, weights
 
     def _adjust(
         self, interval: IntervalRatings, result: DetectionResult
     ) -> IntervalRatings:
         """The manager protocol: charge the rating reports, compose the
         weights the managers actually apply (:meth:`_failover_weights`)
-        and scale the interval by them.
+        and scale the interval at their pairs.
 
         With no fault injector every manager serves its own nodes and
         every round trip is delivered, so the managers apply exactly the
         detector's weights: the hook charges the messages and scales the
         flagged pairs as the centralised wrapper does.
         """
-        fault_free = self._injector is None
         self._account_rating_reports(interval, self._serving_managers())
         with self._tracer.span("manager.failover_weights"):
-            if fault_free:
+            if self._injector is None:
                 self._account_info_round_trips(result)
+                keys, weights = result.keys, result.pair_weights
             else:
-                weights = self._failover_weights(result, interval)
+                keys, weights = self._failover_weights(result, interval)
         self._publish_manager_metrics()
-        if fault_free:
-            return super()._adjust(interval, result)
-        return interval.scaled(weights)
+        raters, ratees = np.divmod(keys, self.n_nodes)
+        return interval.scaled_pairs(raters, ratees, weights)
 
     def _account_info_round_trips(self, result: DetectionResult) -> None:
         """Fault-free tier 1: each suspected pair whose rater and ratee
@@ -539,11 +540,13 @@ class DistributedSocialTrust(SocialTrust):
 
     def state_dict(self) -> dict:
         """:class:`SocialTrust`'s state plus the previous interval's
-        applied weights and the per-manager message counters."""
+        applied weights (pair keys and weights) and the per-manager
+        message counters."""
         state = super().state_dict()
-        state["last_weights"] = (
-            None if self._last_weights is None else self._last_weights.copy()
-        )
+        state["last_weights"] = None
+        if self._last_weights is not None:
+            keys, weights = self._last_weights
+            state["last_weights"] = {"keys": keys.copy(), "weights": weights.copy()}
         state["messages"] = [
             [mid, dict(manager.messages_sent)]
             for mid, manager in sorted(self._managers.items())
@@ -553,9 +556,17 @@ class DistributedSocialTrust(SocialTrust):
     def restore_state(self, state: dict) -> None:
         super().restore_state(state)
         lw = state["last_weights"]
-        self._last_weights = (
-            None if lw is None else np.asarray(lw, dtype=np.float64).copy()
-        )
+        if lw is None:
+            self._last_weights = None
+        elif isinstance(lw, dict):
+            self._last_weights = (
+                np.asarray(lw["keys"], dtype=np.int64).copy(),
+                np.asarray(lw["weights"], dtype=np.float64).copy(),
+            )
+        else:  # older checkpoints: a dense n x n weight matrix
+            dense = np.asarray(lw, dtype=np.float64).ravel()
+            keys = np.flatnonzero(dense != 1.0)
+            self._last_weights = (keys, dense[keys])
         for manager in self._managers.values():
             manager.messages_sent.clear()
         for mid, counts in state["messages"]:

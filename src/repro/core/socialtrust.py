@@ -19,6 +19,7 @@ from repro.core.config import SocialTrustConfig
 from repro.core.detector import (
     CollusionDetector,
     DetectionResult,
+    _merge_sorted,
     detected_pair_weight,
 )
 from repro.core.similarity import SimilarityComputer
@@ -82,9 +83,17 @@ class SocialTrust(ReputationSystem):
             self._closeness, self._similarity, self._config,
             observability=observability,
         )
-        self._rated_mask = np.zeros((inner.n_nodes, inner.n_nodes), dtype=bool)
-        self._flag_counts = np.zeros((inner.n_nodes, inner.n_nodes), dtype=np.int64)
         self._last_result: DetectionResult | None = None
+        self._clear_history()
+
+    def _clear_history(self) -> None:
+        """Empty the per-pair history, kept as sorted row-major keys
+        ``i * n + j``: the off-diagonal pairs rated in any past interval,
+        and the pairs flagged in any past interval with the number of
+        intervals each was flagged in."""
+        self._rated = np.empty(0, dtype=np.int64)
+        self._flag_keys = np.empty(0, dtype=np.int64)
+        self._flag_hits = np.empty(0, dtype=np.int64)
 
     @property
     def name(self) -> str:
@@ -115,14 +124,21 @@ class SocialTrust(ReputationSystem):
         self._check_interval(interval)
         with self._tracer.span("detector.analyze") as span:
             result = self._detector.analyze(
-                interval, self._inner.reputations, self._rated_mask,
-                self._flag_counts,
+                interval, self._inner.reputations, self._rated,
+                (self._flag_keys, self._flag_hits),
             )
             span.set("findings", result.n_adjusted)
         self._last_result = result
-        np.put(self._rated_mask, interval.pair_keys(), True)
-        np.fill_diagonal(self._rated_mask, False)
-        self._flag_counts[result.pairs[:, 0], result.pairs[:, 1]] += 1
+        # Union the interval's pairs into the rated set and count its
+        # adjusted pairs into the flag history, both as sorted keys.
+        keys = interval.pair_keys()
+        rows, cols = np.divmod(keys, self.n_nodes)
+        self._rated = _merge_sorted(self._rated, keys[rows != cols])
+        merged = _merge_sorted(self._flag_keys, result.keys)
+        hits = np.zeros(merged.size, dtype=np.int64)
+        hits[np.searchsorted(merged, self._flag_keys)] = self._flag_hits
+        hits[np.searchsorted(merged, result.keys)] += 1
+        self._flag_keys, self._flag_hits = merged, hits
         adjusted = self._adjust(interval, result)
         with self._tracer.span("reputation.inner_update", system=self._inner.name):
             return self._inner.update(adjusted)
@@ -151,25 +167,28 @@ class SocialTrust(ReputationSystem):
 
     @property
     def flag_counts(self) -> np.ndarray:
-        """Read-only per-pair count of intervals each pair was flagged in."""
-        view = self._flag_counts.view()
-        view.flags.writeable = False
-        return view
+        """Read-only per-pair count of intervals each pair was flagged in,
+        as a dense ``n x n`` array built on each read."""
+        n = self.n_nodes
+        out = np.zeros(n * n, dtype=np.int64)
+        out[self._flag_keys] = self._flag_hits
+        out = out.reshape(n, n)
+        out.flags.writeable = False
+        return out
 
     def reset(self) -> None:
         self._inner.reset()
         self._detector.reset()
-        self._rated_mask[:] = False
-        self._flag_counts[:] = 0
+        self._clear_history()
         self._last_result = None
 
     # -- checkpointing -------------------------------------------------------
 
     def state_dict(self) -> dict:
         """Inner system, detector interval counter and last result
-        (what :meth:`pair_weight` answers from), recidivism bookkeeping,
-        and the Ωc/Ωs value caches (whose incremental updates are not
-        bitwise equal to a fresh rebuild)."""
+        (what :meth:`pair_weight` answers from), the rated and flagged
+        pairs as sorted keys, and the Ωc/Ωs value caches (whose
+        incremental updates are not bitwise equal to a fresh rebuild)."""
         return {
             "inner": self._inner.state_dict(),
             "detector": self._detector.state_dict(),
@@ -178,8 +197,8 @@ class SocialTrust(ReputationSystem):
                 if self._last_result is None
                 else self._last_result.state_dict()
             ),
-            "rated_mask": self._rated_mask.copy(),
-            "flag_counts": self._flag_counts.copy(),
+            "rated": self._rated.copy(),
+            "flags": {"keys": self._flag_keys.copy(), "hits": self._flag_hits.copy()},
             "closeness": self._closeness.state_dict(),
             "similarity": self._similarity.state_dict(),
         }
@@ -187,8 +206,16 @@ class SocialTrust(ReputationSystem):
     def restore_state(self, state: dict) -> None:
         self._inner.restore_state(state["inner"])
         self._detector.restore_state(state["detector"])
-        self._rated_mask = np.asarray(state["rated_mask"], dtype=bool).copy()
-        self._flag_counts = np.asarray(state["flag_counts"], dtype=np.int64).copy()
+        if "rated" in state:
+            self._rated = np.asarray(state["rated"], dtype=np.int64).copy()
+            flags = state["flags"]
+            self._flag_keys = np.asarray(flags["keys"], dtype=np.int64).copy()
+            self._flag_hits = np.asarray(flags["hits"], dtype=np.int64).copy()
+        else:  # older checkpoints: dense n x n mask and counts
+            self._rated = np.flatnonzero(state["rated_mask"])
+            counts = np.asarray(state["flag_counts"], dtype=np.int64).ravel()
+            self._flag_keys = np.flatnonzero(counts)
+            self._flag_hits = counts[self._flag_keys]
         last = state.get("last_detection")  # absent from older checkpoints
         self._last_result = (
             None if last is None else DetectionResult.from_state(last, self.n_nodes)

@@ -102,9 +102,8 @@ class InteractionLedger:
     def row_totals(self) -> np.ndarray:
         """Per-node total outgoing interaction counts, shape ``(n,)``.
 
-        Parity with :meth:`SparseInteractionLedger.row_totals`, so
-        consumers (the service's flood instrumentation, reports) can take
-        either ledger flavour.
+        Parity with :meth:`SparseInteractionLedger.row_totals`;
+        :meth:`share_pairs` gathers its denominators from it.
         """
         return self._counts.sum(axis=1)
 
@@ -146,10 +145,6 @@ class InteractionLedger:
         view = self._counts.view()
         view.flags.writeable = False
         return view
-
-    def counts_csr(self) -> sparse.csr_matrix:
-        """CSR copy of the count matrix (interop with the sparse backend)."""
-        return sparse.csr_matrix(self._counts)
 
     def decay_nodes(self, nodes: np.ndarray, factor: float) -> None:
         """Age out ``nodes``'s rows and columns by multiplying with ``factor``.
@@ -209,11 +204,10 @@ class SparseInteractionLedger:
     CSR on the next read.
 
     The public surface mirrors :class:`InteractionLedger` (including the
-    version / dirty-row protocol the incremental Ωc caches key on), with
-    two additions: :meth:`counts_csr`, and :meth:`share_pairs`, which the
-    Ωc computer's sparse kernels read.  ``share_matrix`` /
-    ``counts_matrix`` densify and exist for small-n interop and tests —
-    don't call them at 10^5 nodes.
+    version / dirty-row protocol the incremental Ωc caches key on and
+    :meth:`share_pairs`, which the Ωc computer's kernels read).
+    ``share_matrix`` / ``counts_matrix`` densify and exist for small-n
+    interop and tests — don't call them at 10^5 nodes.
     """
 
     def __init__(self, n_nodes: int) -> None:
@@ -313,24 +307,9 @@ class SparseInteractionLedger:
             return 0.0
         return float(self._compact()[i, j] / total)
 
-    def counts_csr(self) -> sparse.csr_matrix:
-        """The compacted CSR count matrix (a copy; mutations don't leak)."""
-        return self._compact().copy()
-
     def row_totals(self) -> np.ndarray:
         """Per-node total outgoing interaction counts, shape ``(n,)``."""
         return np.asarray(self._compact().sum(axis=1)).ravel()
-
-    def share_csr(self) -> sparse.csr_matrix:
-        """Row-normalised CSR copy of the counts (rows with no data stay 0)."""
-        csr = self._compact().copy()
-        totals = np.asarray(csr.sum(axis=1)).ravel()
-        row_ids = np.repeat(np.arange(self._n), np.diff(csr.indptr))
-        scale = np.divide(
-            1.0, totals, out=np.zeros_like(totals), where=totals > 0
-        )
-        csr.data *= scale[row_ids]
-        return csr
 
     def share_pairs(self, raters: np.ndarray, ratees: np.ndarray) -> np.ndarray:
         """Vectorised :meth:`share` over pair arrays (CSR sampling)."""
@@ -349,8 +328,16 @@ class SparseInteractionLedger:
         )
 
     def share_matrix(self) -> np.ndarray:
-        """Dense row-normalised counts — small-n interop/tests only."""
-        return self.share_csr().toarray()
+        """Dense row-normalised counts (rows with no data stay 0) —
+        small-n interop/tests only."""
+        csr = self._compact().copy()
+        totals = np.asarray(csr.sum(axis=1)).ravel()
+        row_ids = np.repeat(np.arange(self._n), np.diff(csr.indptr))
+        scale = np.divide(
+            1.0, totals, out=np.zeros_like(totals), where=totals > 0
+        )
+        csr.data *= scale[row_ids]
+        return csr.toarray()
 
     def counts_matrix(self) -> np.ndarray:
         """Dense copy of the counts — small-n interop/tests only."""

@@ -187,18 +187,30 @@ def _kill_and_resume_trace(build, seed, total_cycles, kill_at, tmp_path):
 
 class TestKillAndResume:
     """Acceptance criterion: a resumed run is bit-identical to an
-    uninterrupted one — pinned with a strict golden-trace diff.  The
-    checkpoint is taken at cycle 2, *inside* the partition window, so the
-    restored injector state (partition side, Byzantine flags, schedule
-    position) is exercised, not just the simulator arrays."""
+    uninterrupted one — pinned with a strict golden-trace diff.  The chaos
+    run's checkpoint is taken at cycle 3, *inside* the Byzantine window,
+    so the restored injector state (Byzantine flags, schedule position)
+    and the managers' last applied weights, which a ``"stale"`` manager
+    replays, are exercised, not just the simulator arrays."""
 
-    def test_chaos_run_bit_identical(self, tmp_path):
-        reference_sim = build_scenario(seed=3, **BUILD).world.simulation
+    @pytest.mark.parametrize("mode", ["suppress", "stale", "corrupt"])
+    def test_chaos_run_bit_identical(self, mode, tmp_path):
+        build = dict(BUILD, faults={"byzantine_mode": mode})
+        reference_sim = build_scenario(seed=7, **build).world.simulation
         reference = record_cycles(reference_sim, 6)
         assert reference_sim.metrics.faults.partition_blocks > 0
         assert reference_sim.metrics.faults.byzantine_corruptions > 0
+        if mode == "stale":
+            # Seed 7 damps a pair in the Byzantine rows before the window,
+            # so the replay differs from suppression and a checkpoint that
+            # lost the applied weights would show.
+            suppress = dict(BUILD, faults={"byzantine_mode": "suppress"})
+            suppressed = record_cycles(
+                build_scenario(seed=7, **suppress).world.simulation, 6
+            )
+            assert not diff_traces(reference, suppressed, mode="strict").ok
 
-        resumed = _kill_and_resume_trace(BUILD, 3, 6, 2, tmp_path)
+        resumed = _kill_and_resume_trace(build, 7, 6, 3, tmp_path)
         diff = diff_traces(reference, resumed, mode="strict")
         assert diff.ok, diff.report()
 

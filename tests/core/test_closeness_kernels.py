@@ -284,8 +284,9 @@ def test_patches_after_sparse_rebuild_stay_within_audit_bound(wide_world, kernel
 @pytest.mark.parametrize("kernel", CLOSENESS_KERNELS)
 def test_service_resume_is_bitwise_on_every_kernel(kernel, monkeypatch, tmp_path):
     """A mid-stream snapshot resumes to the uninterrupted history, and one
-    taken right after a watermark carries no Ωc terms, Ωs numerator or
-    drained-interval arrays: the restore rebuilds them from its stores."""
+    taken right after a watermark carries no Ωc terms, Ωs numerator,
+    drained-interval arrays or dense rated/flag history: the restore
+    rebuilds the first three from its stores, and the history is keys."""
     from repro.chaos.checkpoint import load_checkpoint
 
     force(monkeypatch, kernel)
@@ -311,6 +312,36 @@ def test_service_resume_is_bitwise_on_every_kernel(kernel, monkeypatch, tmp_path
     assert system["closeness"]["t2_updates"] == 0
     assert system["similarity"]["numer"] is None
     assert set(state["simulation"]["ledger"]) == {"total_recorded"}
+    assert not {"rated_mask", "flag_counts"} & set(system)
     resumed = ReputationService.from_checkpoint(tmp_path / "w.ck")
     resumed.serve_events(recorded.events[watermark:])
     assert np.array_equal(resumed.history, uninterrupted.history)
+
+
+def test_service_resume_from_dense_history_is_bitwise(tmp_path):
+    """A snapshot in the older format, whose rated pairs and flag counts
+    are dense n x n arrays, resumes to the uninterrupted history."""
+    from repro.chaos.checkpoint import load_checkpoint
+
+    recorded = record_scenario_events(small_spec())
+    uninterrupted = ReputationService(recorded.spec)
+    uninterrupted.serve_events(recorded.events)
+    split = recorded.n_events * 2 // 3
+    first = ReputationService(recorded.spec)
+    first.serve_events(recorded.events[:split])
+    _, state = load_checkpoint(first.save_snapshot(tmp_path / "s.ck"))
+    system = state["simulation"]["system"]
+    n = recorded.spec.world["n_nodes"]
+    rated, flags = system.pop("rated"), system.pop("flags")
+    assert rated.size and flags["keys"].size
+    rated_mask = np.zeros(n * n, dtype=bool)
+    rated_mask[rated] = True
+    flag_counts = np.zeros(n * n, dtype=np.int64)
+    flag_counts[flags["keys"]] = flags["hits"]
+    system["rated_mask"] = rated_mask.reshape(n, n)
+    system["flag_counts"] = flag_counts.reshape(n, n)
+    resumed = ReputationService(recorded.spec)
+    resumed.restore(state)
+    resumed.serve_events(recorded.events[split:])
+    assert np.array_equal(resumed.history, uninterrupted.history)
+    assert np.array_equal(resumed.reputations, uninterrupted.reputations)

@@ -81,14 +81,14 @@ class TestFrequencyGate:
     def test_no_flag_below_threshold(self):
         detector, _ = build_detector()
         iv = interval_with(background_ratings())
-        result = detector.analyze(iv, np.zeros(N), np.zeros((N, N), dtype=bool))
+        result = detector.analyze(iv, np.zeros(N), np.empty(0, dtype=np.int64))
         assert result.n_adjusted == 0
         assert np.all(result.weights == 1.0)
 
     def test_flag_above_threshold(self):
         detector, _ = build_detector()
         iv = interval_with(background_ratings() + [(0, 1, 1.0, 40)])
-        result = detector.analyze(iv, np.zeros(N), np.zeros((N, N), dtype=bool))
+        result = detector.analyze(iv, np.zeros(N), np.empty(0, dtype=np.int64))
         pairs = {(f.rater, f.ratee) for f in result.findings}
         assert (0, 1) in pairs
 
@@ -96,14 +96,14 @@ class TestFrequencyGate:
         cfg = SocialTrustConfig(theta=3.0)
         detector, _ = build_detector(cfg)
         iv = interval_with(background_ratings())
-        result = detector.analyze(iv, np.zeros(N), np.zeros((N, N), dtype=bool))
+        result = detector.analyze(iv, np.zeros(N), np.empty(0, dtype=np.int64))
         # Mean positive frequency is 2 -> threshold 6.
         assert result.thresholds.pos_frequency == pytest.approx(6.0)
 
     def test_empty_interval_all_ones(self):
         detector, _ = build_detector()
         result = detector.analyze(
-            IntervalRatings(N), np.zeros(N), np.zeros((N, N), dtype=bool)
+            IntervalRatings(N), np.zeros(N), np.empty(0, dtype=np.int64)
         )
         assert np.all(result.weights == 1.0)
         assert result.findings == ()
@@ -114,7 +114,7 @@ class TestBehaviourReasons:
         detector, _ = build_detector()
         iv = interval_with(background_ratings() + extra)
         reps = reputations if reputations is not None else np.zeros(N)
-        return detector.analyze(iv, reps, np.zeros((N, N), dtype=bool))
+        return detector.analyze(iv, reps, np.empty(0, dtype=np.int64))
 
     def test_b2_high_closeness_low_reputed_ratee(self):
         result = self._analyze([(0, 1, 1.0, 40)])
@@ -159,13 +159,13 @@ class TestDamping:
     def test_flagged_pair_weight_below_one(self):
         detector, _ = build_detector()
         iv = interval_with(background_ratings() + [(0, 1, 1.0, 40)])
-        result = detector.analyze(iv, np.zeros(N), np.zeros((N, N), dtype=bool))
+        result = detector.analyze(iv, np.zeros(N), np.empty(0, dtype=np.int64))
         assert result.weights[0, 1] < 1.0
 
     def test_unflagged_pairs_untouched(self):
         detector, _ = build_detector()
         iv = interval_with(background_ratings() + [(0, 1, 1.0, 40)])
-        result = detector.analyze(iv, np.zeros(N), np.zeros((N, N), dtype=bool))
+        result = detector.analyze(iv, np.zeros(N), np.empty(0, dtype=np.int64))
         flagged = {(f.rater, f.ratee) for f in result.findings}
         for i in range(N):
             for j in range(N):
@@ -181,7 +181,7 @@ class TestDamping:
         """
         detector, _ = build_detector()
         iv = interval_with(background_ratings() + [(0, 1, 1.0, 40), (1, 0, 1.0, 40)])
-        result = detector.analyze(iv, np.zeros(N), np.zeros((N, N), dtype=bool))
+        result = detector.analyze(iv, np.zeros(N), np.empty(0, dtype=np.int64))
         assert result.weights[0, 1] < 0.5
 
     def test_weights_in_unit_interval(self):
@@ -189,7 +189,7 @@ class TestDamping:
         iv = interval_with(
             background_ratings() + [(0, 1, 1.0, 40), (2, 3, -1.0, 40)]
         )
-        result = detector.analyze(iv, np.zeros(N), np.zeros((N, N), dtype=bool))
+        result = detector.analyze(iv, np.zeros(N), np.empty(0, dtype=np.int64))
         assert np.all(result.weights > 0.0)
         assert np.all(result.weights <= 1.0)
 
@@ -205,7 +205,7 @@ class TestDamping:
         )
         detector, _ = build_detector(cfg)
         iv = interval_with(background_ratings() + [(0, 1, 1.0, 40)])
-        result = detector.analyze(iv, np.zeros(N), np.zeros((N, N), dtype=bool))
+        result = detector.analyze(iv, np.zeros(N), np.empty(0, dtype=np.int64))
         assert result.weights[0, 1] <= 0.5
 
 
@@ -221,7 +221,7 @@ class TestAblations:
         )
         detector, _ = build_detector(cfg)
         iv = interval_with(background_ratings() + [(2, 3, -1.0, 40)])
-        result = detector.analyze(iv, np.zeros(N), np.zeros((N, N), dtype=bool))
+        result = detector.analyze(iv, np.zeros(N), np.empty(0, dtype=np.int64))
         assert not any(f.reasons & SuspicionReason.B4 for f in result.findings)
 
     def test_similarity_only_skips_b1_b2(self):
@@ -235,7 +235,7 @@ class TestAblations:
         )
         detector, _ = build_detector(cfg)
         iv = interval_with(background_ratings() + [(0, 1, 1.0, 40)])
-        result = detector.analyze(iv, np.zeros(N), np.zeros((N, N), dtype=bool))
+        result = detector.analyze(iv, np.zeros(N), np.empty(0, dtype=np.int64))
         for f in result.findings:
             assert not (f.reasons & (SuspicionReason.B1 | SuspicionReason.B2))
 
@@ -253,14 +253,14 @@ class TestCentering:
         )
         detector, _ = build_detector(cfg)
         iv = interval_with(background_ratings() + [(0, 1, 1.0, 40)])
-        result = detector.analyze(iv, np.zeros(N), np.zeros((N, N), dtype=bool))
+        result = detector.analyze(iv, np.zeros(N), np.empty(0, dtype=np.int64))
         assert result.weights[0, 1] < 1.0
 
     def test_derived_percentile_band_thresholds(self):
         cfg = SocialTrustConfig(pos_frequency_threshold=10.0)
         detector, _ = build_detector(cfg)
         iv = interval_with(background_ratings() + [(0, 1, 1.0, 40)])
-        result = detector.analyze(iv, np.zeros(N), np.zeros((N, N), dtype=bool))
+        result = detector.analyze(iv, np.zeros(N), np.empty(0, dtype=np.int64))
         t = result.thresholds
         assert t.closeness_low <= t.closeness_high
         assert t.similarity_low <= t.similarity_high
@@ -294,10 +294,8 @@ class TestPairKeyedInputs:
         scanned = interval_with(rows)
         assert keyed._pair_keys is not None and scanned._pair_keys is None
         reputations = np.full(N, 1.0 / N)
-        rated = np.zeros((N, N), dtype=bool)
-        rated[2, 4] = rated[0, 6] = True
-        flags = np.zeros((N, N), dtype=np.int64)
-        flags[0, 1] = 2
+        rated = np.array([0 * N + 6, 2 * N + 4])
+        flags = (np.array([0 * N + 1]), np.array([2]))
         results = []
         for interval in (keyed, scanned):
             det, _ = build_detector()

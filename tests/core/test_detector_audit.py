@@ -66,9 +66,8 @@ def run_detector(backend, intervals=1, max_audit_events=100_000):
     interval = make_interval(rng)
     reputations = np.full(N, 1.0 / N)
     reputations[3] = 0.0  # one low-reputed ratee, so TR fires somewhere
-    rated = interval.counts > 0
-    flag_counts = np.zeros((N, N))
-    flag_counts[0, 1] = 2.0
+    rated = np.flatnonzero(interval.counts)
+    flags = (np.array([0 * N + 1]), np.array([2.0]))
     cfg = SocialTrustConfig()
     dense = backend == "dense"
     closeness = closeness_with("full" if dense else "two-hop", network, ledger, cfg)
@@ -76,7 +75,7 @@ def run_detector(backend, intervals=1, max_audit_events=100_000):
     obs = Observability(tracing=False, max_audit_events=max_audit_events)
     detector = CollusionDetector(closeness, similarity, cfg, observability=obs)
     for _ in range(intervals):
-        result = detector.analyze(interval, reputations, rated, flag_counts)
+        result = detector.analyze(interval, reputations, rated, flags)
     return obs, result, interval, reputations, closeness, similarity
 
 

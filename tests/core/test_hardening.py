@@ -101,7 +101,7 @@ class TestFrequencyCap:
     def test_cap_bounds_weight_by_frequency_ratio(self):
         detector, config = make_uniform_detector()
         iv = flood_interval(count=100)
-        result = detector.analyze(iv, np.zeros(N), np.zeros((N, N), dtype=bool))
+        result = detector.analyze(iv, np.zeros(N), np.empty(0, dtype=np.int64))
         # pos_counts[0, 1] = 102, threshold 10 -> cap <= 10/102; the
         # neutral Gaussian contributes weight 1.
         assert result.weights[0, 1] == pytest.approx(10.0 / 102.0)
@@ -109,17 +109,17 @@ class TestFrequencyCap:
     def test_cap_scales_with_excess(self):
         detector, _ = make_uniform_detector()
         mild = detector.analyze(
-            flood_interval(count=20), np.zeros(N), np.zeros((N, N), dtype=bool)
+            flood_interval(count=20), np.zeros(N), np.empty(0, dtype=np.int64)
         )
         heavy = detector.analyze(
-            flood_interval(count=200), np.zeros(N), np.zeros((N, N), dtype=bool)
+            flood_interval(count=200), np.zeros(N), np.empty(0, dtype=np.int64)
         )
         assert heavy.weights[0, 1] < mild.weights[0, 1]
 
     def test_cap_disabled(self):
         uncapped, _ = make_uniform_detector(cap_flagged_frequency=False)
         iv = flood_interval(count=200)
-        w = uncapped.analyze(iv, np.zeros(N), np.zeros((N, N), dtype=bool)).weights[
+        w = uncapped.analyze(iv, np.zeros(N), np.empty(0, dtype=np.int64)).weights[
             0, 1
         ]
         # Without the cap the neutral Gaussian leaves the weight at ~1.
@@ -128,7 +128,7 @@ class TestFrequencyCap:
     def test_unflagged_pairs_not_capped(self):
         detector, _ = make_uniform_detector()
         result = detector.analyze(
-            flood_interval(), np.zeros(N), np.zeros((N, N), dtype=bool)
+            flood_interval(), np.zeros(N), np.empty(0, dtype=np.int64)
         )
         assert result.weights[2, 3] == 1.0
 
@@ -138,23 +138,21 @@ class TestRecidivism:
         detector, _ = make_detector()
         iv = flood_interval()
         no_history = detector.analyze(
-            iv, np.zeros(N), np.zeros((N, N), dtype=bool)
+            iv, np.zeros(N), np.empty(0, dtype=np.int64)
         ).weights[0, 1]
-        history = np.zeros((N, N), dtype=np.int64)
-        history[0, 1] = 3
+        history = (np.array([0 * N + 1]), np.array([3]))
         with_history = detector.analyze(
-            iv, np.zeros(N), np.zeros((N, N), dtype=bool), history
+            iv, np.zeros(N), np.empty(0, dtype=np.int64), history
         ).weights[0, 1]
         assert with_history == pytest.approx(no_history * 0.5**3)
 
     def test_decay_one_disables(self):
         detector, _ = make_detector(recidivism_decay=1.0)
         iv = flood_interval()
-        history = np.zeros((N, N), dtype=np.int64)
-        history[0, 1] = 5
-        a = detector.analyze(iv, np.zeros(N), np.zeros((N, N), dtype=bool)).weights[0, 1]
+        history = (np.array([0 * N + 1]), np.array([5]))
+        a = detector.analyze(iv, np.zeros(N), np.empty(0, dtype=np.int64)).weights[0, 1]
         b = detector.analyze(
-            iv, np.zeros(N), np.zeros((N, N), dtype=bool), history
+            iv, np.zeros(N), np.empty(0, dtype=np.int64), history
         ).weights[0, 1]
         assert a == pytest.approx(b)
 

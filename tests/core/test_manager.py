@@ -130,9 +130,8 @@ class TestOneSocialTrust:
         _, distributed, interactions = build_pair()
         distributed.update(collusion_interval(interactions))
         assert set(distributed.state_dict()) == {
-            "inner", "detector", "last_detection", "rated_mask",
-            "flag_counts", "last_weights", "messages", "closeness",
-            "similarity",
+            "inner", "detector", "last_detection", "rated", "flags",
+            "last_weights", "messages", "closeness", "similarity",
         }
 
 
@@ -545,3 +544,142 @@ class TestFailover:
                 assignment=[5] * N,
                 ring=ChordRing(range(3)),
             )
+
+
+def capture_ingested(system):
+    """Record a copy of every ``value_sum`` the inner system ingests."""
+    seen = []
+    update = system.inner.update
+
+    def recording_update(interval):
+        seen.append(interval.value_sum.copy())
+        return update(interval)
+
+    system.inner.update = recording_update
+    return seen
+
+
+def mixed_interval(rng, interactions):
+    """A random interval (about 60 % of the pairs rated) plus the
+    colluders' mutual high-frequency ratings."""
+    iv = random_interval(rng, interactions)
+    for a, b in [(0, 1), (1, 0)]:
+        for _ in range(50):
+            iv.add(Rating(a, b, 1.0))
+        interactions.record(a, b, 50)
+    return iv
+
+
+class TestAppliedWeights:
+    """The interval the inner system ingests under manager faults, against
+    a dense weight matrix built here the way the protocol describes it."""
+
+    @pytest.mark.parametrize("mode", ["suppress", "stale", "corrupt"])
+    def test_byzantine_rows_match_dense_reference(self, mode):
+        # Two managers, alternating: manager 0 serves the even nodes
+        # (colluder 0 among them) and lies from the second interval on.
+        distributed, injector, interactions, _ = build_faulty(
+            n_managers=2,
+            faults=FaultConfig(byzantine_mode=mode),
+            assignment=[i % 2 for i in range(N)],
+        )
+        ingested = capture_ingested(distributed)
+        neutral = distributed.config.neutral_damping
+        rows = sorted(distributed.manager_of(0).managed)
+        rng = spawn_rng(5, 1)
+        last = None
+        lied = 0
+        for step in range(4):
+            if step == 1:
+                injector.make_byzantine(0)
+            iv = mixed_interval(rng, interactions)
+            distributed.update(iv)
+            result = distributed.last_detection
+            assert result.n_adjusted
+            weights = result.weights.copy()
+            if step >= 1:
+                if mode == "suppress":
+                    weights[rows, :] = 1.0
+                elif mode == "stale":
+                    weights[rows, :] = last[rows, :]
+                else:
+                    sub = weights[rows, :]
+                    sub[iv.counts[rows, :] > 0] = neutral
+                    weights[rows, :] = sub
+                lied += not np.array_equal(
+                    iv.value_sum * weights, iv.value_sum * result.weights
+                )
+            assert np.array_equal(ingested[-1], iv.value_sum * weights)
+            last = weights
+        assert lied == 3
+        assert injector.metrics.byzantine_corruptions == 3 * len(rows)
+
+    def test_stale_without_history_applies_no_damping(self):
+        distributed, injector, interactions, _ = build_faulty(
+            n_managers=2,
+            faults=FaultConfig(byzantine_mode="stale"),
+            assignment=[i % 2 for i in range(N)],
+        )
+        ingested = capture_ingested(distributed)
+        injector.make_byzantine(0)
+        iv = mixed_interval(spawn_rng(5, 1), interactions)
+        distributed.update(iv)
+        weights = distributed.last_detection.weights.copy()
+        weights[sorted(distributed.manager_of(0).managed), :] = 1.0
+        assert np.array_equal(ingested[-1], iv.value_sum * weights)
+
+    def test_all_managers_down_applies_neutral_at_every_finding(self):
+        distributed, injector, interactions, _ = build_faulty(
+            n_managers=2, faults=FaultConfig(byzantine_mode="corrupt")
+        )
+        ingested = capture_ingested(distributed)
+        rng = spawn_rng(5, 1)
+        distributed.update(mixed_interval(rng, interactions))
+        for manager in distributed.managers:
+            injector.fail_manager(manager.manager_id)
+        # A Byzantine manager that is down serves no rows.
+        injector.make_byzantine(distributed.managers[0].manager_id)
+        iv = mixed_interval(rng, interactions)
+        distributed.update(iv)
+        result = distributed.last_detection
+        assert result.n_adjusted
+        weights = np.ones((N, N))
+        weights[result.pairs[:, 0], result.pairs[:, 1]] = (
+            distributed.config.neutral_damping
+        )
+        assert np.array_equal(ingested[-1], iv.value_sum * weights)
+        assert injector.metrics.byzantine_corruptions == 0
+
+    def test_lost_round_trips_apply_neutral_at_cross_manager_findings(self):
+        lossy = FaultConfig(message_loss_rate=1.0, max_retries=0)
+        distributed, injector, interactions, _ = build_faulty(
+            n_managers=2, faults=lossy, assignment=[i % 2 for i in range(N)]
+        )
+        ingested = capture_ingested(distributed)
+        iv = mixed_interval(spawn_rng(5, 1), interactions)
+        distributed.update(iv)
+        result = distributed.last_detection
+        weights = result.weights.copy()
+        cross = [(i, j) for i, j in result.pairs.tolist() if i % 2 != j % 2]
+        assert cross
+        for i, j in cross:
+            weights[i, j] = distributed.config.neutral_damping
+        assert np.array_equal(ingested[-1], iv.value_sum * weights)
+        assert injector.metrics.fallbacks == len(cross)
+
+    def test_partition_skips_cross_side_findings(self):
+        distributed, injector, interactions, _ = build_faulty(
+            n_managers=2, assignment=[i % 2 for i in range(N)]
+        )
+        ingested = capture_ingested(distributed)
+        # Managers 0 and 1 are hosted on peers 0 and 1: opposite sides.
+        injector.start_partition(np.arange(N) % 2 == 0)
+        iv = mixed_interval(spawn_rng(5, 1), interactions)
+        distributed.update(iv)
+        result = distributed.last_detection
+        weights = result.weights.copy()
+        cross = [(i, j) for i, j in result.pairs.tolist() if i % 2 != j % 2]
+        assert cross
+        for i, j in cross:
+            weights[i, j] = 1.0
+        assert np.array_equal(ingested[-1], iv.value_sum * weights)

@@ -302,7 +302,9 @@ class TestSparseDetector:
         rated = interval.counts > 0
         flag_counts = np.zeros((N, N))
         flag_counts[0, 1] = 2.0
-        want = dense_det.analyze(interval, reputations, rated, flag_counts)
+        rated_keys = np.flatnonzero(rated)
+        flags = (np.flatnonzero(flag_counts), flag_counts[flag_counts != 0])
+        want = dense_det.analyze(interval, reputations, rated_keys, flags)
         assert want.findings, "scenario must actually flag pairs"
         csr_inputs = (
             sparse.csr_matrix(interval.pos_counts),
@@ -312,7 +314,7 @@ class TestSparseDetector:
             sparse.csr_matrix(flag_counts),
         )
         for got in (
-            sparse_det.analyze(interval, reputations, rated, flag_counts),
+            sparse_det.analyze(interval, reputations, rated_keys, flags),
             sparse_det.analyze_sparse(*csr_inputs),
             dense_det.analyze_sparse(*csr_inputs),
         ):
@@ -386,7 +388,7 @@ class TestSparseDetector:
             interval = IntervalRatings(N)
             interval.pos_counts[0, 1] = 1.0  # below threshold: no flags
             result = det.analyze(
-                interval, np.full(N, 1.0 / N), interval.counts > 0
+                interval, np.full(N, 1.0 / N), np.flatnonzero(interval.counts)
             )
             assert not result.findings
             assert result.thresholds.closeness_low == 0.2
@@ -398,7 +400,7 @@ class TestSparseDetector:
         _, sparse_det, rng = self._detectors(14)
         interval = IntervalRatings(N)
         result = sparse_det.analyze(
-            interval, np.full(N, 1.0 / N), interval.counts > 0
+            interval, np.full(N, 1.0 / N), np.flatnonzero(interval.counts)
         )
         assert not result.findings
         assert result.thresholds.closeness_low == 0.0

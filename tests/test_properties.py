@@ -75,7 +75,7 @@ class TestDetectorInvariants:
         )
         iv = build_interval(entries)
         result = detector.analyze(
-            iv, np.full(N, 1.0 / N), np.zeros((N, N), dtype=bool)
+            iv, np.full(N, 1.0 / N), np.empty(0, dtype=np.int64)
         )
         assert np.all(result.weights > 0.0)
         assert np.all(result.weights <= 1.0)
@@ -93,7 +93,7 @@ class TestDetectorInvariants:
         )
         iv = build_interval(entries)
         result = detector.analyze(
-            iv, np.full(N, 1.0 / N), np.zeros((N, N), dtype=bool)
+            iv, np.full(N, 1.0 / N), np.empty(0, dtype=np.int64)
         )
         adjusted = iv.scaled(result.weights)
         assert np.all(np.abs(adjusted.value_sum) <= np.abs(iv.value_sum) + 1e-12)
@@ -110,7 +110,7 @@ class TestDetectorInvariants:
         )
         iv = build_interval(entries)
         result = detector.analyze(
-            iv, np.full(N, 1.0 / N), np.zeros((N, N), dtype=bool)
+            iv, np.full(N, 1.0 / N), np.empty(0, dtype=np.int64)
         )
         flagged = {(f.rater, f.ratee) for f in result.findings}
         off = np.argwhere(result.weights < 1.0)

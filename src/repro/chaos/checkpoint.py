@@ -37,8 +37,17 @@ __all__ = [
     "resume_scenario",
 ]
 
-#: Bumped whenever the checkpoint layout changes incompatibly.
-CHECKPOINT_FORMAT_VERSION = 1
+#: The layout :func:`save_checkpoint` writes, bumped whenever a build
+#: that reads the previous layout could not restore the new one.  Version
+#: 2 holds SocialTrust's rated pairs and flag history as sorted pair keys
+#: and names the Ωc kernel that built the cached terms; a build that reads
+#: only version 1 refuses it with a clean error instead of failing
+#: mid-restore.
+CHECKPOINT_FORMAT_VERSION = 2
+
+#: Every layout :func:`load_checkpoint` reads: version 1 (dense rated and
+#: flag history, Ωc terms without their kernel) still restores.
+_READABLE_FORMAT_VERSIONS = (1, 2)
 
 
 def encode_state(value: Any) -> Any:
@@ -166,10 +175,10 @@ def load_checkpoint(path: Path | str) -> tuple[dict[str, Any], dict[str, Any]]:
     if header.get("type") != "header":
         raise ValueError(f"{path}: first line is not a checkpoint header")
     version = header.get("format_version")
-    if version != CHECKPOINT_FORMAT_VERSION:
+    if type(version) is not int or version not in _READABLE_FORMAT_VERSIONS:
         raise ValueError(
-            f"{path}: format version {version!r} != supported "
-            f"{CHECKPOINT_FORMAT_VERSION}"
+            f"{path}: format version {version!r} is not supported; this "
+            f"build reads versions {', '.join(map(str, _READABLE_FORMAT_VERSIONS))}"
         )
     payload = json.loads(lines[1])
     if payload.get("type") != "state":

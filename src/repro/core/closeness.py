@@ -28,10 +28,12 @@ Cached terms.  With ``A`` the adjacent-closeness matrix (zero off the
 adjacency) and ``F`` the 0/1 adjacency, Eq. (3) for every pair at once is
 ``(T1 + T2) / 2`` with ``T1 = A @ F`` and ``T2 = F @ A``, taken at the
 non-adjacent pairs with a common friend (and divided by their count under
-``MEAN``).  ``A``, ``T1`` and ``T2`` are cached as flat float64 arrays
-aligned to one static union pattern ``Pu``, with each slot's adjacency
-flag and common-friend count beside them; ``pair_values`` reads a pair's
-slot and applies that formula, and walks the path fallback for the rare
+``MEAN``).  Each pair has a slot in one static union pattern ``Pu``, with
+the slot's adjacency flag and common-friend count; ``A``, ``T1`` and
+``T2`` are cached as flat float64 arrays aligned to ``Pu``, except under
+the full layout's pair kernel, which sums ``T1`` and ``T2`` at the asked
+pairs.  ``pair_values`` reads or sums a pair's terms, applies that
+formula, and walks the path fallback for the rare
 connected pairs with no value on ``Pu``.  The relationship factors come
 from the view's ``relationship_factors()`` CSR (its pattern is the
 adjacency), built once; call :meth:`~ClosenessComputer.invalidate_cache`
@@ -40,14 +42,20 @@ after mutating relationships.
 The layout of ``Pu`` follows the world (``_full_layout_fits``):
 
 * **full**: ``Pu`` is the whole row-major ``n x n`` matrix, so a pair's
-  slot is ``i * n + j`` with no search.  A full rebuild takes one of two
+  slot is ``i * n + j`` with no search.  A refresh takes one of two
   kernels, chosen by a measured rule on the node count and ``A``'s nonzero
-  count (``_sparse_kernel_fits``): two BLAS GEMMs over the dense ``A``
-  (the seed path, bit for bit), or ``A`` gathered at the adjacent pairs
-  with nonzero counts into a CSR and ``T1 = A @ F``,
-  ``T2 = (Aᵀ @ F)ᵀ`` as CSR x dense products.  A patch recomputes the
-  dirty rows of ``A`` and ``T1`` exactly and adds the low-rank correction
-  ``F[:, D] @ ΔA[D]`` to ``T2``.
+  count (``_sparse_kernel_fits``).  The GEMM kernel (the seed path, bit
+  for bit) caches the dense ``A``, ``T1`` and ``T2`` from two BLAS GEMMs;
+  a patch recomputes the dirty rows of ``A`` and ``T1`` exactly and adds
+  the low-rank correction ``F[:, D] @ ΔA[D]`` to ``T2``.  The pair kernel
+  caches ``A`` alone, gathered at the adjacent pairs with nonzero counts:
+  its sorted keys, a CSR (values and row pointers) and a column-ordered
+  copy, ``O(nnz A)``.  ``pair_values`` reads ``A`` at adjacent pairs and
+  sums ``T1[i, j] = Σ_d A[i, d] F[d, j]`` over row ``i``'s entries and
+  ``T2[i, j] = Σ_d F[i, d] A[d, j]`` over column ``j``'s at the asked
+  pairs only, in bounded chunks.  ``A`` is a pure function of the
+  ledger, so this kernel rebuilds on every ledger change and never
+  patches: it holds no ``n x n`` term and has no drift.
 * **two-hop**: ``Pu = pattern(F @ F) ∪ pattern(F)``, searched by sorted
   row-major key.  The structure build lists every path ``i ~ d ~ j`` once,
   with the ``Pu`` slot of ``(i, j)``, grouped by the ``F`` entry ``(i, d)``
@@ -61,22 +69,24 @@ The layout of ``Pu`` follows the world (``_full_layout_fits``):
   adds the low-rank correction as one bincount over the dirty centres'
   paths.  It makes no SciPy product and no search of ``Pu``.
 
-``F`` holds 0/1, so every product term is exact, and the sparse-A kernel
-sums each entry's terms in ascending common friend, the two-hop table's
-order: a full-layout world that takes it has the two-hop layout's bits.
-How BLAS orders the same sums depends on the size: at n=200 (the
-``paper`` world) it sums in ascending order too and all three kernels
-agree bitwise; at other sizes the GEMMs may differ in the last bits (on
-``serve`` by up to 5e-15 in ``T1``/``T2`` and 2e-17 in Ωc).  The full
-layout's GEMM kernel reads the ledger's ``share_matrix`` and the other two
-its ``share_pairs``; both divide each count by its row total, except over
-the sparse ledger, whose ``share_matrix`` scales by the reciprocal total.
+``F`` holds 0/1, so every product term is exact, and the pair kernel sums
+each pair's terms by ``np.bincount`` in ascending common friend from 0.0,
+the two-hop table's order (and SciPy's CSR x dense order): a full-layout
+world that takes it has the two-hop layout's bits.  How BLAS orders the
+same sums depends on the size: at n=200 (the ``paper`` world) it sums in
+ascending order too and all three kernels agree bitwise; at other sizes
+the GEMMs may differ in the last bits (on ``serve`` by up to 5e-15 in
+``T1``/``T2`` and 2e-17 in Ωc).  The full layout's GEMM kernel reads the
+ledger's ``share_matrix`` and the other two its ``share_pairs``; both
+divide each count by its row total, except over the sparse ledger, whose
+``share_matrix`` scales by the reciprocal total.
 
-The terms are keyed on the interaction ledger's mutation version.  A cold
-cache, more than ``n / 2`` dirty rows (the normal case between reputation
-intervals, where a rebuild is faster than the correction), or
-``SocialTrustConfig.cache_rebuild_interval`` consecutive corrections
-rebuild in full.  The low-rank correction is exact in exact arithmetic but
+The terms are keyed on the interaction ledger's mutation version.  The
+GEMM and two-hop kernels rebuild in full on a cold cache, more than
+``n / 2`` dirty rows (the normal case between reputation intervals, where
+a rebuild is faster than the correction), or
+``SocialTrustConfig.cache_rebuild_interval`` consecutive corrections, and
+patch otherwise.  The low-rank correction is exact in exact arithmetic but
 not bitwise, so that counter pins its float drift to what
 ``cache_rebuild_interval`` applications can accumulate (the
 ``cache_audit`` regression test asserts the bound).  The band summaries
@@ -120,25 +130,38 @@ __all__ = ["ClosenessComputer"]
 #: ``sparse_1e4`` at 0.006 (two-hop).
 _FULL_LAYOUT_MIN_PATHS = 1.0
 
-#: The full layout's rebuild kernel rule.  Two dense GEMMs cost n^3
-#: whatever the fill; CSR x dense costs about nnz(A) * n, plus the gather
-#: of ``A`` and a fixed ~0.1 ms of CSR set-up.  Measured per rebuild
-#: (gather included) with one BLAS thread on a 2-core VM, in ms, as
-#: "GEMMs | sparse-A at A's fill":
+#: The full layout's kernel rule.  The GEMM kernel costs n^3 per rebuild
+#: whatever the fill, and a cheap read; the pair kernel costs nnz(A) to
+#: rebuild, about 2 * nnz(A) / n gathered entries per asked pair, and a
+#: fixed ~0.7 ms of SciPy set-up.  Measured per interval (a rebuild of
+#: every row, then a read of 20 random asked pairs per node, about what
+#: ``serve`` asks) with one BLAS thread on a 2-core VM on the paper's
+#: social network, in ms, as "GEMMs | pairs at A's fill":
 #:
-#:   n=60    0.065     | 0.16 at 2 %, 0.18 at 7 %, 0.26 at 26 %
-#:   n=100   0.17      | 0.19 at 1 %, 0.25 at 4 %, 0.29 at 8 %
-#:   n=150   0.40-0.56 | 0.29 at 0.7 %, 0.25 at 3 %, 0.37 at 5 %, 0.83 at 11 %
-#:   n=200   1.0-1.2   | 0.41 at 0.5 %, 0.62 at 2 %, 0.81 at 4 %, 1.28 at 8 %
-#:   n=300   3.7-3.9   | 0.85 at 0.3 %, 1.75 at 3 %, 2.82 at 5 %, 4.9 at 11 %
-#:   n=1000  90-100    | 17 at 0.3 %, 45 at 2 %, 71 at 4 %, 88 at 6 %, 120 at 10 %
+#:   n=100   0.30      | 0.96 at 1 %, 1.12 at 5 %, 1.36 at 12 %
+#:   n=150   0.75      | 1.27 at 1.3 %, 1.61 at 5 %, 3.31 at 12 %
+#:   n=160   0.85      | 1.17 at 1.2 %, 1.33 at 3 %, 1.49 at 5 %
+#:   n=176   1.40      | 1.19 at 1.1 %, 1.41 at 2.8 %, 1.68 at 5 %
+#:   n=200   1.9-2.0   | 1.32 at 1 %, 1.80 at 3 %, 2.07 at 5 %, 3.69 at 8 %
+#:   n=300   3.0-3.9   | 1.41 at 1 %, 1.97 at 3 %, 2.51 at 5 %, 4.80 at 8 %
+#:   n=600   20-24     | 3.4 at 0.5 %, 8.3 at 4 %, 13.4 at 8 %, 18.7 at 12 %
+#:   n=1000  81-106    | 9.9 at 0.5 %, 15 at 2 %, 33 at 4-6 %, 39 at 8 %, 56 at 12 %
 #:
-#: So the sparse kernel loses below ~128 nodes at any fill and wins above
-#: at fills up to about 5 %.  On the ``paper`` world (n=200, A 1.7-5.6 %
-#: full over its first cycles) it took 0.45-0.87 ms against the GEMMs'
-#: 0.85-1.20 ms.
-_SPARSE_MIN_NODES = 128
+#: So the pair kernel loses below ~168 nodes at any fill (the GEMMs' cost
+#: steps up between 160 and 176 nodes) and wins above at fills up to
+#: about 5 % at n=200-300; the bound is kept there, where it decides the
+#: ``paper`` world (n=200, A 1.7-5.6 % full over its first cycles, then
+#: the GEMMs), and is conservative for larger worlds, where the pair
+#: kernel still wins at 12 % (``serve`` stays at 0.6-4 %).
+_SPARSE_MIN_NODES = 168
 _SPARSE_MAX_FILL = 1 / 20
+
+#: The pair kernel sums Eq. (3) over chunks of asked pairs, each gathering
+#: at most about this many of ``A``'s entries (~50 bytes of temporaries
+#: apiece), and :meth:`ClosenessComputer.closeness_matrix` asks for at most
+#: about ``_PAIR_CHUNK`` pairs at a time.
+_GATHER_CHUNK = 1 << 17
+_PAIR_CHUNK = 1 << 16
 
 
 def _full_layout_fits(n_nodes: int, paths: int) -> bool:
@@ -149,8 +172,8 @@ def _full_layout_fits(n_nodes: int, paths: int) -> bool:
 
 def _sparse_kernel_fits(n_nodes: int, nnz: int) -> bool:
     """Whether a full-layout rebuild over ``n_nodes`` nodes, whose adjacent
-    closeness matrix ``A`` has ``nnz`` possible nonzeros, takes the
-    sparse-A kernel (see the constants above)."""
+    closeness matrix ``A`` has ``nnz`` possible nonzeros, takes the pair
+    kernel (see the constants above)."""
     return n_nodes > _SPARSE_MIN_NODES and nnz <= _SPARSE_MAX_FILL * n_nodes * n_nodes
 
 
@@ -248,16 +271,27 @@ class ClosenessComputer(PairBands):
         self._drop_value_cache()
 
     def _drop_value_cache(self) -> None:
-        # A, T1 and T2 aligned to Pu, keyed on the interaction ledger's
-        # mutation version, and the matrix assembled from them (None until
-        # asked for).
-        self._a: np.ndarray | None = None
-        self._t1: np.ndarray | None = None
-        self._t2: np.ndarray | None = None
+        # The kernel that built the cached terms ("gemm", "pairs" or
+        # "two-hop"; None while cold), the terms, keyed on the interaction
+        # ledger's mutation version, and the matrix assembled from them
+        # (None until asked for).
+        self._kernel: str | None = None
+        self._drop_terms()
         self._cached_matrix: np.ndarray | None = None
         self._cached_version = -1
         # Consecutive low-rank T2 corrections since the last exact rebuild.
         self._t2_updates = 0
+
+    def _drop_terms(self) -> None:
+        # GEMM and two-hop kernels: A, T1 and T2 aligned to Pu.
+        self._a: np.ndarray | None = None
+        self._t1: np.ndarray | None = None
+        self._t2: np.ndarray | None = None
+        # Pair kernel: A alone, as its sorted row-major keys, a CSR and
+        # a column-ordered copy (the CSR of A's transpose).
+        self._a_keys: np.ndarray | None = None
+        self._a_rows: sparse.csr_matrix | None = None
+        self._a_cols: sparse.csr_matrix | None = None
 
     @property
     def n_nodes(self) -> int:
@@ -426,18 +460,19 @@ class ClosenessComputer(PairBands):
     # -- cached terms -------------------------------------------------------------
 
     def _refresh(self) -> None:
-        """Bring ``A``, ``T1`` and ``T2`` to the interaction ledger's
-        version: nothing when it has not moved; a patch of the dirty rows;
-        a full exact rebuild for a cold cache, a mostly-dirty ledger or a
-        full drift budget (see the module docstring).  Moving the terms
-        drops the assembled matrix."""
+        """Bring the cached terms to the interaction ledger's version:
+        nothing when it has not moved; a patch of the dirty rows; a full
+        exact rebuild for a cold cache, the pair kernel (whose rebuild is
+        ``A`` alone), a mostly-dirty ledger or a full drift budget (see
+        the module docstring).  Moving the terms drops the assembled
+        matrix."""
         self._structure()
         version = self._interactions.version
-        if self._a is not None and self._cached_version == version:
+        if self._kernel is not None and self._cached_version == version:
             return
         dirty = (
             self._interactions.rows_changed_since(self._cached_version)
-            if self._a is not None
+            if self._kernel in ("gemm", "two-hop")
             else None
         )
         if (
@@ -463,19 +498,29 @@ class ClosenessComputer(PairBands):
         self._cached_version = version
 
     def _rebuild(self) -> None:
-        """Exact ``A``, ``T1`` and ``T2`` by the kernel the layout and the
-        rule pick; worlds too small for the sparse-A kernel skip its
-        gather."""
+        """Exact terms by the kernel the layout and the rule pick; worlds
+        too small for the pair kernel skip its gather."""
+        self._drop_terms()
         if self._pu_keys is not None:
+            self._kernel = "two-hop"
             self._rebuild_two_hop()
             return
-        n = self.n_nodes
-        if n > _SPARSE_MIN_NODES:
-            keys = self._adjacent_interaction_keys()
-            if _sparse_kernel_fits(n, keys.size):
-                self._rebuild_sparse(keys)
-                return
+        keys = self._pair_kernel_keys()
+        if keys is not None:
+            self._kernel = "pairs"
+            self._rebuild_pairs(keys)
+            return
+        self._kernel = "gemm"
         self._rebuild_dense()
+
+    def _pair_kernel_keys(self) -> np.ndarray | None:
+        """``A``'s possible nonzeros when the full layout's rule picks the
+        pair kernel for the ledger as it stands, else None."""
+        n = self.n_nodes
+        if n <= _SPARSE_MIN_NODES:
+            return None
+        keys = self._adjacent_interaction_keys()
+        return keys if _sparse_kernel_fits(n, keys.size) else None
 
     def _adjacent_interaction_keys(self) -> np.ndarray:
         """Row-major keys ``i * n + j`` of ``A``'s possible nonzeros: the
@@ -493,9 +538,9 @@ class ClosenessComputer(PairBands):
         self._t1 = (adj_close @ self._adj_float).ravel()
         self._t2 = (self._adj_float @ adj_close).ravel()
 
-    def _rebuild_sparse(self, keys: np.ndarray) -> None:
-        """Full layout: ``A`` as a CSR over ``keys``; ``T1`` and ``T2`` as
-        CSR x dense products.
+    def _rebuild_pairs(self, keys: np.ndarray) -> None:
+        """Full layout, pair kernel: ``A`` over ``keys`` as a CSR and its
+        column-ordered copy; ``T1`` and ``T2`` are summed when read.
 
         ``A``'s entries are ``factor * share``; on the dense ledger that
         is also the GEMM kernel's bits (the same division by the row
@@ -504,14 +549,11 @@ class ClosenessComputer(PairBands):
         n = self.n_nodes
         rows, cols = np.divmod(keys, n)
         data = self._rel_factors.ravel()[keys] * self._interactions.share_pairs(rows, cols)
-        self._a = np.zeros(n * n, dtype=np.float64)
-        self._a[keys] = data
         indptr = np.searchsorted(keys, np.arange(0, n * n + 1, n, dtype=np.int64))
-        a = sparse.csr_matrix((data, cols, indptr), shape=(n, n))
-        self._t1 = np.ravel(a @ self._adj_float)
-        # F is symmetric, so F @ A = (A^T @ F)^T, and ``a.T`` is A's CSC
-        # with no copy; the flat layout wants it row-major.
-        self._t2 = np.ascontiguousarray((a.T @ self._adj_float).T).ravel()
+        self._a_keys = keys
+        self._a_rows = sparse.csr_matrix((data, cols, indptr), shape=(n, n))
+        # SciPy's conversion lists each column's entries in ascending row.
+        self._a_cols = self._a_rows.T.tocsr()
 
     def _rebuild_two_hop(self) -> None:
         """Two-hop layout: ``A`` at the adjacency slots, ``T1`` and ``T2``
@@ -534,8 +576,8 @@ class ClosenessComputer(PairBands):
         )
 
     def _patch_full(self, dirty: np.ndarray) -> None:
-        """Full layout: the dirty rows of ``A`` and ``T1`` recomputed
-        exactly, and ``T2`` corrected by ``F[:, D] @ ΔA[D]``."""
+        """Full layout, GEMM kernel: the dirty rows of ``A`` and ``T1``
+        recomputed exactly, and ``T2`` corrected by ``F[:, D] @ ΔA[D]``."""
         n = self.n_nodes
         a, t1, t2 = (x.reshape(n, n) for x in (self._a, self._t1, self._t2))
         shares = self._interactions.share_matrix()
@@ -608,11 +650,15 @@ class ClosenessComputer(PairBands):
         slot = self._slots(i, j)
         adj = self._slot_adj[slot]
         common = self._slot_common[slot]
-        eq3 = 0.5 * (self._t1[slot] + self._t2[slot])
+        out = np.zeros(slot.size, dtype=np.float64)
+        at = np.flatnonzero(adj)
+        out[at] = self._adjacent_at(slot[at])
+        at = np.flatnonzero(~adj & (common > 0) & (i != j))
+        t1, t2 = self._eq3_terms_at(slot[at], i[at], j[at])
+        eq3 = 0.5 * (t1 + t2)
         if self._config.common_friend_aggregate is CommonFriendAggregate.MEAN:
-            eq3 = np.divide(eq3, common, out=np.zeros_like(eq3), where=common > 0)
-        out = np.where(adj, self._a[slot], np.where(common > 0, eq3, 0.0))
-        out[i == j] = 0.0
+            eq3 /= common[at]
+        out[at] = eq3
         # No Eq. (2)/(3) value: non-adjacent without a common friend.
         walk = np.flatnonzero(~adj & (common == 0) & (i != j))
         if walk.size and self._pu_keys is None:
@@ -621,11 +667,65 @@ class ClosenessComputer(PairBands):
             out[t] = self._path_min(int(i[t]), int(j[t]))
         return out
 
+    def _adjacent_at(self, slot: np.ndarray) -> np.ndarray:
+        """``A`` at adjacent pairs' slots: the cached array's entries, or
+        the pair kernel's sorted keys searched (0 off ``A``'s nonzeros)."""
+        if self._kernel != "pairs":
+            return self._a[slot]
+        keys = self._a_keys
+        out = np.zeros(slot.size, dtype=np.float64)
+        if keys.size:
+            pos = np.minimum(np.searchsorted(keys, slot), keys.size - 1)
+            hit = keys[pos] == slot
+            out[hit] = self._a_rows.data[pos[hit]]
+        return out
+
+    def _eq3_terms_at(self, slot: np.ndarray, i: np.ndarray, j: np.ndarray):
+        """``T1`` and ``T2`` at the pairs ``(i, j)`` (whose slots are
+        ``slot``): the cached arrays' entries, or the pair kernel's sums
+        over ``A``'s row ``i`` and column ``j``, in chunks of pairs that
+        gather at most about ``_GATHER_CHUNK`` entries each."""
+        if self._kernel != "pairs":
+            return self._t1[slot], self._t2[slot]
+        rows, cols = self._a_rows, self._a_cols
+        cost = np.cumsum(np.diff(rows.indptr)[i] + np.diff(cols.indptr)[j])
+        t1 = np.empty(i.size, dtype=np.float64)
+        t2 = np.empty(i.size, dtype=np.float64)
+        start = 0
+        while start < i.size:
+            spent = cost[start - 1] if start else 0
+            stop = max(start + 1, int(np.searchsorted(cost, spent + _GATHER_CHUNK, "right")))
+            part = slice(start, stop)
+            t1[part] = self._friend_sums(rows, i[part], j[part])
+            t2[part] = self._friend_sums(cols, j[part], i[part])
+            start = stop
+        return t1, t2
+
+    def _friend_sums(
+        self, mat: sparse.csr_matrix, lead: np.ndarray, other: np.ndarray
+    ) -> np.ndarray:
+        """For each pair ``k``, the sum of row ``lead[k]`` of ``mat`` (``A``
+        or its transpose) over the columns ``d`` that are friends of
+        ``other[k]``, added in ascending ``d`` from 0.0: ``T1[i, j]`` from
+        row ``i`` of ``A`` with ``other = j``, ``T2[i, j]`` from row ``j``
+        of ``Aᵀ`` with ``other = i`` (``F`` is symmetric, so ``F[d, j]``
+        reads as ``F[j, d]``).  Every term is ``a * F``, as in SciPy's
+        CSR x dense product, which sums in the same order from the same
+        start, so a sum is bitwise that product's entry."""
+        rows = mat[lead]
+        counts = np.diff(rows.indptr)
+        friend = self._slot_adj[
+            np.repeat(other * np.int64(self.n_nodes), counts) + rows.indices
+        ]
+        pair = np.repeat(np.arange(lead.size), counts)
+        return np.bincount(pair, rows.data * friend, minlength=lead.size)
+
     def closeness_matrix(self) -> np.ndarray:
         """All-pairs ``Ωc`` matrix (diagonal zero): :meth:`pair_values`
         over every pair, assembled once per ledger version.
 
-        An n^2 pass only the callers wanting every pair pay (QA, goldens);
+        An n^2 pass only the callers wanting every pair pay (QA, goldens),
+        made a block of rows at a time so its temporaries stay bounded;
         the returned array is read-only (it is the live cache).  Refuses
         above ``_DENSIFY_LIMIT`` nodes.
         """
@@ -633,7 +733,12 @@ class ClosenessComputer(PairBands):
         n = self.n_nodes
         self._refresh()
         if self._cached_matrix is None:
-            out = self.pair_values(*np.divmod(np.arange(n * n), n)).reshape(n, n)
+            out = np.empty((n, n), dtype=np.float64)
+            block = max(1, _PAIR_CHUNK // n)
+            for start in range(0, n, block):
+                rows = out[start:start + block]
+                i, j = np.divmod(np.arange(start * n, start * n + rows.size), n)
+                rows.flat = self.pair_values(i, j)
             out.flags.writeable = False
             self._cached_matrix = out
         return self._cached_matrix
@@ -641,13 +746,16 @@ class ClosenessComputer(PairBands):
     # -- checkpointing ----------------------------------------------------------------
 
     def state_dict(self) -> dict:
-        """The cached terms, when a restore could not rebuild them.
+        """The cached terms, when a restore could not rebuild them, and
+        the kernel that built them.
 
         The low-rank ``T2`` correction is exact but not bitwise a fresh
         rebuild, so after a patch (``t2_updates > 0``), or once the ledger
-        has moved past the terms' version, ``A``/``T1``/``T2`` travel with
-        the checkpoint, aligned to ``Pu``.  Otherwise they are a rebuild
-        of the saved ledger, and :meth:`restore_state` rebuilds them.  The
+        has moved past the terms' version, the GEMM and two-hop kernels'
+        ``A``/``T1``/``T2`` travel with the checkpoint, aligned to ``Pu``.
+        Otherwise they are a rebuild of the saved ledger, and
+        :meth:`restore_state` rebuilds them.  The pair kernel's ``A`` is
+        always a rebuild of the ledger, so it writes no terms.  The
         structure and the assembled matrix are never written.
         """
         rebuildable = (
@@ -663,6 +771,7 @@ class ClosenessComputer(PairBands):
             "t2": _copy(self._t2),
             "version": self._cached_version,
             "t2_updates": self._t2_updates,
+            "kernel": self._kernel,
         }
 
     def restore_state(self, state: dict) -> None:
@@ -671,7 +780,11 @@ class ClosenessComputer(PairBands):
         stores restore first, as ``Simulation.resume`` does), and leave the
         cache cold otherwise.  Older checkpoints load too: dense ``(n, n)``
         terms, CSR terms (keys ``a``/``t1``/``t2``), and an assembled
-        ``matrix``, which is not read."""
+        ``matrix``, which is not read.  Their terms are not read either in
+        a full-layout world whose rule picks the pair kernel: a checkpoint
+        without ``kernel`` comes from the sparse-A kernel the pair kernel
+        replaced, whose patched ``T2`` drifts, and the pair kernel rebuilds
+        ``A`` from the ledger."""
         version = int(state["version"])
         a = state["adj_close"] if "adj_close" in state else state.get("a")
         terms = [a, state.get("t1"), state.get("t2")]
@@ -679,15 +792,24 @@ class ClosenessComputer(PairBands):
         if version < 0 and all(term is None for term in terms):
             return
         self._structure()
+        if (
+            "kernel" not in state
+            and self._pu_keys is None
+            and self._pair_kernel_keys() is not None
+        ):
+            terms = [None, None, None]
+        if all(term is None for term in terms):
+            if version == self._interactions.version:
+                self._rebuild()
+                self._cached_version = version
+            return
         self._a, self._t1, self._t2 = (
-            None if term is None else self._align(term, name)
-            for term, name in zip(terms, ("adj_close", "t1", "t2"))
+            self._align(term, name) for term, name in zip(terms, ("adj_close", "t1", "t2"))
         )
+        self._kernel = "gemm" if self._pu_keys is None else "two-hop"
         self._cached_version = version
         # Absent in pre-drift-fix checkpoints; 0 re-arms the rebuild clock.
         self._t2_updates = int(state.get("t2_updates", 0))
-        if self._a is None and version == self._interactions.version:
-            self._rebuild()
 
     def _align(self, value, name: str) -> np.ndarray:
         """One checkpointed term as a flat array aligned to ``Pu``: this

@@ -146,7 +146,10 @@ class SocialTrustConfig:
     #: The correction is mathematically exact but accumulates float drift
     #: (it is "exact but not bitwise"), so churn-heavy runs that stay on
     #: the incremental path for thousands of updates would otherwise let
-    #: the drift grow without bound.
+    #: the drift grow without bound.  It bounds the drift of the full
+    #: layout's GEMM kernel and of the two-hop layout only: the full
+    #: layout's pair kernel (large worlds with a sparse ``A``) rebuilds
+    #: ``A`` on every ledger change, never patches, and has no drift.
     cache_rebuild_interval: int = 64
 
     def __post_init__(self, coefficient_backend: str | None) -> None:

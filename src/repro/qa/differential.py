@@ -56,8 +56,8 @@ _WRAPPABLE = frozenset({"eigentrust", "ebay", "powertrust"})
 
 _SUM_SLACK = 1e-9
 
-#: Tolerance within which the coefficient kernels agree (Ωc: GEMMs,
-#: sparse-A and two-hop; Ωs: product and row dots).  They are the same
+#: Tolerance within which the coefficient kernels agree (Ωc: GEMMs, the
+#: pair kernel and two-hop; Ωs: product and row dots).  They are the same
 #: mathematics with different float summation orders, so they agree to a
 #: few ulps; the bound leaves headroom while still catching any genuine
 #: semantic divergence.

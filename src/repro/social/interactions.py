@@ -127,7 +127,7 @@ class InteractionLedger:
 
     def share_pairs(self, raters: np.ndarray, ratees: np.ndarray) -> np.ndarray:
         """Vectorised :meth:`share` over pair arrays — the lookup the Ωc
-        computer's sparse-A and two-hop kernels use so they never
+        computer's pair kernel and two-hop layout use so they never
         materialise the full share matrix.  Memory is O(n + pairs): the row totals are gathered once,
         never a count row per pair."""
         i = np.asarray(raters, dtype=np.int64)

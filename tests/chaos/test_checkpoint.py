@@ -154,6 +154,54 @@ class TestFileFormat:
         with pytest.raises(ValueError, match="format version"):
             load_checkpoint(path)
 
+    @pytest.mark.parametrize("version", [0, 3, 99, "2", None, True])
+    def test_unknown_format_version_is_named(self, version, tmp_path):
+        path = self._checkpoint(tmp_path)
+        header_raw, state_raw = path.read_text().splitlines()
+        header = json.loads(header_raw)
+        header["format_version"] = version
+        path.write_text(json.dumps(header) + "\n" + state_raw + "\n")
+        with pytest.raises(
+            ValueError, match=rf"format version {version!r} is not supported.*reads versions 1, 2"
+        ):
+            load_checkpoint(path)
+
+    def test_version_1_file_resumes_bit_identically(self, tmp_path):
+        """A file in the version-1 layout -- dense rated pairs, flag counts
+        and applied weights, Ωc state without its kernel -- loads, and the
+        run resumed from it is the uninterrupted one."""
+        build = dict(BUILD, faults={"byzantine_mode": "stale"})
+        reference = record_cycles(build_scenario(seed=7, **build).world.simulation, 6)
+        sim = build_scenario(seed=7, **build).world.simulation
+        prefix = record_cycles(sim, 3)
+        path = tmp_path / "v1.jsonl"
+        save_checkpoint(sim, path, build=build, seed=7)
+        header, state = load_checkpoint(path)
+        assert header["format_version"] == 2
+        n = BUILD["n_nodes"]
+        system = state["system"]
+        rated_mask = np.zeros(n * n, dtype=bool)
+        rated_mask[system.pop("rated")] = True
+        flags = system.pop("flags")
+        flag_counts = np.zeros(n * n, dtype=np.int64)
+        flag_counts[flags["keys"]] = flags["hits"]
+        last = system["last_weights"]
+        weights = np.ones(n * n)
+        weights[last["keys"]] = last["weights"]
+        assert flags["keys"].size and last["keys"].size
+        system.update(
+            rated_mask=rated_mask.reshape(n, n),
+            flag_counts=flag_counts.reshape(n, n),
+            last_weights=weights.reshape(n, n),
+        )
+        del system["closeness"]["kernel"]
+        header["format_version"] = 1
+        lines = [header, {"type": "state", "state": encode_state(state)}]
+        path.write_text("".join(json.dumps(line) + "\n" for line in lines))
+        resumed = resume_scenario(path).world.simulation
+        diff = diff_traces(reference, prefix + record_cycles(resumed, 3), mode="strict")
+        assert diff.ok, diff.report()
+
     def test_non_header_first_line_rejected(self, tmp_path):
         path = self._checkpoint(tmp_path)
         lines = path.read_text().splitlines()

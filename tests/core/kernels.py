@@ -1,9 +1,10 @@
 """Force the Ωc and Ωs kernels through their private rules.
 
 The Ωc computer picks its layout (full or two-hop) when it builds its
-structure and its full-layout rebuild kernel (GEMM or sparse-A) at every
-rebuild; the Ωs computer picks its numerator kernel (product or row dots)
-when it is built.  :func:`force` patches the rules for the rest of a test;
+structure and its full-layout kernel (GEMM, or the pair kernel, forced
+as ``"sparse-a"``: ``A`` kept sparse) at every rebuild; the Ωs computer
+picks its numerator kernel (product or row dots) when it is built.
+:func:`force` patches the rules for the rest of a test;
 :func:`closeness_with` and :func:`similarity_with` build one computer
 under a forced layout or kernel and leave the rules as they were.
 """

@@ -1,25 +1,29 @@
 """The full rebuild kernels of the Ωc computer.
 
-In the full layout, :class:`ClosenessComputer` rebuilds ``A``,
-``T1 = A @ F`` and ``T2 = F @ A`` either as two dense GEMMs or with ``A``
-as a CSR (CSR x dense), chosen by ``_sparse_kernel_fits`` on the node
-count and ``A``'s nonzero count; in the two-hop layout it sums them over
-the two-hop table.  The contracts:
+In the full layout, :class:`ClosenessComputer` either caches ``A``,
+``T1 = A @ F`` and ``T2 = F @ A`` from two dense GEMMs or caches ``A``
+alone (CSRs of ``A`` and ``Aᵀ``) and sums ``T1`` and ``T2`` at the asked pairs
+(the pair kernel), chosen by ``_sparse_kernel_fits`` on the node count
+and ``A``'s nonzero count; in the two-hop layout it sums them over the
+two-hop table.  The contracts:
 
 * at n=200, the ``paper`` world's size, all three kernels give the same
   bits;
-* the sparse-A kernel sums each entry in ascending common friend, the
+* the pair kernel sums each entry in ascending common friend, the
   two-hop table's order, so the two layouts agree bitwise wherever the
   full one takes it;
-* the rule takes the sparse-A kernel at ``serve``-like size and fill and
+* the rule takes the pair kernel at ``serve``-like size and fill and
   at ``paper``-like size while ``A`` is at most 1/20 full, and the GEMMs
   on small worlds and above that fill; the layout rule takes the two-hop
   layout on a world with fewer two-hop paths than matrix entries;
 * a checkpoint taken between rebuilds resumes bitwise, a resumed service
-  matches the uninterrupted one bitwise on every kernel, and dirty-row
-  patches on top of a sparse-A rebuild stay within the cache audit's
-  bound.
+  matches the uninterrupted one bitwise on every kernel, and the pair
+  kernel never patches: after any ledger history it is bitwise a fresh
+  computer, holds no ``n x n`` term and writes no terms;
+* an all-pairs read under the pair kernel gathers in bounded chunks.
 """
+
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -30,7 +34,6 @@ from repro.core.closeness import (
     _sparse_kernel_fits,
 )
 from repro.core.config import SocialTrustConfig
-from repro.qa.cache_audit import DEFAULT_ATOL, DEFAULT_RTOL
 from repro.serve import ReputationService, WatermarkEvent, record_scenario_events
 from repro.social.generators import paper_social_network
 from repro.social.graph import Relationship, SocialGraph
@@ -87,11 +90,11 @@ def friend_traffic(graph: SocialGraph, rng, per_rater: int, ledger, raters=None)
 @pytest.fixture
 def kernels(monkeypatch):
     """Records which kernel each full rebuild ran: "dense" (the GEMMs),
-    "sparse" (sparse-A) or "two-hop"."""
+    "pairs" (the pair kernel) or "two-hop"."""
     ran = []
     for name, label in (
         ("_rebuild_dense", "dense"),
-        ("_rebuild_sparse", "sparse"),
+        ("_rebuild_pairs", "pairs"),
         ("_rebuild_two_hop", "two-hop"),
     ):
         original = getattr(ClosenessComputer, name)
@@ -124,6 +127,16 @@ def wide_world():
     return graph, ledger
 
 
+@pytest.fixture(scope="module")
+def serve_world():
+    """``serve``'s size and social network (n=1000, adjacency a third
+    full), with A about 1.7 % full."""
+    graph = paper_social_network(1000, (1, 2, 3), spawn_rng(0, 0))
+    ledger = InteractionLedger(1000)
+    friend_traffic(graph, np.random.default_rng(0), 13, ledger)
+    return graph, ledger
+
+
 @pytest.mark.parametrize("cfg", CONFIGS, ids=IDS)
 def test_both_kernels_give_the_same_bits_at_n200(cfg, monkeypatch, kernels):
     rng = spawn_rng(5, 0)
@@ -131,13 +144,18 @@ def test_both_kernels_give_the_same_bits_at_n200(cfg, monkeypatch, kernels):
     ledger = InteractionLedger(200)
     friend_traffic(graph, np.random.default_rng(5), 4, ledger)
     results = {}
+    slot = np.arange(200 * 200)
+    i, j = np.divmod(slot, 200)
     for kernel in ("gemm", "sparse-a"):
         force(monkeypatch, kernel)
         cc = ClosenessComputer(graph, ledger, cfg)
-        results[kernel] = (cc.closeness_matrix(), cc._a, cc._t1, cc._t2)
+        matrix = cc.closeness_matrix()
+        # A, T1 and T2 at every pair, cached by the GEMMs, summed by the
+        # pair kernel.
+        results[kernel] = (matrix, cc._adjacent_at(slot), *cc._eq3_terms_at(slot, i, j))
     force(monkeypatch, "two-hop")
     two_hop = ClosenessComputer(graph, ledger, cfg).closeness_matrix()
-    assert kernels == ["dense", "sparse", "two-hop"]
+    assert kernels == ["dense", "pairs", "two-hop"]
     for got, want in zip(results["sparse-a"], results["gemm"]):
         assert np.array_equal(got, want)
     assert np.array_equal(two_hop, results["gemm"][0])
@@ -145,12 +163,12 @@ def test_both_kernels_give_the_same_bits_at_n200(cfg, monkeypatch, kernels):
 
 @pytest.mark.parametrize("cfg", CONFIGS, ids=IDS)
 def test_sparse_kernel_matches_sparse_computer_bitwise(cfg, wide_world, kernels):
-    """The full layout's sparse-A kernel against the two-hop layout."""
+    """The full layout's pair kernel against the two-hop layout."""
     graph, ledger = wide_world
     full = ClosenessComputer(graph, ledger, cfg)
     got = full.closeness_matrix()
     want = closeness_with("two-hop", graph, ledger, cfg).closeness_matrix()
-    assert kernels == ["sparse", "two-hop"]
+    assert kernels == ["pairs", "two-hop"]
     assert np.array_equal(got, want)
     # Not vacuous: Eq. (3) covers most pairs and the path fallback some.
     assert np.count_nonzero(got) > 0.5 * got.size
@@ -159,6 +177,7 @@ def test_sparse_kernel_matches_sparse_computer_bitwise(cfg, wide_world, kernels)
 
 class TestRule:
     def test_serve_size_and_fill_takes_sparse(self):
+        """The pair kernel."""
         # serve: n=1000, A 0.6 % full after the warm-up, 4.0 % after
         # interval 7.
         for fill in (0.006, 0.04):
@@ -172,8 +191,9 @@ class TestRule:
             assert not _sparse_kernel_fits(200, int(fill * 200**2))
 
     def test_small_world_takes_dense_at_any_fill(self):
-        for fill in (0.0, 0.01, 0.05):
-            assert not _sparse_kernel_fits(128, int(fill * 128**2))
+        for n in (128, 160):
+            for fill in (0.0, 0.01, 0.05):
+                assert not _sparse_kernel_fits(n, int(fill * n**2))
 
     def test_full_matrix_takes_dense(self):
         assert not _sparse_kernel_fits(1000, 100_000)
@@ -200,7 +220,7 @@ class TestRule:
         thin_ledger = InteractionLedger(400)
         friend_traffic(thin, np.random.default_rng(7), 2, thin_ledger)
         ClosenessComputer(thin, thin_ledger).closeness_matrix()
-        assert kernels == ["sparse", "sparse", "dense", "dense", "two-hop"]
+        assert kernels == ["pairs", "pairs", "dense", "dense", "two-hop"]
 
     def test_layout_follows_the_two_hop_paths(self):
         # golden worlds 3.2-4.2 paths per entry, paper 25, serve 111.
@@ -220,28 +240,37 @@ def test_resume_between_sparse_rebuilds_is_bitwise(wide_world, kernels):
         ledger.restore_state(state)
         return ledger, ClosenessComputer(graph, ledger, cfg)
 
+    # Random pairs, every fallback pair and a diagonal one.
+    ledger, cc = start(seeded.state_dict())
+    rng = np.random.default_rng(9)
+    fallback = fallback_pairs(cc)
+    asked = (
+        np.concatenate([rng.integers(0, 600, 20_000), fallback[:, 0], [5]]),
+        np.concatenate([rng.integers(0, 600, 20_000), fallback[:, 1], [5]]),
+    )
+
     def step(ledger, cc, k):
-        """Every third step dirties every row (a rebuild); the others
-        dirty a dozen rows (a patch)."""
+        """Every third step dirties every row; the others dirty a dozen
+        rows (a patch under the GEMMs; the pair kernel rebuilds ``A``)."""
         rng = np.random.default_rng(100 + k)
         raters = None if k % 3 == 0 else np.unique(rng.integers(0, 600, 12)).tolist()
         friend_traffic(graph, rng, 2, ledger, raters)
-        return cc.closeness_matrix().copy()
+        return cc.pair_values(*asked)
 
-    ledger, cc = start(seeded.state_dict())
-    cc.closeness_matrix()
+    cc.pair_values(*asked)
     uninterrupted = [step(ledger, cc, k) for k in range(8)]
 
     ledger, cc = start(seeded.state_dict())
-    cc.closeness_matrix()
-    # Checkpoint after a patch, so the restored caches carry its bits.
+    cc.pair_values(*asked)
+    # Checkpoint after a dozen-row step.
     resumed = [step(ledger, cc, k) for k in range(5)]
     saved = cc.state_dict()
+    assert saved["adj_close"] is saved["t1"] is saved["t2"] is None
     ledger, cc = start(ledger.state_dict())
     cc.restore_state(saved)
     resumed += [step(ledger, cc, k) for k in range(5, 8)]
 
-    assert kernels.count("sparse") > 4 and "dense" not in kernels
+    assert kernels.count("pairs") > 4 and "dense" not in kernels
     for got, want in zip(resumed, uninterrupted):
         assert np.array_equal(got, want)
 
@@ -256,29 +285,92 @@ def test_service_resume_with_sparse_kernel_is_bitwise(monkeypatch, kernels, tmp_
     first.serve_events(recorded.events[:split])
     resumed = ReputationService.from_checkpoint(first.save_snapshot(tmp_path / "s.ck"))
     resumed.serve_events(recorded.events[split:])
-    assert kernels and set(kernels) == {"sparse"}
+    assert kernels and set(kernels) == {"pairs"}
     assert np.array_equal(resumed.history, uninterrupted.history)
     assert np.array_equal(resumed.reputations, uninterrupted.reputations)
 
 
-def test_patches_after_sparse_rebuild_stay_within_audit_bound(wide_world, kernels):
+def test_pair_kernel_after_few_row_changes_is_bitwise_a_fresh_computer(wide_world, kernels):
+    """Single ratings and churn decay, the few-dirty-row steps the GEMMs
+    patch: the pair kernel rebuilds ``A`` on each and never patches, so
+    its values stay bitwise a fresh computer's (checked every fifth
+    step), with no drift to bound."""
     graph, seeded = wide_world
     ledger = InteractionLedger(600)
     ledger.restore_state(seeded.state_dict())
-    cc = ClosenessComputer(graph, ledger, SocialTrustConfig(cache_rebuild_interval=10**6))
-    cc.closeness_matrix()
+    cfg = SocialTrustConfig(cache_rebuild_interval=10**6)
+    cc = ClosenessComputer(graph, ledger, cfg)
     rng = np.random.default_rng(7)
-    for _ in range(45):
+    fallback = fallback_pairs(cc)
+    friends = np.flatnonzero(cc._slot_adj)
+    for step in range(45):
         i, j = (int(v) for v in rng.integers(0, 600, 2))
         if i != j:
             ledger.record(i, j, float(rng.choice([1.0, 17.0, 150.0])))
         if rng.random() < 0.3:
             ledger.decay_nodes(np.unique(rng.integers(0, 600, 3)), 0.5)
-        cc.closeness_matrix()
-    assert kernels == ["sparse"]
-    assert cc._t2_updates > 30
-    fresh = ClosenessComputer(graph, ledger).closeness_matrix()
-    assert np.allclose(cc.closeness_matrix(), fresh, rtol=DEFAULT_RTOL, atol=DEFAULT_ATOL)
+        # Random pairs (mostly common-friend ones), adjacent pairs,
+        # fallback pairs and a diagonal one, some asked twice.
+        ai, aj = rng.integers(0, 600, (2, 300))
+        fi, fj = np.divmod(rng.choice(friends, 100), 600)
+        pick = fallback[rng.integers(0, len(fallback), 20)]
+        ai = np.concatenate([ai, fi, pick[:, 0], [step], ai[:10]])
+        aj = np.concatenate([aj, fj, pick[:, 1], [step], aj[:10]])
+        got = cc.pair_values(ai, aj)
+        assert cc._t2_updates == 0
+        if step % 5 == 4:
+            fresh = ClosenessComputer(graph, ledger, cfg)
+            assert np.array_equal(got, fresh.pair_values(ai, aj))
+    assert set(kernels) == {"pairs"} and len(kernels) > 45
+
+
+def test_pair_kernel_holds_no_square_term(serve_world, kernels):
+    """On a ``serve``-sized world the pair kernel caches ``A`` alone, at
+    its nonzeros, and writes no terms, before and after the ledger moves
+    past them."""
+    graph, seeded = serve_world
+    ledger = InteractionLedger(1000)
+    ledger.restore_state(seeded.state_dict())
+    cc = ClosenessComputer(graph, ledger)
+    n = cc.n_nodes
+    asked = np.random.default_rng(0).integers(0, n, (2, 17_000))
+    cc.pair_values(*asked)
+    assert kernels == ["pairs"]
+    assert cc._a is None and cc._t1 is None and cc._t2 is None
+    assert cc._cached_matrix is None
+    nnz = cc._a_keys.size
+    assert 0 < nnz < n * n / 20
+    for a in (cc._a_rows, cc._a_cols):
+        assert a.nnz == nnz and a.indptr.size == n + 1
+    for moved in (False, True):
+        if moved:
+            ledger.record(0, min(graph.friends(0)), 2.0)
+        state = cc.state_dict()
+        assert state["adj_close"] is None and state["t1"] is None and state["t2"] is None
+        assert state["kernel"] == "pairs" and state["t2_updates"] == 0
+
+
+def test_all_pairs_read_gathers_in_bounded_chunks(serve_world):
+    """An all-pairs read at n=1000 under the pair kernel: the sums over
+    every pair would gather about 2 * n * nnz(A) entries at once (~270
+    MiB of values alone here); in chunks its temporaries stay within 16
+    MiB beside the matrix it returns."""
+    graph, ledger = serve_world
+    cc = ClosenessComputer(graph, ledger)
+    # Refresh and label the components outside the trace.
+    cc.pair_values([0], [1])
+    cc._connected(np.array([0]), np.array([1]))
+    assert cc._kernel == "pairs"
+    assert 2 * cc.n_nodes * cc._a_keys.size * 8 > 256 * 2**20
+    tracemalloc.start()
+    try:
+        matrix = cc.closeness_matrix()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < matrix.nbytes + 16 * 2**20
+    i, j = np.divmod(np.random.default_rng(1).integers(0, cc.n_nodes**2, 5000), cc.n_nodes)
+    assert np.array_equal(matrix[i, j], cc.pair_values(i, j))
 
 
 @pytest.mark.parametrize("kernel", CLOSENESS_KERNELS)
@@ -342,6 +434,35 @@ def test_service_resume_from_dense_history_is_bitwise(tmp_path):
     system["flag_counts"] = flag_counts.reshape(n, n)
     resumed = ReputationService(recorded.spec)
     resumed.restore(state)
+    resumed.serve_events(recorded.events[split:])
+    assert np.array_equal(resumed.history, uninterrupted.history)
+    assert np.array_equal(resumed.reputations, uninterrupted.reputations)
+
+
+def test_service_resume_from_older_sparse_a_terms_is_bitwise(monkeypatch, tmp_path):
+    """A snapshot in the older format of a world the pair kernel serves
+    carries the n x n terms of the sparse-A kernel it replaced, patched
+    (``t2_updates > 0``) and without a kernel: the resume accepts them,
+    does not read them, and matches the uninterrupted history."""
+    from repro.chaos.checkpoint import load_checkpoint
+
+    force(monkeypatch, "sparse-a")
+    recorded = record_scenario_events(small_spec())
+    uninterrupted = ReputationService(recorded.spec)
+    uninterrupted.serve_events(recorded.events)
+    split = recorded.n_events * 2 // 3
+    first = ReputationService(recorded.spec)
+    first.serve_events(recorded.events[:split])
+    _, state = load_checkpoint(first.save_snapshot(tmp_path / "s.ck"))
+    closeness = state["simulation"]["system"]["closeness"]
+    assert closeness.pop("kernel") == "pairs"
+    n = recorded.spec.world["n_nodes"]
+    closeness.update({name: np.full(n * n, 7.0) for name in ("adj_close", "t1", "t2")})
+    closeness["t2_updates"] = 3
+    resumed = ReputationService(recorded.spec)
+    resumed.restore(state)
+    restored = resumed._system.closeness_computer
+    assert restored._a is None and restored._kernel in (None, "pairs")
     resumed.serve_events(recorded.events[split:])
     assert np.array_equal(resumed.history, uninterrupted.history)
     assert np.array_equal(resumed.reputations, uninterrupted.reputations)

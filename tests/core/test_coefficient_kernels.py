@@ -1,11 +1,12 @@
 """Every coefficient kernel against the others, over one churn history.
 
 Each coefficient has one computer whose kernels follow the world: Ωc
-takes the full layout's GEMMs or sparse-A rebuild, or the two-hop layout;
+takes the full layout's GEMMs or pair kernel, or the two-hop layout;
 Ωs takes the cached product or row dot products.  Forced through their
 private rules on one small world, every kernel must give the same values
 within ``COEFFICIENT_RTOL``/``COEFFICIENT_ATOL`` after every step of a
-history of rating bursts (patches), churn decay, bulk traffic (rebuilds),
+history of rating bursts (patches, except under the pair kernel, which
+never patches), churn decay, bulk traffic (rebuilds),
 request traffic and declared-profile edits, agree with the scalar
 reference paths, and drive a SocialTrust scenario to the same history.
 """
@@ -124,7 +125,7 @@ def history(kernel: str, cfg, monkeypatch) -> list[tuple[np.ndarray, np.ndarray]
 @pytest.mark.parametrize("cfg", CONFIGS, ids=IDS)
 def test_every_kernel_gives_the_same_coefficients(cfg, monkeypatch):
     ran = []
-    for name in ("_rebuild_dense", "_rebuild_sparse", "_rebuild_two_hop",
+    for name in ("_rebuild_dense", "_rebuild_pairs", "_rebuild_two_hop",
                  "_patch_full", "_patch_two_hop", "_row_dots"):
         original = getattr(
             SimilarityComputer if name == "_row_dots" else ClosenessComputer, name
@@ -143,12 +144,14 @@ def test_every_kernel_gives_the_same_coefficients(cfg, monkeypatch):
         results[kernel] = history(kernel, cfg, monkeypatch)
         took = {
             "gemm": {"_rebuild_dense", "_patch_full"},
-            "sparse-a": {"_rebuild_sparse", "_patch_full"},
+            "sparse-a": {"_rebuild_pairs"},
             "two-hop": {"_rebuild_two_hop", "_patch_two_hop"},
             "product": set(),
             "row-dots": {"_row_dots"},
         }[kernel]
         assert took <= set(ran), kernel
+        if kernel == "sparse-a":
+            assert "_patch_full" not in ran
         if kernel == "product":
             assert "_row_dots" not in ran
 

@@ -6,7 +6,7 @@ applies the full assembly's element-wise formula at the asked pairs only;
 every pair.  The contracts:
 
 * ``pair_values(i, j)`` is bitwise ``closeness_matrix()[i, j]`` on small
-  worlds (the dense GEMMs), on large sparse worlds (the sparse-A kernel),
+  worlds (the dense GEMMs), on large sparse worlds (the pair kernel),
   under ``MEAN`` and ``SUM``, after dirty-row patches and ``decay_nodes``,
   and at the no-common-friend fallback pairs;
 * the detector's reads never assemble the full matrix;
@@ -71,14 +71,14 @@ def mutate(ledger: InteractionLedger, graph, rng, step: int) -> None:
 @pytest.mark.parametrize("cfg", CONFIGS, ids=IDS)
 @pytest.mark.parametrize(
     "n, degree, kernel",
-    [(90, 24.0, "dense"), (300, 42.0, "sparse"), (300, 42.0, "two_hop")],
+    [(90, 24.0, "dense"), (300, 42.0, "pairs"), (300, 42.0, "two_hop")],
     ids=["gemm-n90", "sparse-a-n300", "two-hop-n300"],
 )
 def test_pair_values_are_the_matrix_bits(cfg, n, degree, kernel, monkeypatch):
     if kernel == "two_hop":
         force(monkeypatch, "two-hop")
     ran = []
-    for name in ("_rebuild_dense", "_rebuild_sparse", "_rebuild_two_hop"):
+    for name in ("_rebuild_dense", "_rebuild_pairs", "_rebuild_two_hop"):
         original = getattr(ClosenessComputer, name)
 
         def spy(self, *args, _original=original, _name=name):
@@ -102,7 +102,8 @@ def test_pair_values_are_the_matrix_bits(cfg, n, degree, kernel, monkeypatch):
         assert np.array_equal(cc.pair_values(i, j), want)
         patched |= cc._t2_updates > 0
         mutate(ledger, graph, rng, step)
-    assert patched
+    # The pair kernel rebuilds A on every ledger change, never patches.
+    assert patched == (kernel != "pairs")
     assert set(ran) == {f"_rebuild_{kernel}"}
 
 
@@ -171,20 +172,25 @@ class TestCheckpoint:
         resumed += run(ledger, cc, range(3, 6))  # patches on rebuilt terms
         for got, want in zip(resumed, uninterrupted):
             assert np.array_equal(got, want)
-        # Once the ledger moves past the terms, they are written.
+        # Once the ledger moves past the terms, they are written, except
+        # by the pair kernel (what this world takes in the full layout),
+        # whose next read rebuilds A from the ledger.
         ledger.record(0, min(graph.friends(0)), 2.0)
-        assert cc.state_dict()["adj_close"] is not None
+        saved = cc.state_dict()
+        assert saved["kernel"] == ("pairs" if layout == "full" else "two-hop")
+        assert (saved["adj_close"] is None) == (layout == "full")
 
     def test_state_has_no_assembled_matrix(self):
         graph, ledger = world(60, 20.0, seed=5)
         cc = ClosenessComputer(graph, ledger)
         cc.closeness_matrix()
         assert set(cc.state_dict()) == {
-            "adj_close", "t1", "t2", "version", "t2_updates",
+            "adj_close", "t1", "t2", "version", "t2_updates", "kernel",
         }
 
     @pytest.mark.parametrize("garbage", [False, True], ids=["matrix", "stale-matrix"])
-    def test_older_format_with_matrix_resumes_bitwise(self, garbage):
+    def test_older_format_with_matrix_resumes_bitwise(self, garbage, monkeypatch):
+        force(monkeypatch, "gemm")
         graph, seeded = world(200, 35.0, seed=6)
         cfg = SocialTrustConfig(cache_rebuild_interval=4)
 
@@ -209,7 +215,9 @@ class TestCheckpoint:
         resumed = run(ledger, cc, range(2))
         assert cc._t2_updates == 2  # checkpoint between patches
         saved = cc.state_dict()
-        # The older checkpoint format also stored the assembled matrix.
+        # The older checkpoint format also stored the assembled matrix,
+        # and no kernel.
+        del saved["kernel"]
         matrix = cc.closeness_matrix().copy()
         saved["matrix"] = np.full_like(matrix, 7.0) if garbage else matrix
         ledger, cc = start(ledger.state_dict())
@@ -217,6 +225,51 @@ class TestCheckpoint:
         assert np.array_equal(cc.closeness_matrix(), resumed[-1])
         resumed += run(ledger, cc, range(2, 6))
         for got, want in zip(resumed, uninterrupted):
+            assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("garbage", [False, True], ids=["patched", "garbage"])
+    def test_older_sparse_a_terms_are_not_read(self, garbage, monkeypatch):
+        """An older checkpoint of a world the pair kernel serves holds the
+        n x n terms of the sparse-A kernel it replaced, patched
+        (``t2_updates > 0``): they load, are not read, and the resume
+        matches the uninterrupted pair-kernel run bitwise."""
+        graph, seeded = world(200, 35.0, seed=6)
+        cfg = SocialTrustConfig(cache_rebuild_interval=4)
+
+        def start(ledger_state):
+            ledger = InteractionLedger(200)
+            ledger.restore_state(ledger_state)
+            return ledger, ClosenessComputer(graph, ledger, cfg)
+
+        def run(ledger, cc, steps):
+            out = []
+            for step in steps:
+                mutate(ledger, graph, np.random.default_rng(50 + step), step)
+                i, j = asked_pairs(cc, np.random.default_rng(step), 2000)
+                out.append(cc.pair_values(i, j))
+            return out
+
+        ledger, cc = start(seeded.state_dict())
+        uninterrupted = run(ledger, cc, range(6))
+        assert cc._kernel == "pairs"
+
+        # The older file: flat n x n terms after two patches, no kernel.
+        with monkeypatch.context() as mp:
+            force(mp, "gemm")
+            ledger, old = start(seeded.state_dict())
+            old.pair_values([0], [1])  # cold rebuild
+            run(ledger, old, range(2))
+            saved = old.state_dict()
+        assert old._t2_updates == 2 and saved["adj_close"].shape == (200 * 200,)
+        del saved["kernel"]
+        if garbage:
+            saved = {**saved, **{k: np.full(200 * 200, 7.0) for k in ("adj_close", "t1", "t2")}}
+        ledger, cc = start(ledger.state_dict())
+        cc.restore_state(saved)
+        assert cc._kernel == "pairs" and cc._t2_updates == 0
+        assert cc._a is cc._t1 is cc._t2 is None
+        resumed = run(ledger, cc, range(2, 6))
+        for got, want in zip(resumed, uninterrupted[2:]):
             assert np.array_equal(got, want)
 
 

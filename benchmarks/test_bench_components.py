@@ -24,13 +24,12 @@ N = 200
 @pytest.fixture(scope="module")
 def dense_interval():
     rng = spawn_rng(1, 0)
-    iv = IntervalRatings(N)
     values = rng.random((N, N))
-    iv.value_sum[:] = np.where(values > 0.5, 1.0, -1.0) * (values > 0.2)
-    iv.pos_counts[:] = (iv.value_sum > 0).astype(float)
-    iv.neg_counts[:] = (iv.value_sum < 0).astype(float)
-    np.fill_diagonal(iv.value_sum, 0)
-    return iv
+    value_sum = np.where(values > 0.5, 1.0, -1.0) * (values > 0.2)
+    pos_counts = (value_sum > 0).astype(float)
+    neg_counts = (value_sum < 0).astype(float)
+    np.fill_diagonal(value_sum, 0)
+    return IntervalRatings.from_dense(value_sum, pos_counts, neg_counts)
 
 
 @pytest.fixture(scope="module")

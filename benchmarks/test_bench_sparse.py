@@ -228,13 +228,14 @@ def _run_dense(world, graph, profiles):
     cfg = SocialTrustConfig()
     ledger = InteractionLedger(n)
     ledger.record_many(*world["interactions"])
-    interval = IntervalRatings(n)
+    value_sum, pos_counts, neg_counts = (np.zeros((n, n)) for _ in range(3))
     pi, pj, pc = world["pos"]
-    np.add.at(interval.pos_counts, (pi, pj), pc)
-    np.add.at(interval.value_sum, (pi, pj), pc)
+    np.add.at(pos_counts, (pi, pj), pc)
+    np.add.at(value_sum, (pi, pj), pc)
     ni, nj, nc = world["neg"]
-    np.add.at(interval.neg_counts, (ni, nj), nc)
-    np.add.at(interval.value_sum, (ni, nj), -nc)
+    np.add.at(neg_counts, (ni, nj), nc)
+    np.add.at(value_sum, (ni, nj), -nc)
+    interval = IntervalRatings.from_dense(value_sum, pos_counts, neg_counts)
     rated = np.flatnonzero(interval.counts)
     detector = CollusionDetector(
         ClosenessComputer(graph, ledger, cfg),

@@ -40,14 +40,16 @@ __all__ = [
 #: The layout :func:`save_checkpoint` writes, bumped whenever a build
 #: that reads the previous layout could not restore the new one.  Version
 #: 2 holds SocialTrust's rated pairs and flag history as sorted pair keys
-#: and names the Ωc kernel that built the cached terms; a build that reads
-#: only version 1 refuses it with a clean error instead of failing
-#: mid-restore.
-CHECKPOINT_FORMAT_VERSION = 2
+#: and names the Ωc kernel that built the cached terms.  Version 3 holds
+#: EigenTrust's local trust and the rating ledger's in-flight interval as
+#: sorted pair keys plus values.  A build that reads only older versions
+#: refuses a newer file with a clean error instead of failing mid-restore.
+CHECKPOINT_FORMAT_VERSION = 3
 
-#: Every layout :func:`load_checkpoint` reads: version 1 (dense rated and
-#: flag history, Ωc terms without their kernel) still restores.
-_READABLE_FORMAT_VERSIONS = (1, 2)
+#: Every layout :func:`load_checkpoint` reads: versions 1 (dense rated and
+#: flag history, Ωc terms without their kernel) and 2 (dense EigenTrust
+#: local trust and in-flight interval) still restore.
+_READABLE_FORMAT_VERSIONS = (1, 2, 3)
 
 
 def encode_state(value: Any) -> Any:

@@ -148,13 +148,19 @@ _FULL_LAYOUT_MIN_PATHS = 1.0
 #:   n=1000  81-106    | 9.9 at 0.5 %, 15 at 2 %, 33 at 4-6 %, 39 at 8 %, 56 at 12 %
 #:
 #: So the pair kernel loses below ~168 nodes at any fill (the GEMMs' cost
-#: steps up between 160 and 176 nodes) and wins above at fills up to
-#: about 5 % at n=200-300; the bound is kept there, where it decides the
+#: steps up between 160 and 176 nodes) and wins above at fills up to a
+#: break-even that grows with n: about 5 % at n=200, 6 % at 300, 14 % at
+#: 600 and, extrapolating the pair kernel's ~4 ms per percent, 20 % at
+#: 1000.  The bound is 1/20 up to 275 nodes, where it decides the
 #: ``paper`` world (n=200, A 1.7-5.6 % full over its first cycles, then
-#: the GEMMs), and is conservative for larger worlds, where the pair
-#: kernel still wins at 12 % (``serve`` stays at 0.6-4 %).
+#: the GEMMs), then ``(n - 100) / 3500`` (5.7 % at 300, 14 % at 600),
+#: capped at the 20 % measured at n=1000 (``serve``, 0.6-4 % full, keeps
+#: the pair kernel as its interaction counts fill).
 _SPARSE_MIN_NODES = 168
 _SPARSE_MAX_FILL = 1 / 20
+_SPARSE_FILL_OFFSET = 100
+_SPARSE_FILL_SLOPE = 1 / 3500
+_SPARSE_FILL_CAP = 1 / 5
 
 #: The pair kernel sums Eq. (3) over chunks of asked pairs, each gathering
 #: at most about this many of ``A``'s entries (~50 bytes of temporaries
@@ -174,7 +180,9 @@ def _sparse_kernel_fits(n_nodes: int, nnz: int) -> bool:
     """Whether a full-layout rebuild over ``n_nodes`` nodes, whose adjacent
     closeness matrix ``A`` has ``nnz`` possible nonzeros, takes the pair
     kernel (see the constants above)."""
-    return n_nodes > _SPARSE_MIN_NODES and nnz <= _SPARSE_MAX_FILL * n_nodes * n_nodes
+    growth = min((n_nodes - _SPARSE_FILL_OFFSET) * _SPARSE_FILL_SLOPE, _SPARSE_FILL_CAP)
+    fill = max(_SPARSE_MAX_FILL, growth)
+    return n_nodes > _SPARSE_MIN_NODES and nnz <= fill * n_nodes * n_nodes
 
 
 def _row_major_keys(mat: sparse.csr_matrix, n: int) -> np.ndarray:
@@ -253,11 +261,14 @@ class ClosenessComputer(PairBands):
         self._slot_adj: np.ndarray | None = None
         self._slot_common: np.ndarray | None = None
         self._pu_keys: np.ndarray | None = None
-        # Full layout: dense factors, adjacency and float adjacency.
-        self._rel_factors: np.ndarray | None = None
+        # Full layout: the dense adjacency, the adjacency's sorted keys
+        # and their relationship factors; the GEMM kernel's dense factors
+        # and float adjacency, built when it first runs.
         self._adjacency: np.ndarray | None = None
-        self._adj_float: np.ndarray | None = None
         self._adj_keys: np.ndarray | None = None
+        self._adj_factors: np.ndarray | None = None
+        self._rel_factors: np.ndarray | None = None
+        self._adj_float: np.ndarray | None = None
         # Two-hop layout: Pu's rows, the Pu slot of each F entry, and the
         # two-hop table -- the Pu slot of (i, j) for every path i ~ d ~ j,
         # grouped by the F entry (i, d) in F's order, and F's entries
@@ -381,14 +392,32 @@ class ClosenessComputer(PairBands):
             self._structure_two_hop(factors, degree)
 
     def _structure_full(self, factors: sparse.csr_matrix) -> None:
-        adjacency = factors.astype(bool).toarray()
-        adj_f = adjacency.astype(np.float64)
-        self._rel_factors = factors.toarray()
-        self._adjacency = adjacency
-        self._adj_float = adj_f
-        self._adj_keys = np.flatnonzero(adjacency)
-        self._slot_adj = adjacency.ravel()
-        self._slot_common = (adj_f @ adj_f).ravel()
+        n = self.n_nodes
+        canonical = factors.tocsr(copy=True)
+        canonical.sum_duplicates()
+        nonzero = canonical.data != 0
+        keys = _row_major_keys(canonical, n)[nonzero]
+        self._adj_keys = keys
+        self._adj_factors = canonical.data[nonzero]
+        adjacency = np.zeros(n * n, dtype=bool)
+        adjacency[keys] = True
+        self._slot_adj = adjacency
+        self._adjacency = adjacency.reshape(n, n)
+        # Common-friend counts are exact integers below n: one GEMM F @ F
+        # (a full-layout world's F is too full for a sparse product to
+        # pay), kept in the smallest integer type that holds n.
+        adj_f = self._adjacency.astype(np.float64)
+        self._slot_common = (adj_f @ adj_f).astype(np.min_scalar_type(n)).ravel()
+
+    def _gemm_structure(self) -> None:
+        """The GEMM kernel's dense relationship factors and float
+        adjacency, built the first time it runs."""
+        if self._adj_float is None:
+            n = self.n_nodes
+            factors = np.zeros(n * n, dtype=np.float64)
+            factors[self._adj_keys] = self._adj_factors
+            self._rel_factors = factors.reshape(n, n)
+            self._adj_float = self._adjacency.astype(np.float64)
 
     def _structure_two_hop(self, factors: sparse.csr_matrix, degree: np.ndarray) -> None:
         n = self.n_nodes
@@ -425,9 +454,7 @@ class ClosenessComputer(PairBands):
             [[0], np.cumsum(np.bincount(indices, minlength=n))]
         )
         # A slot's path count is its number of common friends.
-        self._slot_common = np.bincount(
-            self._hop_slot, minlength=self._pu_keys.size
-        ).astype(np.float64)
+        self._slot_common = np.bincount(self._hop_slot, minlength=self._pu_keys.size)
         self._slot_adj = np.zeros(self._pu_keys.size, dtype=bool)
         self._slot_adj[self._adj_pos] = True
 
@@ -505,32 +532,30 @@ class ClosenessComputer(PairBands):
             self._kernel = "two-hop"
             self._rebuild_two_hop()
             return
-        keys = self._pair_kernel_keys()
-        if keys is not None:
+        at = self._pair_kernel_keys()
+        if at is not None:
             self._kernel = "pairs"
-            self._rebuild_pairs(keys)
+            self._rebuild_pairs(at)
             return
         self._kernel = "gemm"
         self._rebuild_dense()
 
     def _pair_kernel_keys(self) -> np.ndarray | None:
-        """``A``'s possible nonzeros when the full layout's rule picks the
-        pair kernel for the ledger as it stands, else None."""
+        """Positions in the adjacency's keys of ``A``'s possible nonzeros
+        (the adjacent pairs with a nonzero interaction count, ascending)
+        when the full layout's rule picks the pair kernel for the ledger as
+        it stands, else None."""
         n = self.n_nodes
         if n <= _SPARSE_MIN_NODES:
             return None
-        keys = self._adjacent_interaction_keys()
-        return keys if _sparse_kernel_fits(n, keys.size) else None
-
-    def _adjacent_interaction_keys(self) -> np.ndarray:
-        """Row-major keys ``i * n + j`` of ``A``'s possible nonzeros: the
-        adjacent pairs with a nonzero interaction count, ascending."""
         counts = self._interactions.counts_matrix().ravel()
-        return self._adj_keys[counts[self._adj_keys] != 0]
+        at = np.flatnonzero(counts[self._adj_keys] != 0)
+        return at if _sparse_kernel_fits(n, at.size) else None
 
     def _rebuild_dense(self) -> None:
         """Full layout: ``A``, ``T1 = A @ F`` and ``T2 = F @ A`` as dense
         GEMMs."""
+        self._gemm_structure()
         adj_close = (
             self._rel_factors * self._interactions.share_matrix() * self._adjacency
         )
@@ -538,17 +563,20 @@ class ClosenessComputer(PairBands):
         self._t1 = (adj_close @ self._adj_float).ravel()
         self._t2 = (self._adj_float @ adj_close).ravel()
 
-    def _rebuild_pairs(self, keys: np.ndarray) -> None:
-        """Full layout, pair kernel: ``A`` over ``keys`` as a CSR and its
-        column-ordered copy; ``T1`` and ``T2`` are summed when read.
+    def _rebuild_pairs(self, at: np.ndarray) -> None:
+        """Full layout, pair kernel: ``A`` at the adjacency keys in
+        positions ``at``, as a CSR and its column-ordered copy, its
+        factors read from the factors CSR's values; ``T1`` and ``T2`` are
+        summed when read.
 
         ``A``'s entries are ``factor * share``; on the dense ledger that
         is also the GEMM kernel's bits (the same division by the row
         total, and its extra factor is the exact 1.0 of the adjacency).
         """
         n = self.n_nodes
+        keys = self._adj_keys[at]
         rows, cols = np.divmod(keys, n)
-        data = self._rel_factors.ravel()[keys] * self._interactions.share_pairs(rows, cols)
+        data = self._adj_factors[at] * self._interactions.share_pairs(rows, cols)
         indptr = np.searchsorted(keys, np.arange(0, n * n + 1, n, dtype=np.int64))
         self._a_keys = keys
         self._a_rows = sparse.csr_matrix((data, cols, indptr), shape=(n, n))
@@ -579,6 +607,7 @@ class ClosenessComputer(PairBands):
         """Full layout, GEMM kernel: the dirty rows of ``A`` and ``T1``
         recomputed exactly, and ``T2`` corrected by ``F[:, D] @ ΔA[D]``."""
         n = self.n_nodes
+        self._gemm_structure()
         a, t1, t2 = (x.reshape(n, n) for x in (self._a, self._t1, self._t2))
         shares = self._interactions.share_matrix()
         new_rows = self._rel_factors[dirty] * shares[dirty] * self._adjacency[dirty]

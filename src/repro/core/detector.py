@@ -219,9 +219,8 @@ class _PairCounts(NamedTuple):
     values: np.ndarray
 
     @classmethod
-    def at(cls, matrix: np.ndarray, keys: np.ndarray) -> "_PairCounts":
-        """The nonzero entries of a dense matrix among sorted ``keys``."""
-        values = np.asarray(matrix).ravel()[keys].astype(np.float64, copy=False)
+    def nonzero(cls, keys: np.ndarray, values: np.ndarray) -> "_PairCounts":
+        """The nonzero entries among sorted ``keys`` and their ``values``."""
         keep = values != 0
         return cls(keys[keep], values[keep])
 
@@ -414,7 +413,7 @@ class CollusionDetector:
     ) -> DetectionResult:
         """Analyse one interval against its pair-keyed history.
 
-        The count matrices are read only at the interval's
+        The counts are read from the interval's columns at its
         :meth:`~repro.reputation.base.IntervalRatings.pair_keys`; no
         ``n x n`` array is scanned.  Keys are row-major, ``i * n + j``.
 
@@ -442,8 +441,8 @@ class CollusionDetector:
             )
         keys = interval.pair_keys()
         return self._analyze_pairs(
-            _PairCounts.at(interval.pos_counts, keys),
-            _PairCounts.at(interval.neg_counts, keys),
+            _PairCounts.nonzero(keys, interval.pos),
+            _PairCounts.nonzero(keys, interval.neg),
             reputations,
             rated,
             None if flags is None else _PairCounts(*map(np.asarray, flags)),

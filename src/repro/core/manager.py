@@ -309,6 +309,7 @@ class DistributedSocialTrust(SocialTrust):
         interval_index = self._detector.last_interval_index
         if interval_index is None:
             return
+        pos, neg = interval.counts_at([finding.rater * self.n_nodes + finding.ratee])
         self._obs.audit.record(
             AuditEvent(
                 interval=interval_index,
@@ -320,8 +321,8 @@ class DistributedSocialTrust(SocialTrust):
                 closeness=float(finding.closeness),
                 similarity=float(finding.similarity),
                 weight=float(weight),
-                pos_count=float(interval.pos_counts[finding.rater, finding.ratee]),
-                neg_count=float(interval.neg_counts[finding.rater, finding.ratee]),
+                pos_count=float(pos[0]),
+                neg_count=float(neg[0]),
                 thresholds=result.thresholds.as_dict(),
             )
         )

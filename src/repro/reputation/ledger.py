@@ -2,18 +2,18 @@
 
 The simulator records every rating into a :class:`RatingLedger`; at each
 reputation-update interval the ledger is drained into an immutable-by-
-convention :class:`~repro.reputation.base.IntervalRatings` bundle.  Keeping
-the hot-path ``record`` a pair of array increments (rather than appending
-Python objects) is what keeps the 200-node x 30-query-cycle x 50-cycle
-experiment grid fast.
+convention :class:`~repro.reputation.base.IntervalRatings` bundle keyed by
+the rated pairs.
 
-The batched :meth:`RatingLedger.record_many` also keeps the row-major keys
-``i * n + j`` it wrote, and :meth:`RatingLedger.drain` hands them to the
-interval as its sorted, unique :meth:`~repro.reputation.base.IntervalRatings.pair_keys`,
-so the detector reads the interval's pairs without scanning ``n x n``
-count matrices.  A scalar write (``record``, ``record_batch``) or a
-restored in-flight interval drops the keys for that interval; its
-``pair_keys`` then scans the counts.
+Every write path (``record``, ``record_batch``, ``record_many``) appends
+rows -- the row-major key ``i * n + j``, the value times the count, and
+the count in the positive or the negative column -- and
+:meth:`RatingLedger.drain` reduces them once: ``np.unique`` gives the
+interval's sorted keys and each row's key index, and ``np.bincount``
+sums each column per key in write order from 0.0.  That is the order,
+and so the bits, of ``np.add.at`` into zeroed ``n x n`` arrays, without
+allocating any.  A write costs its rows, and a drain the interval's rows
+and pairs, whatever ``n`` is.
 """
 
 from __future__ import annotations
@@ -36,10 +36,9 @@ class RatingLedger:
         self._total_recorded = 0
 
     def _start_interval(self) -> None:
-        self._interval = IntervalRatings(self._n)
-        # Keys written by record_many this interval; None once another
-        # write path has touched the interval.
-        self._keys: list[np.ndarray] | None = [np.empty(0, dtype=np.int64)]
+        # Rows written this interval, in write order: chunks of
+        # (keys, value * count, positive count, negative count).
+        self._rows: list[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]] = []
 
     @property
     def n_nodes(self) -> int:
@@ -50,14 +49,14 @@ class RatingLedger:
         """Ratings recorded since construction (across all intervals)."""
         return self._total_recorded
 
+    def _append(self, i: np.ndarray, j: np.ndarray, v: np.ndarray, c: np.ndarray) -> None:
+        pos = v >= 0
+        self._rows.append(
+            (i * np.int64(self._n) + j, v * c, np.where(pos, c, 0.0), np.where(pos, 0.0, c))
+        )
+
     def record(self, rating: Rating) -> None:
-        if not 0 <= rating.rater < self._n or not 0 <= rating.ratee < self._n:
-            raise IndexError(
-                f"rating ({rating.rater} -> {rating.ratee}) out of range"
-            )
-        self._interval.add(rating)
-        self._keys = None
-        self._total_recorded += 1
+        self.record_batch(rating.rater, rating.ratee, rating.value, 1)
 
     def record_many(
         self,
@@ -70,9 +69,9 @@ class RatingLedger:
         ``(raters[t], ratees[t], values[t])`` triple.
 
         Bit-identical to looping :meth:`record` (count 1) and
-        :meth:`record_batch` in the same order: ``np.add.at`` applies the
-        ``value * count`` increments unbuffered in chronological order, and
-        the positive/negative counters only ever take exact integer steps.
+        :meth:`record_batch` in the same order: every path appends the
+        ``value * count`` increments in chronological order, and the
+        positive/negative counters only ever take exact integer steps.
         """
         i = np.asarray(raters, dtype=np.int64)
         j = np.asarray(ratees, dtype=np.int64)
@@ -90,16 +89,7 @@ class RatingLedger:
             raise IndexError("rating endpoint out of range")
         if np.any(c < 1):
             raise ValueError("counts must be >= 1")
-        interval = self._interval
-        if self._keys is not None:
-            self._keys.append(i * self._n + j)
-        np.add.at(interval.value_sum, (i, j), v * c)
-        pos = v >= 0
-        if np.any(pos):
-            np.add.at(interval.pos_counts, (i[pos], j[pos]), c[pos])
-        if not np.all(pos):
-            neg = ~pos
-            np.add.at(interval.neg_counts, (i[neg], j[neg]), c[neg])
+        self._append(i, j, v, c)
         self._total_recorded += int(c.sum())
 
     def record_batch(self, rater: int, ratee: int, value: float, count: int) -> None:
@@ -110,47 +100,85 @@ class RatingLedger:
             raise ValueError("self-ratings are not allowed")
         if not 0 <= rater < self._n or not 0 <= ratee < self._n:
             raise IndexError(f"rating ({rater} -> {ratee}) out of range")
-        self._interval.value_sum[rater, ratee] += value * count
-        if value >= 0:
-            self._interval.pos_counts[rater, ratee] += count
-        else:
-            self._interval.neg_counts[rater, ratee] += count
-        self._keys = None
+        self._append(
+            np.array([rater], dtype=np.int64),
+            np.array([ratee], dtype=np.int64),
+            np.array([value], dtype=np.float64),
+            np.array([count], dtype=np.float64),
+        )
         self._total_recorded += count
 
+    def _reduce(self) -> IntervalRatings:
+        """The interval the rows written so far sum to (see the module
+        docstring)."""
+        if not self._rows:
+            return IntervalRatings(self._n)
+        keys, value, pos, neg = (
+            np.concatenate(column) if len(self._rows) > 1 else column[0]
+            for column in zip(*self._rows)
+        )
+        unique, inverse = np.unique(keys, return_inverse=True)
+        size = unique.size
+        return IntervalRatings.from_columns(
+            self._n,
+            unique,
+            *(np.bincount(inverse, column, minlength=size) for column in (value, pos, neg)),
+        )
+
     def peek(self) -> IntervalRatings:
-        """Current interval aggregates without draining (copy)."""
-        return self._interval.copy()
+        """Current interval aggregates without draining."""
+        return self._reduce()
 
     def drain(self) -> IntervalRatings:
         """Return the interval aggregates and start a fresh interval."""
-        out = self._interval
-        if self._keys is not None:
-            keys = np.unique(np.concatenate(self._keys))
-            keys.flags.writeable = False
-            out._pair_keys = keys
+        out = self._reduce()
         self._start_interval()
         return out
 
     def state_dict(self) -> dict:
-        """The lifetime count, plus the in-flight interval's aggregates
-        when it holds a rating: at a cycle boundary or a watermark the
-        interval is freshly drained and none are written, but
+        """The lifetime count, plus the in-flight interval, reduced to its
+        keys and columns, when it holds a rating: at a cycle boundary or a
+        watermark the interval is freshly drained and none is written, but
         mid-interval checkpoints are supported too."""
-        interval = self._interval
         state: dict = {"total_recorded": self._total_recorded}
-        if interval.pos_counts.any() or interval.neg_counts.any():
-            state["value_sum"] = interval.value_sum.copy()
-            state["pos_counts"] = interval.pos_counts.copy()
-            state["neg_counts"] = interval.neg_counts.copy()
+        if self._rows:
+            interval = self._reduce()
+            state["interval"] = {
+                "keys": interval.pair_keys().copy(),
+                "value": interval.value.copy(),
+                "pos": interval.pos.copy(),
+                "neg": interval.neg.copy(),
+            }
         return state
 
     def restore_state(self, state: dict) -> None:
+        """Load :meth:`state_dict` output; older checkpoints' dense
+        ``value_sum`` / ``pos_counts`` / ``neg_counts`` arrays load too.
+
+        The in-flight interval comes back as one chunk of rows holding its
+        per-pair sums, which later writes add to as they did before the
+        checkpoint (a sum from 0.0 is never -0.0, so ``0.0 + s == s``)."""
         self._start_interval()
-        if "value_sum" in state:
-            interval = self._interval
-            interval.value_sum[:] = np.asarray(state["value_sum"], dtype=np.float64)
-            interval.pos_counts[:] = np.asarray(state["pos_counts"], dtype=np.float64)
-            interval.neg_counts[:] = np.asarray(state["neg_counts"], dtype=np.float64)
-            self._keys = None
+        if "interval" in state:
+            saved = state["interval"]
+            interval = IntervalRatings.from_columns(
+                self._n,
+                np.array(saved["keys"], dtype=np.int64),
+                *(np.array(saved[name], dtype=np.float64) for name in ("value", "pos", "neg")),
+            )
+        elif "value_sum" in state:
+            interval = IntervalRatings.from_dense(
+                state["value_sum"], state["pos_counts"], state["neg_counts"]
+            )
+            if interval.n_nodes != self._n:
+                raise ValueError(
+                    f"in-flight interval covers {interval.n_nodes} nodes, "
+                    f"ledger has {self._n}"
+                )
+        else:
+            interval = None
+        if interval is not None and interval.pair_keys().size:
+            self._rows.append(
+                (interval.pair_keys(), interval.value, interval.pos, interval.neg)
+            )
         self._total_recorded = int(state["total_recorded"])

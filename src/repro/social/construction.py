@@ -103,11 +103,13 @@ class SocialNetworkBuilder:
 
         self._ratings = RatingLedger(new_capacity)
         pending = old_ratings.peek()
-        for i, j in np.argwhere(pending.pos_counts + pending.neg_counts > 0):
-            i, j = int(i), int(j)
-            count = pending.pos_counts[i, j] + pending.neg_counts[i, j]
-            value = pending.value_sum[i, j] / count
-            self._ratings.record_batch(i, j, float(value), int(count))
+        counts = pending.pos + pending.neg
+        rows, cols = np.divmod(pending.pair_keys(), old_ratings.n_nodes)
+        for k in np.flatnonzero(counts > 0):
+            value = pending.value[k] / counts[k]
+            self._ratings.record_batch(
+                int(rows[k]), int(cols[k]), float(value), int(counts[k])
+            )
 
         self._capacity = new_capacity
 

@@ -154,7 +154,7 @@ class TestFileFormat:
         with pytest.raises(ValueError, match="format version"):
             load_checkpoint(path)
 
-    @pytest.mark.parametrize("version", [0, 3, 99, "2", None, True])
+    @pytest.mark.parametrize("version", [0, 4, 99, "2", None, True])
     def test_unknown_format_version_is_named(self, version, tmp_path):
         path = self._checkpoint(tmp_path)
         header_raw, state_raw = path.read_text().splitlines()
@@ -162,14 +162,15 @@ class TestFileFormat:
         header["format_version"] = version
         path.write_text(json.dumps(header) + "\n" + state_raw + "\n")
         with pytest.raises(
-            ValueError, match=rf"format version {version!r} is not supported.*reads versions 1, 2"
+            ValueError, match=rf"format version {version!r} is not supported.*reads versions 1, 2, 3"
         ):
             load_checkpoint(path)
 
     def test_version_1_file_resumes_bit_identically(self, tmp_path):
-        """A file in the version-1 layout -- dense rated pairs, flag counts
-        and applied weights, Ωc state without its kernel -- loads, and the
-        run resumed from it is the uninterrupted one."""
+        """A file in the version-1 layout -- dense rated pairs, flag counts,
+        applied weights and EigenTrust local trust, Ωc state without its
+        kernel -- loads, and the run resumed from it is the uninterrupted
+        one."""
         build = dict(BUILD, faults={"byzantine_mode": "stale"})
         reference = record_cycles(build_scenario(seed=7, **build).world.simulation, 6)
         sim = build_scenario(seed=7, **build).world.simulation
@@ -177,9 +178,14 @@ class TestFileFormat:
         path = tmp_path / "v1.jsonl"
         save_checkpoint(sim, path, build=build, seed=7)
         header, state = load_checkpoint(path)
-        assert header["format_version"] == 2
+        assert header["format_version"] == 3
         n = BUILD["n_nodes"]
         system = state["system"]
+        inner = system["inner"]
+        local = np.zeros(n * n)
+        local[inner.pop("local_keys")] = inner.pop("local_values")
+        assert local.any()
+        inner["local"] = local.reshape(n, n)
         rated_mask = np.zeros(n * n, dtype=bool)
         rated_mask[system.pop("rated")] = True
         flags = system.pop("flags")

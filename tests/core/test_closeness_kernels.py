@@ -196,7 +196,20 @@ class TestRule:
                 assert not _sparse_kernel_fits(n, int(fill * n**2))
 
     def test_full_matrix_takes_dense(self):
-        assert not _sparse_kernel_fits(1000, 100_000)
+        # Above the bound's 20 % cap, up to a full matrix.
+        for fill in (0.21, 1.0):
+            assert not _sparse_kernel_fits(1000, int(fill * 1000**2))
+
+    def test_fill_bound_grows_with_the_world(self):
+        # A serve-sized world keeps the pair kernel at 10 % fill.
+        assert _sparse_kernel_fits(1000, int(0.10 * 1000**2))
+        assert _sparse_kernel_fits(1000, int(0.20 * 1000**2))
+        # 1/20 up to 275 nodes, then (n - 100) / 3500.
+        for n in (169, 200, 275):
+            assert _sparse_kernel_fits(n, int(n * n / 20))
+            assert not _sparse_kernel_fits(n, int(n * n / 20) + 1)
+        assert _sparse_kernel_fits(600, int(0.14 * 600**2))
+        assert not _sparse_kernel_fits(600, int(0.15 * 600**2))
 
     def test_worlds(self, wide_world, kernels):
         graph, ledger = wide_world

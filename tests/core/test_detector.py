@@ -57,14 +57,14 @@ def build_detector(config=None, *, colluder_pair=(0, 1)):
 
 
 def interval_with(pairs, n=N):
-    iv = IntervalRatings(n)
+    value_sum, pos_counts, neg_counts = (np.zeros((n, n)) for _ in range(3))
     for (i, j, value, count) in pairs:
         if value >= 0:
-            iv.pos_counts[i, j] += count
+            pos_counts[i, j] += count
         else:
-            iv.neg_counts[i, j] += count
-        iv.value_sum[i, j] += value * count
-    return iv
+            neg_counts[i, j] += count
+        value_sum[i, j] += value * count
+    return IntervalRatings.from_dense(value_sum, pos_counts, neg_counts)
 
 
 def background_ratings():
@@ -282,8 +282,9 @@ class TestMismatch:
 
 class TestPairKeyedInputs:
     def test_ledger_keys_and_count_scan_give_the_same_result(self):
-        """An interval keyed by the ledger's batched writes and the same
-        counts left to a scan are analysed bit for bit alike."""
+        """An interval drained from the ledger's batched writes and the
+        same counts written as dense cells (``from_dense``) are keyed
+        alike and analysed bit for bit alike."""
         from repro.reputation.ledger import RatingLedger
 
         rows = background_ratings() + [(0, 1, 1.0, 40), (1, 0, 1.0, 40), (3, 5, -1.0, 30)]
@@ -292,7 +293,7 @@ class TestPairKeyedInputs:
         ledger.record_many(i.astype(np.int64), j.astype(np.int64), v, c)
         keyed = ledger.drain()
         scanned = interval_with(rows)
-        assert keyed._pair_keys is not None and scanned._pair_keys is None
+        assert np.array_equal(keyed.pair_keys(), scanned.pair_keys())
         reputations = np.full(N, 1.0 / N)
         rated = np.array([0 * N + 6, 2 * N + 4])
         flags = (np.array([0 * N + 1]), np.array([2]))

@@ -43,20 +43,20 @@ def make_world(seed=11):
 
 
 def make_interval(rng):
-    interval = IntervalRatings(N)
+    value_sum, pos_counts, neg_counts = (np.zeros((N, N)) for _ in range(3))
     for _ in range(4 * N):
         i, j = int(rng.integers(0, N)), int(rng.integers(0, N))
         if i != j:
-            interval.pos_counts[i, j] += 1
-            interval.value_sum[i, j] += 1.0
-    interval.pos_counts[0, 1] += 12
-    interval.value_sum[0, 1] += 12.0
-    interval.neg_counts[2, 3] += 9
-    interval.value_sum[2, 3] -= 9.0
+            pos_counts[i, j] += 1
+            value_sum[i, j] += 1.0
+    pos_counts[0, 1] += 12
+    value_sum[0, 1] += 12.0
+    neg_counts[2, 3] += 9
+    value_sum[2, 3] -= 9.0
     for j in range(4, 8):  # organic negatives anchor the median for T-
-        interval.neg_counts[2, j] += 1
-        interval.value_sum[2, j] -= 1.0
-    return interval
+        neg_counts[2, j] += 1
+        value_sum[2, j] -= 1.0
+    return IntervalRatings.from_dense(value_sum, pos_counts, neg_counts)
 
 
 def run_detector(backend, intervals=1, max_audit_events=100_000):

@@ -58,15 +58,15 @@ def make_detector(**config_kw):
 
 
 def flood_interval(count=40):
-    iv = IntervalRatings(N)
+    value_sum, pos_counts = np.zeros((N, N)), np.zeros((N, N))
     for i in range(N):
         for j in range(N):
             if i != j:
-                iv.pos_counts[i, j] = 2
-                iv.value_sum[i, j] = 2
-    iv.pos_counts[0, 1] += count
-    iv.value_sum[0, 1] += count
-    return iv
+                pos_counts[i, j] = 2
+                value_sum[i, j] = 2
+    pos_counts[0, 1] += count
+    value_sum[0, 1] += count
+    return IntervalRatings.from_dense(value_sum, pos_counts, np.zeros((N, N)))
 
 
 def make_uniform_detector(**config_kw):

@@ -263,18 +263,18 @@ class TestIncrementalSparseCache:
 
 class TestSparseDetector:
     def _interval(self, rng):
-        interval = IntervalRatings(N)
+        value_sum, pos_counts, neg_counts = (np.zeros((N, N)) for _ in range(3))
         for _ in range(4 * N):
             i, j = int(rng.integers(0, N)), int(rng.integers(0, N))
             if i != j:
-                interval.pos_counts[i, j] += 1
-                interval.value_sum[i, j] += 1.0
+                pos_counts[i, j] += 1
+                value_sum[i, j] += 1.0
         # A collusive pair far above the median frequency.
-        interval.pos_counts[0, 1] += 12
-        interval.value_sum[0, 1] += 12.0
-        interval.neg_counts[2, 3] += 9
-        interval.value_sum[2, 3] -= 9.0
-        return interval
+        pos_counts[0, 1] += 12
+        value_sum[0, 1] += 12.0
+        neg_counts[2, 3] += 9
+        value_sum[2, 3] -= 9.0
+        return IntervalRatings.from_dense(value_sum, pos_counts, neg_counts)
 
     def _detectors(self, seed=11):
         network, ledger, profiles, rng = make_world(seed)
@@ -385,8 +385,11 @@ class TestSparseDetector:
                     sparse_similarity(profiles, cfg),
                     cfg,
                 )
-            interval = IntervalRatings(N)
-            interval.pos_counts[0, 1] = 1.0  # below threshold: no flags
+            pos_counts = np.zeros((N, N))
+            pos_counts[0, 1] = 1.0  # below threshold: no flags
+            interval = IntervalRatings.from_dense(
+                np.zeros((N, N)), pos_counts, np.zeros((N, N))
+            )
             result = det.analyze(
                 interval, np.full(N, 1.0 / N), np.flatnonzero(interval.counts)
             )

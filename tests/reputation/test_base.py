@@ -70,9 +70,9 @@ class TestIntervalRatings:
         weights=st.lists(st.floats(0.0, 1.0), min_size=10, max_size=10),
     )
     def test_scaled_pairs_is_bitwise_scaled(self, values, pairs, weights):
-        iv = IntervalRatings(4)
-        iv.value_sum[:] = np.reshape(values, (4, 4))
-        iv.pos_counts[:] = 2.0
+        iv = IntervalRatings.from_dense(
+            np.reshape(values, (4, 4)), np.full((4, 4), 2.0), np.zeros((4, 4))
+        )
         keys = np.array(sorted(pairs), dtype=np.int64)
         w = np.array(weights[: keys.size])
         dense = np.ones((4, 4))
@@ -88,7 +88,8 @@ class TestIntervalRatings:
         iv = IntervalRatings(2)
         iv.add(Rating(0, 1, 1.0))
         c = iv.copy()
-        c.value_sum[0, 1] = 99.0
+        c.add(Rating(0, 1, 98.0))
+        assert c.value_sum[0, 1] == 99.0
         assert iv.value_sum[0, 1] == 1.0
 
     @given(

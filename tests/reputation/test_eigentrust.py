@@ -65,8 +65,9 @@ class TestNormalizedLocal:
 
     def test_diagonal_zeroed(self):
         et = EigenTrust(3, [0])
-        iv = IntervalRatings(3)
-        iv.value_sum[1, 1] = 5.0  # malformed input guarded at aggregation
+        cells = np.zeros((3, 3))
+        cells[1, 1] = 5.0  # malformed input guarded at aggregation
+        iv = IntervalRatings.from_dense(cells, np.zeros((3, 3)), np.zeros((3, 3)))
         et.update(iv)
         assert et.normalized_local()[1, 1] == 0.0
 

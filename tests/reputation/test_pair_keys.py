@@ -1,9 +1,9 @@
-"""The interval's pair keys and the count arrays the adjusted interval shares.
+"""The interval's pair keys and the count columns the adjusted interval shares.
 
-:meth:`RatingLedger.drain` hands the interval the sorted, unique keys
-``i * n + j`` its batched writes touched; any other write path leaves the
-interval to scan its counts.  Either way :meth:`IntervalRatings.pair_keys`
-is ``np.flatnonzero(pos_counts + neg_counts)``.
+:meth:`RatingLedger.drain` keys the interval by the sorted, unique keys
+``i * n + j`` its writes touched, whatever the write path, and
+:meth:`IntervalRatings.add` inserts the pair it writes.  Either way
+:meth:`IntervalRatings.pair_keys` is ``np.flatnonzero(pos_counts + neg_counts)``.
 """
 
 import numpy as np
@@ -66,7 +66,7 @@ def test_pair_keys_are_the_nonzero_counts(ops):
             assert keys.dtype == np.int64
             assert np.array_equal(keys, expected_keys(drained))
         elif kind == "add" and op[1] != op[2]:
-            # A direct write to a drained interval drops its keys.
+            # A direct write to a drained interval keys its pair.
             drained.add(Rating(op[1], op[2], op[3]))
             assert np.array_equal(drained.pair_keys(), expected_keys(drained))
     final = ledger.drain()
@@ -122,8 +122,8 @@ def test_adjusted_interval_shares_the_drained_counts():
     assert system.last_detection.n_adjusted  # the adjusted interval is a copy
     adjusted = inner.seen
     assert adjusted is not interval
-    assert adjusted.pos_counts is interval.pos_counts
-    assert adjusted.neg_counts is interval.neg_counts
+    assert adjusted.pos is interval.pos
+    assert adjusted.neg is interval.neg
     for name in ("value_sum", "pos_counts", "neg_counts"):
         assert np.array_equal(getattr(interval, name), getattr(before, name))
     assert np.array_equal(adjusted.pos_counts, before.pos_counts)

@@ -1,16 +1,22 @@
 """Mid-stream service checkpoints: kill-and-resume bit-identity."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from repro.api import ScenarioSpec, build_scenario
-from repro.chaos.checkpoint import resume_scenario, save_checkpoint
+from repro.chaos.checkpoint import load_checkpoint, resume_scenario, save_checkpoint
 from repro.serve import (
     QueryRequest,
+    RatingEvent,
     ReputationService,
+    WatermarkEvent,
     record_scenario_events,
     replay_recorded,
 )
+
+DATA = Path(__file__).parent / "data"
 
 
 def small_spec(**world):
@@ -165,3 +171,64 @@ class TestCheckpointRouting:
     def test_save_snapshot_needs_a_path(self, recorded):
         with pytest.raises(ValueError, match="snapshot path"):
             ReputationService(recorded.spec).save_snapshot()
+
+
+class TestOlderSnapshots:
+    """Snapshots in the version-2 layout, where EigenTrust's local trust
+    and the rating ledger's in-flight interval are dense ``n x n`` arrays.
+    Both files were written by a version-2 build's ``save_snapshot`` after
+    streaming the first events of ``record_scenario_events(small_spec())``:
+    154 events (mid-interval) and 122 events (the line that closes the
+    second interval)."""
+
+    @pytest.mark.parametrize(
+        "name, split", [("v2_mid_stream.ckpt", 154), ("v2_post_watermark.ckpt", 122)]
+    )
+    def test_version_2_snapshot_resumes_bit_identically(self, recorded, name, split):
+        header, state = load_checkpoint(DATA / name)
+        assert header["format_version"] == 2
+        simulation = state["simulation"]
+        assert simulation["system"]["inner"]["local"].shape == (20, 20)
+        assert ("value_sum" in simulation["ledger"]) == (name == "v2_mid_stream.ckpt")
+
+        live = ReputationService(recorded.spec)
+        live.serve_events(recorded.events[:split])
+        resumed = ReputationService.from_checkpoint(DATA / name)
+        assert resumed.intervals_run == live.intervals_run
+        assert np.array_equal(resumed.reputations, live.reputations)
+        # The resumed service writes the keyed layout.
+        inner = resumed.checkpoint()["simulation"]["system"]["inner"]
+        assert "local" not in inner and inner["local_keys"].size
+
+        uninterrupted, _ = replay_recorded(recorded)
+        resumed.serve_events(recorded.events[split:])
+        assert np.array_equal(resumed.history, uninterrupted.history)
+        assert np.array_equal(resumed.reputations, uninterrupted.reputations)
+
+
+def test_serve_sized_snapshot_holds_no_dense_local_trust(tmp_path):
+    """At n=1000 EigenTrust takes its keyed kernel, and a post-watermark
+    snapshot carries its local trust as keys and values, not ``n x n``."""
+    n = 1000
+    spec = ScenarioSpec(
+        system="EigenTrust+SocialTrust",
+        collusion="pcm",
+        seed=1,
+        world=dict(n_nodes=n, n_pretrusted=20, n_colluders=40),
+    )
+    rng = np.random.default_rng(3)
+    raters = rng.integers(0, n, 5000)
+    ratees = (raters + rng.integers(1, n, 5000)) % n
+    service = ReputationService(spec)
+    service.serve_events(
+        [RatingEvent(rater=int(i), ratee=int(j), value=1.0) for i, j in zip(raters, ratees)]
+        + [WatermarkEvent()]
+    )
+    assert service.intervals_run == 1
+    path = service.save_snapshot(tmp_path / "serve.ckpt")
+    _, state = load_checkpoint(path)
+    inner = state["simulation"]["system"]["inner"]
+    assert "local" not in inner
+    keys = inner["local_keys"]
+    assert 0 < keys.size == np.unique(raters * n + ratees).size < n * n // 10
+    assert "interval" not in state["simulation"]["ledger"]

@@ -30,16 +30,16 @@ ratings_strategy = st.lists(
 
 
 def build_interval(entries):
-    iv = IntervalRatings(N)
+    value_sum, pos_counts, neg_counts = (np.zeros((N, N)) for _ in range(3))
     for i, j, value, count in entries:
         if i == j:
             continue
-        iv.value_sum[i, j] += value * count
+        value_sum[i, j] += value * count
         if value >= 0:
-            iv.pos_counts[i, j] += count
+            pos_counts[i, j] += count
         else:
-            iv.neg_counts[i, j] += count
-    return iv
+            neg_counts[i, j] += count
+    return IntervalRatings.from_dense(value_sum, pos_counts, neg_counts)
 
 
 def build_world(seed=0):

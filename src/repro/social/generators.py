@@ -43,21 +43,45 @@ def assigned_distance_matrix(
 
     Every unordered pair receives a distance drawn uniformly from
     ``distance_choices``; pairs listed in ``unit_distance_pairs`` are then
-    forced to distance 1 (the paper pins colluder pairs to distance 1).
+    forced to distance 1 (the paper pins colluder pairs to distance 1).  A
+    pinned pair with a node outside ``[0, n_nodes)`` or naming one node
+    twice is refused.
     """
     if n_nodes <= 0:
         raise ValueError(f"n_nodes must be positive, got {n_nodes}")
     choices = np.asarray(distance_choices, dtype=np.int64)
     if choices.size == 0 or np.any(choices < 1):
         raise ValueError("distance_choices must be non-empty and >= 1")
+    pins = [(int(i), int(j)) for i, j in unit_distance_pairs]
+    for i, j in pins:
+        if not (0 <= i < n_nodes and 0 <= j < n_nodes):
+            raise ValueError(
+                f"unit-distance pair ({i}, {j}) has a node out of range "
+                f"[0, {n_nodes})"
+            )
+        if i == j:
+            raise ValueError(
+                f"unit-distance pair ({i}, {j}) is a self-pair; a node's "
+                "distance to itself is 0"
+            )
     d = np.zeros((n_nodes, n_nodes), dtype=np.int64)
     iu = np.triu_indices(n_nodes, k=1)
     draws = rng.choice(choices, size=iu[0].size)
     d[iu] = draws
     d.T[iu] = draws
-    for i, j in unit_distance_pairs:
+    for i, j in pins:
         d[i, j] = d[j, i] = 1
     return d
+
+
+def _checked_colluders(colluder_ids: Iterable[int], n_nodes: int) -> list[int]:
+    """The distinct colluder ids, ascending; an id outside ``[0, n_nodes)``
+    is refused rather than wrapped by negative indexing."""
+    colluders = sorted(set(int(c) for c in colluder_ids))
+    for c in colluders:
+        if not 0 <= c < n_nodes:
+            raise ValueError(f"colluder id {c} out of range [0, {n_nodes})")
+    return colluders
 
 
 def paper_social_network(
@@ -79,10 +103,7 @@ def paper_social_network(
     """
     if colluder_distance < 1:
         raise ValueError(f"colluder_distance must be >= 1, got {colluder_distance}")
-    colluders = sorted(set(int(c) for c in colluder_ids))
-    for c in colluders:
-        if not 0 <= c < n_nodes:
-            raise ValueError(f"colluder id {c} out of range [0, {n_nodes})")
+    colluders = _checked_colluders(colluder_ids, n_nodes)
     colluder_pairs = [
         (a, b) for ai, a in enumerate(colluders) for b in colluders[ai + 1 :]
     ]
@@ -116,19 +137,19 @@ def assign_relationships(
     ``relationship_weight``.  The counts come from one array-bound
     ``rng.integers`` call over the adjacent upper-triangle pairs in
     row-major order, which yields the same values, and leaves ``rng`` in
-    the same state, as one scalar draw per pair in that order.
+    the same state, as one scalar draw per pair in that order; the network
+    takes them in one array call, with no object per pair.  A colluder id
+    outside the matrix is refused.
     """
     net = AssignedSocialNetwork(distances)
     colluder = np.zeros(net.n_nodes, dtype=bool)
-    colluder[np.fromiter(colluder_ids, dtype=np.int64)] = True
-    rows, cols = np.nonzero(np.triu(net.distance_matrix == 1, k=1))
+    colluder[_checked_colluders(colluder_ids, net.n_nodes)] = True
+    rows, cols = net._adjacent_pairs()
     both = colluder[rows] & colluder[cols]
     lo_n, hi_n = normal_relationship_range
     lo_c, hi_c = colluder_relationship_range
     counts = rng.integers(np.where(both, lo_c, lo_n), np.where(both, hi_c, hi_n) + 1)
-    tie = Relationship(weight=relationship_weight)
-    for i, j, count in zip(rows.tolist(), cols.tolist(), counts.tolist()):
-        net.set_relationships(i, j, [tie] * count)
+    net._set_tie_counts(counts, Relationship(weight=relationship_weight))
     return net
 
 

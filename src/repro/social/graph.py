@@ -16,12 +16,20 @@ the :class:`SocialView` protocol that :mod:`repro.core.closeness` consumes:
     common friends are nodes at distance 1 from both endpoints, so the
     SocialTrust formulas operate exactly as they would on a real graph.
 
-Each adjacent pair carries a list of :class:`Relationship` records: the count
-``m(i,j)`` feeds Eq. (2) and the sorted weights feed the hardened Eq. (10)
-(``sum_l lambda^(l-1) * w_dl``).  Both views build that factor for every
-pair at once with ``relationship_factors()``: a symmetric CSR whose
+Each adjacent pair carries a tuple of :class:`Relationship` records: the
+count ``m(i,j)`` feeds Eq. (2) and the sorted weights feed the hardened
+Eq. (10) (``sum_l lambda^(l-1) * w_dl``).  Both views build that factor for
+every pair at once with ``relationship_factors()``: a symmetric CSR whose
 explicit entries are the adjacency, the structure both closeness
 computers read.
+
+:class:`SocialGraph` keeps a tie list per edge.  :class:`AssignedSocialNetwork`
+holds arrays only: the distance matrix, the adjacency as ascending CSR rows,
+the adjacent pairs as sorted row-major keys, and per pair an index into a
+small table of distinct interned tie tuples (a handful: the paper's world
+draws tie counts 1-5 of one weight).  So a 1000-node paper network holds
+no Python object per pair, and its factor CSR is a gather of a few
+factors.
 """
 
 from __future__ import annotations
@@ -98,26 +106,13 @@ def _factor_lookup(
     *, hardened: bool, lambda_scaling: float
 ) -> Callable[[tuple[Relationship, ...]], float]:
     """:func:`relationship_factor` memoised per distinct tie tuple: a
-    network has few distinct tie lists (at most 5 in the paper's world),
-    so a structure build evaluates the formula a handful of times."""
+    graph has few distinct tie lists, so a structure build evaluates the
+    formula a handful of times."""
     return cache(
         lambda ties: relationship_factor(
             ties, hardened=hardened, lambda_scaling=lambda_scaling
         )
     )
-
-
-def _pair_factors(
-    rels: dict[tuple[int, int], list[Relationship]],
-    factor: Callable[[tuple[Relationship, ...]], float],
-) -> tuple[np.ndarray, np.ndarray]:
-    """``(pairs, factors)`` of a ``{(i, j): ties}`` store, in its order:
-    an ``(m, 2)`` int array and the ``m`` factors."""
-    pairs = np.array(list(rels), dtype=np.int64).reshape(-1, 2)
-    data = np.fromiter(
-        map(factor, map(tuple, rels.values())), dtype=np.float64, count=len(rels)
-    )
-    return pairs, data
 
 
 def _symmetric_csr(
@@ -309,9 +304,12 @@ class SocialGraph:
     ) -> sparse.csr_matrix:
         """:meth:`SocialView.relationship_factors`, built O(n + m) from the
         edge set in one pass over the unique pairs."""
-        pairs, data = _pair_factors(
-            self._rels,
-            _factor_lookup(hardened=hardened, lambda_scaling=lambda_scaling),
+        factor = _factor_lookup(hardened=hardened, lambda_scaling=lambda_scaling)
+        pairs = np.array(list(self._rels), dtype=np.int64).reshape(-1, 2)
+        data = np.fromiter(
+            map(factor, map(tuple, self._rels.values())),
+            dtype=np.float64,
+            count=len(self._rels),
         )
         return _symmetric_csr(self._n, pairs[:, 0], pairs[:, 1], data)
 
@@ -329,8 +327,23 @@ class AssignedSocialNetwork:
     * ``path(i, j)`` = BFS over the induced adjacency graph (used only by the
       min-over-path closeness fallback when no common friend exists).
 
-    Relationship lists are attached per adjacent pair, defaulting to a
-    configurable count drawn by the generators.
+    The state is arrays only, with no Python object per pair:
+
+    * the distance matrix;
+    * the adjacency as CSR rows (``_indptr``/``_indices``), each row
+      ascending;
+    * the adjacent pairs as sorted row-major upper-triangle keys
+      ``i * n + j`` with ``i < j`` (``_keys``);
+    * per key, an index (``_tie_ids``) into a table of distinct interned tie
+      tuples (``_ties``).  Index 0 is the default single tie
+      ``(Relationship(),)`` that an adjacent pair reports until its ties
+      are set.
+
+    ``friends(i)`` builds its frozenset from the ascending CSR row on first
+    request and caches it: the same set, in the same iteration order, as a
+    frozenset of ``np.flatnonzero(adjacency[i])``, so ``path`` walks the
+    same BFS.  ``relationship_factors`` evaluates the factor once per
+    distinct tie tuple and gathers it by index.
     """
 
     def __init__(self, distances: np.ndarray) -> None:
@@ -345,12 +358,16 @@ class AssignedSocialNetwork:
         if np.any((off < 1) & (off != UNREACHABLE)):
             raise ValueError("off-diagonal distances must be >= 1 or UNREACHABLE")
         self._d = d.astype(np.int64, copy=True)
-        self._n = d.shape[0]
-        adjacency = self._d == 1
-        self._friends = [
-            frozenset(np.flatnonzero(adjacency[i]).tolist()) for i in range(self._n)
-        ]
-        self._rels: dict[tuple[int, int], list[Relationship]] = {}
+        n = self._n = d.shape[0]
+        rows, self._indices = np.nonzero(self._d == 1)
+        self._indptr = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(np.bincount(rows, minlength=n), out=self._indptr[1:])
+        upper = rows < self._indices
+        self._keys = rows[upper] * n + self._indices[upper]
+        self._tie_ids = np.zeros(self._keys.size, dtype=np.int32)
+        self._ties: list[tuple[Relationship, ...]] = [(Relationship(),)]
+        self._tie_lookup = {self._ties[0]: 0}
+        self._friend_sets: dict[int, frozenset[int]] = {}
 
     @property
     def n_nodes(self) -> int:
@@ -370,7 +387,23 @@ class AssignedSocialNetwork:
 
     def friends(self, i: int) -> frozenset[int]:
         _check_node(self._n, i)
-        return self._friends[i]
+        found = self._friend_sets.get(i)
+        if found is None:
+            row = self._indices[self._indptr[i] : self._indptr[i + 1]]
+            found = self._friend_sets[i] = frozenset(row.tolist())
+        return found
+
+    def _slot(self, pair: tuple[int, int]) -> int:
+        """Position of an adjacent ``(lo, hi)`` pair in the sorted keys."""
+        return int(np.searchsorted(self._keys, pair[0] * self._n + pair[1]))
+
+    def _intern(self, ties: tuple[Relationship, ...]) -> int:
+        """Index of ``ties`` in the tie table, appended on first sight."""
+        index = self._tie_lookup.get(ties)
+        if index is None:
+            index = self._tie_lookup[ties] = len(self._ties)
+            self._ties.append(ties)
+        return index
 
     def set_relationships(
         self, i: int, j: int, relationships: Iterable[Relationship]
@@ -382,16 +415,31 @@ class AssignedSocialNetwork:
                 f"pair ({i}, {j}) has distance {self._d[i, j]}; relationships "
                 "can only be attached to adjacent (distance-1) pairs"
             )
-        rels = list(relationships)
-        if not rels:
+        ties = tuple(relationships)
+        if not ties:
             raise ValueError("relationship list must be non-empty")
-        self._rels[key] = rels
+        self._tie_ids[self._slot(key)] = self._intern(ties)
+
+    def _adjacent_pairs(self) -> tuple[np.ndarray, np.ndarray]:
+        """``(rows, cols)`` of the adjacent pairs ``rows < cols``, in key
+        (row-major) order."""
+        return np.divmod(self._keys, self._n)
+
+    def _set_tie_counts(self, counts: np.ndarray, tie: Relationship) -> None:
+        """Give the ``k``-th pair of :meth:`_adjacent_pairs` ``counts[k]``
+        copies of ``tie``: :meth:`set_relationships` over every adjacent
+        pair at once, interning one tuple per distinct count."""
+        if np.any(counts < 1):
+            raise ValueError("relationship list must be non-empty")
+        distinct, inverse = np.unique(counts, return_inverse=True)
+        ids = [self._intern((tie,) * count) for count in distinct.tolist()]
+        self._tie_ids = np.asarray(ids, dtype=np.int32)[inverse.reshape(-1)]
 
     def relationships(self, i: int, j: int) -> tuple[Relationship, ...]:
         key = _check_pair(self._n, i, j)
         if self._d[i, j] != 1:
             return ()
-        return tuple(self._rels.get(key, (Relationship(),)))
+        return self._ties[self._tie_ids[self._slot(key)]]
 
     def distance(self, i: int, j: int) -> int:
         _check_node(self._n, i)
@@ -402,15 +450,19 @@ class AssignedSocialNetwork:
         self, *, hardened: bool, lambda_scaling: float
     ) -> sparse.csr_matrix:
         """:meth:`SocialView.relationship_factors` over the distance-1
-        pairs; a pair without explicit ties carries the single default tie
-        :meth:`relationships` reports for it."""
-        factor = _factor_lookup(hardened=hardened, lambda_scaling=lambda_scaling)
-        n = self._n
-        rows, cols = np.nonzero(np.triu(self._d == 1, k=1))
-        data = np.full(rows.size, factor((Relationship(),)))
-        pairs, explicit = _pair_factors(self._rels, factor)
-        data[np.searchsorted(rows * n + cols, pairs[:, 0] * n + pairs[:, 1])] = explicit
-        return _symmetric_csr(n, rows, cols, data)
+        pairs: one factor per distinct tie tuple, gathered by each pair's
+        tie index."""
+        factors = np.array(
+            [
+                relationship_factor(
+                    ties, hardened=hardened, lambda_scaling=lambda_scaling
+                )
+                for ties in self._ties
+            ],
+            dtype=np.float64,
+        )
+        rows, cols = self._adjacent_pairs()
+        return _symmetric_csr(self._n, rows, cols, factors[self._tie_ids])
 
     def path(self, i: int, j: int) -> list[int]:
         """Shortest path over the distance-1 adjacency graph; [] if none."""
@@ -423,7 +475,7 @@ class AssignedSocialNetwork:
         while frontier:
             nxt: list[int] = []
             for u in frontier:
-                for v in self._friends[u]:
+                for v in self.friends(u):
                     if v in parent:
                         continue
                     parent[v] = u

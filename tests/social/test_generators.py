@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.social.generators import (
+    assign_relationships,
     assigned_distance_matrix,
     erdos_renyi_graph,
     paper_social_network,
@@ -38,6 +39,17 @@ class TestAssignedDistanceMatrix:
     def test_rejects_bad_choices(self, rng):
         with pytest.raises(ValueError):
             assigned_distance_matrix(5, rng, distance_choices=(0,))
+
+    @pytest.mark.parametrize("pair", [(0, -1), (-6, 1), (0, 6)])
+    def test_rejects_out_of_range_unit_pair(self, rng, pair):
+        """A negative id would wrap onto the last nodes."""
+        with pytest.raises(ValueError, match=rf"pair \({pair[0]}, {pair[1]}\).*range"):
+            assigned_distance_matrix(6, rng, unit_distance_pairs=[(1, 2), pair])
+
+    def test_rejects_self_unit_pair(self, rng):
+        """``d[2, 2] = 1`` would be refused later as a bad self-distance."""
+        with pytest.raises(ValueError, match=r"pair \(2, 2\).*self-pair"):
+            assigned_distance_matrix(6, rng, unit_distance_pairs=[(2, 2)])
 
     def test_deterministic_per_seed(self):
         a = assigned_distance_matrix(8, spawn_rng(5, 0))
@@ -90,6 +102,19 @@ class TestPaperSocialNetwork:
         with pytest.raises(ValueError):
             paper_social_network(5, [0, 1], rng, colluder_distance=0)
 
+
+class TestAssignRelationships:
+    @pytest.mark.parametrize("colluder", [-1, 6])
+    def test_rejects_out_of_range_colluder(self, rng, colluder):
+        """A negative id would wrap and make node 5 a colluder."""
+        d = np.ones((6, 6), dtype=np.int64) - np.eye(6, dtype=np.int64)
+        with pytest.raises(ValueError, match=rf"colluder id {colluder} out of range \[0, 6\)"):
+            assign_relationships(d, {0, colluder}, rng)
+
+    def test_rejects_zero_tie_count(self, rng):
+        d = np.ones((4, 4), dtype=np.int64) - np.eye(4, dtype=np.int64)
+        with pytest.raises(ValueError, match="non-empty"):
+            assign_relationships(d, (), rng, normal_relationship_range=(0, 0))
 
 class TestPreferentialAttachment:
     def test_connected(self, rng):
